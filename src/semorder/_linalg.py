@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegeneracyError, UsageError
 
@@ -22,7 +21,6 @@ RANK_REL_TOL = 1e-10
 
 __all__ = [
     "check_symmetric",
-    "require_pd",
     "inv_sqrt_pd",
     "min_norm_lstsq",
     "pinv_solve_psd",
@@ -42,18 +40,6 @@ def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if gap > SYM_TOL:
         raise UsageError(f"{name} is not symmetric (max asymmetry {gap:.3e})")
     return 0.5 * (a + a.T)
-
-
-def require_pd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return sorted eigenvalues of symmetric `a`, raising if not numerically PD."""
-    w = np.linalg.eigvalsh(a)
-    floor = PD_REL_TOL * max(float(np.trace(a)), 0.0)
-    if w[0] <= floor:
-        raise DegeneracyError(
-            f"{name} is numerically singular (min eigenvalue {w[0]:.3e}, "
-            f"threshold {floor:.3e})"
-        )
-    return w
 
 
 def inv_sqrt_pd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -119,18 +105,20 @@ def pinv_solve_psd(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of `v` onto the l1 ball of the given radius.
 
-    Sort-based simplex projection; O(d log d).
+    Sort-based simplex projection; O(d log d).  A 2-d `v` is projected row by
+    row, each row onto its own ball.
     """
     if radius < 0:
         raise UsageError("l1 radius must be nonnegative")
     v = np.asarray(v, dtype=np.float64)
     if radius == 0:
         return np.zeros_like(v)
-    mag = np.abs(v)
-    if mag.sum() <= radius:
-        return v.copy()
-    u = np.sort(mag)[::-1]
-    css = np.cumsum(u)
-    idx = np.nonzero(u * np.arange(1, len(u) + 1) > (css - radius))[0][-1]
-    theta = (css[idx] - radius) / (idx + 1.0)
-    return np.sign(v) * np.maximum(mag - theta, 0.0)
+    rows = np.atleast_2d(v)
+    mag = np.abs(rows)
+    u = -np.sort(-mag, axis=1)
+    css = np.cumsum(u, axis=1)
+    d = u.shape[1]
+    idx = d - 1 - np.argmax((u * np.arange(1, d + 1) > css - radius)[:, ::-1], axis=1)
+    theta = (css[np.arange(rows.shape[0]), idx] - radius) / (idx + 1.0)
+    theta[mag.sum(axis=1) <= radius] = 0.0
+    return (np.sign(rows) * np.maximum(mag - theta[:, None], 0.0)).reshape(v.shape)

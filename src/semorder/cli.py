@@ -6,7 +6,7 @@ functions of (config, seed); nothing in them depends on wall clock or thread
 count, so a rerun reproduces every file byte for byte.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical
-degeneracy that prevented completion.
+degeneracy or a failed linear-algebra routine that prevented completion.
 """
 
 from __future__ import annotations
@@ -361,6 +361,9 @@ def main(argv=None) -> int:
         return 2
     except DegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
+        return 3
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical failure in linear algebra: {exc}", file=sys.stderr)
         return 3
     return 0
 

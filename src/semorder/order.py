@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import derived_rng
 from .dictionary import basis_matrix
 from .errors import CapacityError, UsageError
 from .regress import ClassSpec, fit_l1, fit_span

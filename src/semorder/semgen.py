@@ -224,6 +224,12 @@ class DataMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
             raise UsageError(f"data must be a nonempty 2-d matrix, got shape {self.values.shape}")
+        bad = ~np.isfinite(self.values)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise UsageError(
+                f"non-finite value {float(self.values[row, col])} in column x{col + 1} (data row {row + 1})"
+            )
 
     @property
     def n(self) -> int:
@@ -251,13 +257,24 @@ class DataMatrix:
             expected = [f"x{j + 1}" for j in range(len(header))]
             if header != expected:
                 raise UsageError(f"{path}: header must be x1..x{len(header)}, got {header!r}")
-            try:
-                rows = [[float(v) for v in row] for row in reader if row]
-            except ValueError as exc:
-                raise UsageError(f"{path}: non-numeric cell ({exc})") from exc
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise UsageError(
+                        f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}"
+                    )
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise UsageError(f"{path}: non-numeric cell ({exc})") from exc
         if not rows:
             raise UsageError(f"{path}: no data rows")
-        return cls(values=np.array(rows, dtype=np.float64))
+        try:
+            return cls(values=np.array(rows, dtype=np.float64))
+        except UsageError as exc:
+            raise UsageError(f"{path}: {exc}") from None
 
 
 def sample(spec: SemSpec, n: int, seed) -> DataMatrix:

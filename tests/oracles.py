@@ -107,6 +107,39 @@ def grid_l1_ellipsoid_quadratic_d2(delta, sigma, budget, step=1e-4):
     return best
 
 
+def project_ellipsoid_bisect(v, sigma, iters=200):
+    """Projection of one vector onto {x : x' sigma x <= 1} by bisection on the multiplier."""
+    w, q = np.linalg.eigh(sigma)
+    z = q.T @ v
+    if float(np.sum(w * z * z)) <= 1.0:
+        return v.copy()
+    lo, hi = 0.0, 1.0
+    while np.sum(w * z * z / (1.0 + hi * w) ** 2) > 1.0:
+        hi *= 2.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.sum(w * z * z / (1.0 + mid * w) ** 2) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return q @ (z / (1.0 + hi * w))
+
+
+def project_l1_bisect(v, radius, iters=200):
+    """Projection of one vector onto the l1 ball by bisection on the soft threshold."""
+    mag = np.abs(v)
+    if mag.sum() <= radius:
+        return v.copy()
+    lo, hi = 0.0, float(mag.max())
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(mag - mid, 0.0).sum() > radius:
+            lo = mid
+        else:
+            hi = mid
+    return np.sign(v) * np.maximum(mag - hi, 0.0)
+
+
 def trapezoid_j_value(p, n, k_x, budget, points=200_001):
     """Trapezoid evaluation of the entropy integral, formulas written out inline."""
     if k_x * budget == 0.0:

@@ -300,6 +300,39 @@ def test_degeneracy_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert "Lambda_min" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_order_rejects_non_finite_csv(tmp_path, capsys, cell):
+    rng = np.random.default_rng(12)
+    rows = [",".join(format(v, ".17g") for v in r) for r in rng.standard_normal((40, 3))]
+    rows[7] = f"0.5,{cell},1.5"
+    data = tmp_path / "bad.csv"
+    data.write_text("x1,x2,x3\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path, "c.json", {"data": str(data), "class": TRIG3})
+    code, _, err = run(["order", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert "bad.csv" in err and "x2" in err and "non-finite" in err
+
+
+def test_order_rejects_ragged_csv(tmp_path, capsys):
+    data = tmp_path / "ragged.csv"
+    data.write_text("x1,x2\n1,2\n3\n4,5\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path, "c.json", {"data": str(data), "class": TRIG3})
+    code, _, err = run(["order", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert "ragged.csv: line 3 has 1 cells, expected 2" in err
+
+
+def test_linalg_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
+    def boom(cfg, seed, out, self_test):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(cli._COMMANDS, "order", boom)
+    cfg = write_cfg(tmp_path, "c.json", {"class": TRIG3})
+    code, _, err = run(["order", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+    assert code == 3
+    assert "SVD did not converge" in err
+
+
 def test_manifest_rerun_identical(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {"n": 100, "p": 2, "budget": 0.8})
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from semorder._linalg import project_l1
 from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary, moment_matrix, moment_vector
 from semorder.empproc import (
     MomentPair,
+    _project_ellipsoid,
     additive_population_moments,
     case5_tradeoff,
     check_eigenvalue_cond,
@@ -107,6 +109,43 @@ def test_z_sup_l1_below_ellipsoid():
         mp = random_pair(rng, d)
         budget = float(rng.uniform(0.2, 3.0))
         assert z_sup_l1(mp, budget, restarts=8, seed=3) <= z_sup_ellipsoid(mp) + 1e-8
+
+
+def test_z_sup_l1_bracket_on_below_ellipsoid_seeds():
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        d = int(rng.integers(2, 6))
+        mp = random_pair(rng, d)
+        budget = float(rng.uniform(0.2, 3.0))
+        val, det = z_sup_l1(mp, budget, restarts=8, seed=3, return_details=True)
+        l1_bound = budget * budget * float(np.max(np.abs(mp.sigma_hat - mp.sigma)))
+        assert det["upper"] == pytest.approx(min(z_sup_ellipsoid(mp), l1_bound), rel=1e-12)
+        assert val <= det["upper"]
+        assert det["ascents"] == 16 and det["newton_capped"] == 0
+        assert 0 <= det["retired"] <= det["ascents"]
+
+
+def test_project_ellipsoid_rows_match_bisection():
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((4, 4))
+    sigma = a @ a.T / 4.0 + 0.05 * np.eye(4)
+    w, q = np.linalg.eigh(sigma)
+    v = rng.standard_normal((12, 4)) * np.array([[0.1], [3.0], [30.0]]).repeat(4, axis=0)
+    got, capped = _project_ellipsoid(v, w, q)
+    assert capped == 0
+    for row, out in zip(v, got):
+        ref = oracles.project_ellipsoid_bisect(row, sigma)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+        assert float(out @ sigma @ out) <= 1.0 + 1e-12
+
+
+def test_project_l1_rows_match_bisection():
+    rng = np.random.default_rng(32)
+    v = rng.standard_normal((10, 5)) * np.linspace(0.05, 3.0, 10)[:, None]
+    got = project_l1(v, 1.3)
+    for row, out in zip(v, got):
+        assert np.max(np.abs(out - oracles.project_l1_bisect(row, 1.3))) <= 1e-12
+        assert np.array_equal(out, project_l1(row, 1.3))
 
 
 def test_moment_pair_validation():
