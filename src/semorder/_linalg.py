@@ -55,11 +55,12 @@ def inv_sqrt_pd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T
 
 
-def min_norm_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
+def min_norm_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum-norm least squares via SVD.
 
     Singular values below ``RANK_REL_TOL * max column norm`` are treated as
-    zero.  Returns ``(beta, rank_deficient)``.
+    zero.  Returns ``(beta, rank)``, the rank being the number of singular
+    values kept.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -68,15 +69,14 @@ def min_norm_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
     if y.shape != (x.shape[0],):
         raise UsageError(f"response shape {y.shape} does not match design rows {x.shape[0]}")
     if x.shape[1] == 0:
-        return np.zeros(0), False
+        return np.zeros(0), 0
     col_norms = np.linalg.norm(x, axis=0)
     cutoff = RANK_REL_TOL * float(col_norms.max())
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     keep = s > cutoff
-    rank_deficient = bool(np.count_nonzero(keep) < x.shape[1])
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     beta = vt.T @ (s_inv * (u.T @ y))
-    return beta, rank_deficient
+    return beta, int(np.count_nonzero(keep))
 
 
 def pinv_solve_psd(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:

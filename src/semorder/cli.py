@@ -101,12 +101,21 @@ def _need(cfg: dict, key: str):
     return cfg[key]
 
 
-def _positive_int(cfg: dict, key: str) -> int:
-    v = _need(cfg, key)
+def _number(cfg: dict, key: str, kind=float, default=None):
+    """Config entry `key` as an int or a finite float; `default` if absent, required if None."""
+    raw = _need(cfg, key) if default is None else cfg.get(key, default)
+    what = "an integer" if kind is int else "a finite number"
     try:
-        v = int(v)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"config entry {key!r} must be an integer, got {v!r}") from exc
+        v = kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"config entry {key!r} must be {what}, got {raw!r}") from exc
+    if not math.isfinite(v):
+        raise UsageError(f"config entry {key!r} must be {what}, got {raw!r}")
+    return v
+
+
+def _positive_int(cfg: dict, key: str) -> int:
+    v = _number(cfg, key, int)
     if v < 1:
         raise UsageError(f"config entry {key!r} must be positive, got {v}")
     return v
@@ -170,7 +179,7 @@ def cmd_rates(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
         reps=_positive_int(cfg, "reps"),
         family=str(cfg.get("family", TRIGONOMETRIC)),
         domain=tuple(cfg.get("domain", (0.0, 1.0))),
-        restarts=int(cfg.get("restarts", 64)),
+        restarts=_number(cfg, "restarts", int, 64),
         seed=seed,
         self_test=self_test,
     )
@@ -185,13 +194,13 @@ def cmd_misspec(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     if not isinstance(truth_cfg, dict) or "noise_sd" not in truth_cfg:
         raise UsageError("truth config needs kind/params/noise_sd")
     fn = EdgeFunction.from_config(truth_cfg)
-    truth = MisspecTruth(mean=fn, noise_sd=float(truth_cfg["noise_sd"]), label=fn.kind)
+    truth = MisspecTruth(mean=fn, noise_sd=_number(truth_cfg, "noise_sd"), label=fn.kind)
     report = misspec_experiment(
         truth=truth,
         class_spec=ClassSpec.from_config(_need(cfg, "class")),
         n_grid=_need(cfg, "n_grid"),
         reps=_positive_int(cfg, "reps"),
-        oracle_n=int(cfg.get("oracle_n", 200_000)),
+        oracle_n=_number(cfg, "oracle_n", int, 200_000),
         seed=seed,
     )
     _write_json(out / "misspec.json", report.to_json())
@@ -203,8 +212,8 @@ def cmd_misspec(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
 def cmd_gap(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     spec = SemSpec.from_json(_need(cfg, "sem"))
     class_spec = ClassSpec.from_config(_need(cfg, "class"))
-    oracle_n = int(cfg.get("oracle_n", 200_000))
-    replicates = int(cfg.get("replicates", 3))
+    oracle_n = _number(cfg, "oracle_n", int, 200_000)
+    replicates = _number(cfg, "replicates", int, 3)
     if replicates < 1:
         raise UsageError("replicates must be at least 1")
     gaps = []
@@ -237,16 +246,16 @@ def cmd_empnorm(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     p = _positive_int(cfg, "p")
     if p > n:
         raise UsageError(f"need p <= n, got p={p}, n={n}")
-    budget = float(cfg.get("budget", 1.0))
+    budget = _number(cfg, "budget", float, 1.0)
     if not (budget > 0):
         raise UsageError("budget must be positive")
-    u = float(cfg.get("u", 1.0))
-    noise_sd = float(cfg.get("noise_sd", 1.0))
+    u = _number(cfg, "u", float, 1.0)
+    noise_sd = _number(cfg, "noise_sd", float, 1.0)
     coefs = cfg.get("response_coefficients", [1.0] * p)
     w = np.asarray(coefs, dtype=np.float64)
-    if w.shape != (p,):
-        raise UsageError(f"response_coefficients must have length p={p}")
-    restarts = int(cfg.get("restarts", 32))
+    if w.shape != (p,) or not np.all(np.isfinite(w)):
+        raise UsageError(f"response_coefficients must be {p} finite numbers")
+    restarts = _number(cfg, "restarts", int, 32)
 
     rng = derived_rng(seed)
     x = rng.uniform(-1.0, 1.0, (n, p))

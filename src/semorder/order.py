@@ -5,9 +5,9 @@ term is the residual variance of the class regression of variable pi_j on all
 variables placed before it.  Because each term depends only on (variable,
 predecessor set), the global minimizer over all p! permutations is found with
 O(p 2^p) conditional fits by dynamic programming over subsets; a forward
-greedy search provides the cheap alternative.  Both share a memoized
-conditional-variance cache and break ties lexicographically, so results are
-deterministic.
+greedy search provides the cheap alternative.  Both read their fits from one
+:class:`semorder.regress.ConditionalFits` engine per dataset and break ties
+lexicographically, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import basis_matrix
 from .errors import CapacityError, UsageError
-from .regress import ClassSpec, fit_l1, fit_span
+from .regress import ClassSpec, ConditionalFits
 from .semgen import DataMatrix, SemSpec, sample, topological_orders
 
 EXACT_GUARD = 18
@@ -63,68 +62,27 @@ class OrderEstimate:
         }
 
 
-class _SigmaCache:
-    """Memoized conditional residual variances over one dataset.
+class _FlooredSigmas:
+    """Conditional residual variances of one dataset, floored for the score.
 
-    Basis expansions are computed once per column; fits are keyed by
-    (variable, predecessor bitmask).  Values are floored at ``1e-12 * mean
-    square`` of the response column so scores never hit log(0).
+    Fits come from a :class:`ConditionalFits` engine; each value is floored at
+    ``1e-12 * mean square`` of the response column so scores never hit log(0).
     """
 
     def __init__(self, data, class_spec: ClassSpec):
-        values = np.asarray(getattr(data, "values", data), dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise UsageError(f"data must be a nonempty 2-d matrix, got shape {values.shape}")
-        self.values = values
-        self.n, self.p = values.shape
-        if self.p > self.n:
-            raise UsageError(f"estimation needs p <= n, got p={self.p}, n={self.n}")
-        self.class_spec = class_spec
-        self._blocks: dict[int, np.ndarray] = {}
-        self._ones = np.ones((self.n, 1))
-        self._memo: dict[tuple[int, int], tuple[float, bool, bool]] = {}
-        ms = np.mean(values * values, axis=0)
-        tiny = np.finfo(np.float64).tiny
-        self._floor = np.maximum(1e-12 * ms, tiny)
-
-    def _block(self, v: int) -> np.ndarray:
-        blk = self._blocks.get(v)
-        if blk is None:
-            blk = basis_matrix(self.class_spec.dictionary, self.values[:, v])
-            self._blocks[v] = blk
-        return blk
+        self.fits = fits = ConditionalFits(data, class_spec)
+        self.p = fits.p
+        if fits.p > fits.n:
+            raise UsageError(f"estimation needs p <= n, got p={fits.p}, n={fits.n}")
+        ms = np.mean(fits.values * fits.values, axis=0)
+        self._floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny).tolist()
 
     def entry(self, v: int, mask: int) -> tuple[float, bool, bool]:
         """(residual variance, floored?, degenerate?) of v regressed on mask."""
-        key = (v, mask)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        cols = [k for k in range(self.p) if mask & (1 << k)]
-        n_basis = self.class_spec.dictionary.size
-        if len(cols) * n_basis + 1 > self.n:
-            raise CapacityError(
-                f"conditioning on {len(cols)} columns needs {len(cols) * n_basis + 1} rows, have {self.n}"
-            )
-        y = self.values[:, v]
-        parts = ([self._ones] if self.class_spec.intercept else []) + [self._block(k) for k in cols]
-        if parts:
-            design = np.hstack(parts) if len(parts) > 1 else parts[0]
-            if self.class_spec.kind == "l1" and cols:
-                fit = fit_l1(
-                    design, y, self.class_spec.total_budget(len(cols)), intercept=self.class_spec.intercept
-                )
-            else:
-                fit = fit_span(design, y)
-            rv, degenerate = fit.residual_variance, fit.degenerate
-        else:
-            rv, degenerate = float(np.mean(y * y)), False
-        floored = rv < self._floor[v]
-        if floored:
-            rv = float(self._floor[v])
-        out = (rv, floored, degenerate)
-        self._memo[key] = out
-        return out
+        rv, degenerate = self.fits.sigma(v, mask)
+        if rv < self._floor[v]:
+            return self._floor[v], True, degenerate
+        return rv, False, degenerate
 
     def log_sigma(self, v: int, mask: int) -> float:
         return math.log(self.entry(v, mask)[0])
@@ -151,7 +109,7 @@ def conditional_sigma(data, v: int, s, class_spec: ClassSpec, return_flags: bool
     intercept).  The value is floored at 1e-12 times the sample second moment
     of column v; ``return_flags=True`` also returns (floored, degenerate).
     """
-    cache = _SigmaCache(data, class_spec)
+    cache = _FlooredSigmas(data, class_spec)
     v = int(v)
     if not (0 <= v < cache.p):
         raise UsageError(f"column index {v} out of range for {cache.p} columns")
@@ -169,7 +127,7 @@ def conditional_sigma(data, v: int, s, class_spec: ClassSpec, return_flags: bool
     return rv
 
 
-def _score_from_cache(cache: _SigmaCache, pi) -> float:
+def _score_from_cache(cache: _FlooredSigmas, pi) -> float:
     sigmas = np.empty(len(pi))
     mask = 0
     for pos, v in enumerate(pi):
@@ -180,12 +138,12 @@ def _score_from_cache(cache: _SigmaCache, pi) -> float:
 
 def score(data, pi, class_spec: ClassSpec) -> float:
     """Sum of log conditional residual variances along the permutation."""
-    cache = _SigmaCache(data, class_spec)
+    cache = _FlooredSigmas(data, class_spec)
     pi = _validate_perm(pi, cache.p)
     return _score_from_cache(cache, pi)
 
 
-def _estimate_from_cache(cache: _SigmaCache, pi, method: str) -> OrderEstimate:
+def _estimate_from_cache(cache: _FlooredSigmas, pi, method: str) -> OrderEstimate:
     sigmas = np.empty(len(pi))
     floored = []
     degenerate = []
@@ -208,8 +166,10 @@ def _estimate_from_cache(cache: _SigmaCache, pi, method: str) -> OrderEstimate:
     )
 
 
-def _exact_from_cache(cache: _SigmaCache) -> OrderEstimate:
+def _exact_from_cache(cache: _FlooredSigmas) -> OrderEstimate:
     p = cache.p
+    if p > EXACT_GUARD:
+        raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={p}")
     full = (1 << p) - 1
     # suffix[m] = optimal remaining score given the variables in m are placed
     suffix = np.empty(1 << p)
@@ -248,13 +208,10 @@ def estimate_order_exact(data, class_spec: ClassSpec) -> OrderEstimate:
     broken toward the lexicographically smallest permutation.  Guarded at
     p <= 18 by table memory.
     """
-    cache = _SigmaCache(data, class_spec)
-    if cache.p > EXACT_GUARD:
-        raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={cache.p}")
-    return _exact_from_cache(cache)
+    return _exact_from_cache(_FlooredSigmas(data, class_spec))
 
 
-def _greedy_from_cache(cache: _SigmaCache) -> OrderEstimate:
+def _greedy_from_cache(cache: _FlooredSigmas) -> OrderEstimate:
     p = cache.p
     pi = []
     mask = 0
@@ -277,7 +234,7 @@ def estimate_order_greedy(data, class_spec: ClassSpec) -> OrderEstimate:
     Lexicographic tie-break (strict improvement required to displace an
     earlier candidate).  Its score is never below the exact minimum.
     """
-    cache = _SigmaCache(data, class_spec)
+    cache = _FlooredSigmas(data, class_spec)
     return _greedy_from_cache(cache)
 
 
@@ -343,13 +300,8 @@ def consistency_experiment(
         gaps = np.empty(reps)
         for rep in range(reps):
             data = sample(spec, n, (seed, n, rep))
-            cache = _SigmaCache(data, class_spec)
-            if method == "exact":
-                if cache.p > EXACT_GUARD:
-                    raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}")
-                est = _exact_from_cache(cache)
-            else:
-                est = _greedy_from_cache(cache)
+            cache = _FlooredSigmas(data, class_spec)
+            est = _exact_from_cache(cache) if method == "exact" else _greedy_from_cache(cache)
             best_topo = min(_score_from_cache(cache, pi) for pi in pi0)
             hit = in_pi0(est.order, spec)
             hits += hit

@@ -8,6 +8,10 @@ Two estimators over the same additive design:
   non-intercept coefficients, by projected gradient descent with backtracking,
   and certifies the result with an explicit KKT residual.
 
+:class:`ConditionalFits` fits one column of a data matrix on a set of the
+others by the rules of a :class:`ClassSpec`; every conditional fit in the
+package goes through it or through :meth:`ClassSpec.fit`.
+
 :func:`misspec_experiment` measures convergence of the fitted coefficients to
 the population projection when the true regression function lies outside the
 class.
@@ -16,7 +20,7 @@ class.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -24,7 +28,7 @@ import numpy as np
 from . import empproc
 from ._linalg import min_norm_lstsq, pinv_solve_psd, project_l1
 from ._rng import derived_rng
-from .dictionary import Dictionary, basis_matrix, design_matrix
+from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix, design_matrix, stack_design
 from .errors import CapacityError, UsageError
 
 SPAN = "span"
@@ -81,12 +85,16 @@ class ClassSpec:
         return self.budget * n_blocks
 
     def fit(self, columns, y, n_rows: int | None = None) -> "FitResult":
-        """Fit the class regression of `y` on the given input columns."""
+        """Fit the class regression of `y` on the given input columns, in the order given.
+
+        `n_rows`, if given, must be the length of `y`.  See :func:`_fit_blocks`
+        for the design, the empty-design convention and the ``degenerate`` flag.
+        """
         y = np.asarray(y, dtype=np.float64).ravel()
-        x = self.design(columns, n_rows=n_rows if n_rows is not None else y.shape[0])
-        if self.kind == SPAN or len(columns) == 0:
-            return fit_span(x, y)
-        return fit_l1(x, y, self.total_budget(len(columns)), intercept=self.intercept)
+        blocks = [basis_matrix(self.dictionary, np.ravel(c)) for c in columns]
+        if n_rows not in (None, y.shape[0]) or any(b.shape[0] != y.shape[0] for b in blocks):
+            raise UsageError(f"input columns and n_rows must match the {y.shape[0]} responses")
+        return _fit_blocks(self, blocks, y)
 
     def to_config(self) -> dict:
         cfg = {"dictionary": self.dictionary.to_config(), "kind": self.kind, "intercept": self.intercept}
@@ -121,6 +129,7 @@ class FitResult:
     budget: float | None = None
     intercept: bool = False
     n_obs: int = 0
+    rank: int | None = None
 
 
 @dataclass
@@ -135,21 +144,23 @@ def fit_span(x: np.ndarray, y: np.ndarray) -> FitResult:
     """Ordinary least squares; minimum-norm coefficients if rank-deficient.
 
     The residual variance is the mean squared residual (no degrees-of-freedom
-    correction).  Rank deficiency is reported through ``degenerate``.
+    correction).  ``rank`` is the numerical rank of `x`; ``degenerate`` marks
+    a rank below the column count.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape[0] < 1:
         raise UsageError("need at least one observation")
-    beta, degenerate = min_norm_lstsq(x, y)
+    beta, rank = min_norm_lstsq(x, y)
     resid = y - x @ beta
     rv = float(resid @ resid) / x.shape[0]
     return FitResult(
         coefficients=beta,
         residual_variance=rv,
         kind=SPAN,
-        degenerate=degenerate,
+        degenerate=rank < x.shape[1],
         n_obs=x.shape[0],
+        rank=rank,
     )
 
 
@@ -295,16 +306,89 @@ def population_projection(sigma: np.ndarray, c: np.ndarray) -> ProjectionResult:
     return ProjectionResult(coefficients=beta, degenerate=degenerate)
 
 
+def _fit_blocks(class_spec: ClassSpec, blocks: list[np.ndarray], y: np.ndarray) -> FitResult:
+    """Class regression of `y` on the design ``[1 | blocks...]``.
+
+    The one place that assembles a class design and picks its solver: an l1
+    class with k >= 1 blocks takes ``total_budget(k)``, every other fit is a
+    span fit.  With neither blocks nor intercept the residual is `y` itself,
+    so the residual variance is ``mean(y*y)``.  A span fit is ``degenerate``
+    only when its rank is below the dimension of the class span:
+    ``k(N-1)+1`` for k >= 1 blocks of a partition-of-unity family, else
+    ``intercept + kN``.  l1 fits are never flagged.
+    """
+    n, k = y.shape[0], len(blocks)
+    if k == 0 and not class_spec.intercept:
+        return FitResult(np.zeros(0), float(np.mean(y * y)), SPAN, n_obs=n, rank=0)
+    design = stack_design(blocks, class_spec.intercept, n)
+    if class_spec.kind == L1 and k:
+        return fit_l1(design, y, class_spec.total_budget(k), intercept=class_spec.intercept)
+    fit = fit_span(design, y)
+    n_basis = class_spec.dictionary.size
+    if k and class_spec.dictionary.family != TRIGONOMETRIC:
+        dim = k * (n_basis - 1) + 1
+    else:
+        dim = int(class_spec.intercept) + k * n_basis
+    return replace(fit, degenerate=fit.rank < dim)
+
+
+class ConditionalFits:
+    """Class regressions of the columns of one data matrix on sets of the others.
+
+    The package's one conditional-fit engine, built once per data matrix; the
+    order search, the population residual variances and
+    :func:`fit_over_subsets` all read their fits from it.  It owns:
+
+    * one basis block per column, built on first use;
+    * the capacity rule ``|S| N + 1 <= n``, else :class:`CapacityError`;
+    * the design ``[1 | B_k ...]`` with blocks in ascending column order, and
+      the span/l1 dispatch and empty-design convention of :func:`_fit_blocks`;
+    * the memo of ``(residual variance, degenerate)`` keyed by (variable,
+      predecessor bitmask).
+    """
+
+    def __init__(self, data, class_spec: ClassSpec):
+        values = np.asarray(getattr(data, "values", data), dtype=np.float64)
+        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
+            raise UsageError(f"data must be a nonempty 2-d matrix, got shape {values.shape}")
+        self.values = values
+        self.n, self.p = values.shape
+        self.class_spec = class_spec
+        self._blocks: dict[int, np.ndarray] = {}
+        self._memo: dict[tuple[int, int], tuple[float, bool]] = {}
+
+    def fit(self, v: int, mask: int) -> FitResult:
+        """Fit column `v` on the columns whose bits are set in `mask` (not memoized)."""
+        cols = [k for k in range(self.p) if mask & (1 << k)]
+        need = len(cols) * self.class_spec.dictionary.size + 1
+        if need > self.n:
+            raise CapacityError(f"conditioning on {len(cols)} columns needs {need} rows, have {self.n}")
+        for k in cols:
+            if k not in self._blocks:
+                self._blocks[k] = basis_matrix(self.class_spec.dictionary, self.values[:, k])
+        return _fit_blocks(self.class_spec, [self._blocks[k] for k in cols], self.values[:, v])
+
+    def sigma(self, v: int, mask: int) -> tuple[float, bool]:
+        """Memoized ``(residual variance, degenerate)`` of :meth:`fit`."""
+        hit = self._memo.get((v, mask))
+        if hit is None:
+            fit = self.fit(v, mask)
+            hit = self._memo[(v, mask)] = (fit.residual_variance, fit.degenerate)
+        return hit
+
+
 def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple[int, ...], FitResult]:
     """Fit the class regression of column `j` on each subset of other columns.
 
-    Basis expansions are computed once per distinct column and reused across
-    subsets.  Keys of the returned dict are sorted index tuples.
+    All fits come from one :class:`ConditionalFits` engine, so each column's
+    basis block is built once, and each fit equals ``class_spec.fit`` on the
+    same columns in ascending order.  Keys of the returned dict are sorted
+    index tuples; the empty subset without an intercept gives the
+    ``mean(y*y)`` fit.  Raises :class:`CapacityError` for a subset of k
+    columns when ``k N + 1 > n``.
     """
-    values = np.asarray(getattr(data, "values", data), dtype=np.float64)
-    if values.ndim != 2:
-        raise UsageError(f"data must be a 2-d matrix, got shape {values.shape}")
-    n, p = values.shape
+    fits = ConditionalFits(data, class_spec)
+    p = fits.p
     if not (0 <= j < p):
         raise UsageError(f"target index {j} out of range for {p} columns")
     keys = []
@@ -318,31 +402,7 @@ def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple
             if v == j:
                 raise UsageError(f"target column {j} cannot be its own predictor")
         keys.append(key)
-    n_basis = class_spec.dictionary.size
-    for key in keys:
-        if len(key) * n_basis + 1 > n:
-            raise CapacityError(
-                f"subset of {len(key)} columns needs {len(key) * n_basis + 1} observations, have {n}"
-            )
-    blocks: dict[int, np.ndarray] = {}
-    for key in keys:
-        for v in key:
-            if v not in blocks:
-                blocks[v] = basis_matrix(class_spec.dictionary, values[:, v])
-    y = values[:, j]
-    out: dict[tuple[int, ...], FitResult] = {}
-    for key in keys:
-        if key in out:
-            continue
-        parts = ([np.ones((n, 1))] if class_spec.intercept else []) + [blocks[v] for v in key]
-        if not parts:
-            raise UsageError("empty subset with no intercept gives an empty design")
-        design = np.hstack(parts)
-        if class_spec.kind == L1 and len(key) > 0:
-            out[key] = fit_l1(design, y, class_spec.total_budget(len(key)), intercept=class_spec.intercept)
-        else:
-            out[key] = fit_span(design, y)
-    return out
+    return {key: fits.fit(j, sum(1 << v for v in key)) for key in dict.fromkeys(keys)}
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from ._rng import derived_rng
 from .dictionary import Dictionary, basis_matrix
 from .errors import CapacityError, UsageError
-from .regress import ClassSpec, fit_l1, fit_span
+from .regress import ClassSpec, ConditionalFits
 
 SAMPLE_BLOCK = 4096
 
@@ -342,32 +342,22 @@ class PopulationSigmas:
     order: tuple[int, ...]
 
 
-def _class_fit_columns(columns, y, class_spec: ClassSpec):
-    """Fit y on the dictionary expansion of the given columns (shared helper)."""
-    n = y.shape[0]
-    parts = ([np.ones((n, 1))] if class_spec.intercept else []) + [
-        basis_matrix(class_spec.dictionary, c) for c in columns
-    ]
-    if not parts:
-        # no intercept and no predictors: the residual is y itself
-        return fit_span(np.zeros((n, 0)), y)
-    design = np.hstack(parts)
-    if class_spec.kind == "l1" and columns:
-        return fit_l1(design, y, class_spec.total_budget(len(columns)), intercept=class_spec.intercept)
-    return fit_span(design, y)
+def _oracle_fits(spec: SemSpec, class_spec: ClassSpec, oracle_n: int, seed) -> ConditionalFits:
+    """The fit engine over a fresh oracle sample of the model."""
+    min_n = 10 * spec.p * class_spec.dictionary.size
+    if oracle_n < min_n:
+        raise UsageError(f"oracle_n={oracle_n} too small; need at least 10*p*N = {min_n}")
+    return ConditionalFits(sample(spec, oracle_n, seed).values, class_spec)
 
 
-def _sigma_along_order(data: np.ndarray, pi, class_spec: ClassSpec, cache: dict):
+def _sigma_along_order(fits: ConditionalFits, pi):
     values = np.empty(len(pi))
     flags = []
+    mask = 0
     for pos, v in enumerate(pi):
-        key = (v, frozenset(pi[:pos]))
-        if key not in cache:
-            cols = [data[:, k] for k in sorted(pi[:pos])]
-            fit = _class_fit_columns(cols, data[:, v], class_spec)
-            cache[key] = (fit.residual_variance, fit.degenerate)
-        values[pos], flag = cache[key]
+        values[pos], flag = fits.sigma(v, mask)
         flags.append(flag)
+        mask |= 1 << v
     return values, tuple(flags)
 
 
@@ -383,17 +373,14 @@ def population_sigma(
     Position j regresses the j-th variable of `pi` on all earlier ones over a
     fresh oracle sample of size `oracle_n`; the first position gets the empty
     predictor set.  Values approximate the population quantities at
-    Monte-Carlo accuracy O(oracle_n^-1/2).  Rank-deficient designs fall back
-    to minimum-norm fits and are flagged.
+    Monte-Carlo accuracy O(oracle_n^-1/2).  Designs whose numerical rank is
+    below the class span's dimension fall back to minimum-norm fits and are
+    flagged.
     """
     pi = tuple(int(v) for v in pi)
     if sorted(pi) != list(range(spec.p)):
         raise UsageError(f"pi must be a permutation of 0..{spec.p - 1}, got {pi!r}")
-    min_n = 10 * spec.p * class_spec.dictionary.size
-    if oracle_n < min_n:
-        raise UsageError(f"oracle_n={oracle_n} too small; need at least 10*p*N = {min_n}")
-    data = sample(spec, oracle_n, seed).values
-    values, flags = _sigma_along_order(data, pi, class_spec, {})
+    values, flags = _sigma_along_order(_oracle_fits(spec, class_spec, oracle_n, seed), pi)
     return PopulationSigmas(values=values, degenerate=flags, order=pi)
 
 
@@ -442,13 +429,9 @@ def identifiability_gap(
     """
     if spec.p > 8:
         raise CapacityError(f"identifiability gap enumerates all p! permutations; p={spec.p} > 8")
-    min_n = 10 * spec.p * class_spec.dictionary.size
-    if oracle_n < min_n:
-        raise UsageError(f"oracle_n={oracle_n} too small; need at least 10*p*N = {min_n}")
+    fits = _oracle_fits(spec, class_spec, oracle_n, seed)
     pi0_set = topological_orders(spec)
-    data = sample(spec, oracle_n, seed).values
-    cache: dict = {}
-    base, _ = _sigma_along_order(data, spec.order, class_spec, cache)
+    base, _ = _sigma_along_order(fits, spec.order)
     base_by_var = {v: base[i] for i, v in enumerate(spec.order)}
     gap = float("inf")
     rows = []
@@ -456,7 +439,7 @@ def identifiability_gap(
         in_pi0 = pi in pi0_set
         if in_pi0 and not return_table:
             continue
-        values, _ = _sigma_along_order(data, pi, class_spec, cache)
+        values, _ = _sigma_along_order(fits, pi)
         # log sd ratio = half the log variance ratio, matched per variable
         score = 0.0
         for pos, v in enumerate(pi):

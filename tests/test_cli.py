@@ -288,6 +288,24 @@ def test_empnorm_rejects_oversized_p(tmp_path, capsys):
     assert code == 2 and "p <= n" in err
 
 
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("gap", {"sem": sine_chain_cfg(p=2), "class": SPLINE5, "oracle_n": "lots"}, "oracle_n"),
+        ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 3, "M": 1.0}], "reps": 1, "restarts": "x"}, "restarts"),
+        ("empnorm", {"n": 50, "p": 2, "noise_sd": math.inf}, "noise_sd"),
+        ("empnorm", {"n": 50, "p": 2, "response_coefficients": [1.0, math.nan]}, "response_coefficients"),
+    ],
+)
+def test_bad_numeric_config_entry_is_usage_error(tmp_path, capsys, command, cfg, key):
+    path = write_cfg(tmp_path, "c.json", cfg)
+    out = tmp_path / "r"
+    code, _, err = run([command, "--config", path, "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and key in err
+    assert not (out / f"{command}.json").exists()
+
+
 def test_degeneracy_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     def boom(cfg, seed, out, self_test):
         raise DegeneracyError("Lambda_min collapsed in a scripted failure")

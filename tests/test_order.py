@@ -15,7 +15,7 @@ from semorder.order import (
     in_pi0,
     score,
 )
-from semorder.regress import ClassSpec
+from semorder.regress import ClassSpec, fit_over_subsets, fit_span
 from semorder.semgen import EdgeFunction, SemSpec, sample
 
 import oracles
@@ -70,6 +70,24 @@ def test_conditional_sigma_exact_fit_hits_floor():
     val, floored, degenerate = conditional_sigma(data, 0, {1}, cs, return_flags=True)
     assert val > 0.0
     assert floored
+
+
+def test_degenerate_flags_rank_below_class_span():
+    # spline blocks are collinear with the intercept by construction yet span
+    # the full class dimension k(N-1)+1; piecewise-constant cells that no
+    # sample point reaches lose rank and stay flagged
+    data = sample(sine_chain(p=9), 1000, seed=51).values
+    spline = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)))
+    pc = ClassSpec(Dictionary(PIECEWISE_CONSTANT, 6, (-5.0, 5.0)))
+    subsets = [(1,), (1, 2, 3), tuple(range(1, 9))]
+    for key, fit in fit_over_subsets(data, 0, spline, subsets).items():
+        assert fit.rank == 5 * len(key) + 1 and not fit.degenerate
+        # fit_span itself still flags a rank below the column count
+        assert fit_span(spline.design([data[:, k] for k in key]), data[:, 0]).degenerate
+    for key, fit in fit_over_subsets(data, 0, pc, subsets).items():
+        assert fit.rank < 5 * len(key) + 1 and fit.degenerate
+    assert estimate_order_greedy(data, spline).degenerate == ()
+    assert estimate_order_greedy(data, pc).degenerate != ()
 
 
 def test_score_independent_columns_permutation_invariant():

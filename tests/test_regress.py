@@ -185,8 +185,8 @@ def test_fit_over_subsets_matches_individual_fits():
     assert set(out) == {(), (0,), (1,), (0, 1)}
     for key, res in out.items():
         direct = cls.fit([data.values[:, k] for k in key], data.values[:, 2])
-        assert abs(res.residual_variance - direct.residual_variance) <= 1e-12
-        assert np.max(np.abs(res.coefficients - direct.coefficients)) <= 1e-12
+        assert res.residual_variance == direct.residual_variance
+        assert np.array_equal(res.coefficients, direct.coefficients)
 
 
 def test_fit_over_subsets_empty_is_intercept_only():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semorder import dictionary, regress, semgen
 from semorder.dictionary import CUBIC_B_SPLINE, TRIGONOMETRIC, Dictionary
 from semorder.errors import CapacityError, UsageError
 from semorder.regress import ClassSpec
@@ -152,6 +153,23 @@ def test_identifiability_gap_table():
     assert scores == sorted(scores)
     flags = [row["topological"] for row in tab]
     assert any(flags) and not all(flags)
+
+
+def test_identifiability_gap_builds_each_basis_block_once(monkeypatch):
+    calls = []
+    real = dictionary.basis_matrix
+
+    def counting(d, x):
+        calls.append(np.size(x))
+        return real(d, x)
+
+    for module in (dictionary, regress, semgen):
+        monkeypatch.setattr(module, "basis_matrix", counting)
+    edges = {(j, j + 1): EdgeFunction.sine(2.0, 1.5) for j in range(3)}
+    spec = SemSpec(p=4, order=(0, 1, 2, 3), edges=edges, noise_sd=(1.0, 0.3, 0.3, 0.3))
+    identifiability_gap(spec, spline_class(6, (-5.0, 5.0)), oracle_n=2_000, seed=6, return_table=True)
+    # one block per column of the oracle sample, shared by all 24 permutations
+    assert calls == [2_000] * spec.p
 
 
 def test_edge_function_kinds():
