@@ -21,6 +21,7 @@ RANK_REL_TOL = 1e-10
 
 __all__ = [
     "check_symmetric",
+    "gen_eigh",
     "inv_sqrt_pd",
     "min_norm_lstsq",
     "pinv_solve_psd",
@@ -53,6 +54,20 @@ def inv_sqrt_pd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
             f"threshold {floor:.3e})"
         )
     return (v / np.sqrt(w)) @ v.T
+
+
+def gen_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``a v = w b v`` for symmetric `a` and symmetric positive definite `b`.
+
+    Cholesky whitening, the reduction LAPACK's ``sygv`` makes: with ``b = L L'``
+    the eigenpairs of ``L^{-1} a L^{-T}`` give ``w`` and ``v = L^{-T} u``.
+    Returns ascending eigenvalues and eigenvectors normalized to ``v' b v = 1``;
+    raises ``LinAlgError`` when `b` is not positive definite.
+    """
+    low = np.linalg.cholesky(b)
+    c = np.linalg.solve(low, np.linalg.solve(low, a).T)
+    w, u = np.linalg.eigh(0.5 * (c + c.T))
+    return w, np.linalg.solve(low.T, u)
 
 
 def min_norm_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:

@@ -37,7 +37,7 @@ from .empproc import (
     z_sup_ellipsoid,
     z_sup_l1,
 )
-from .errors import CapacityError, DegeneracyError, UsageError
+from .errors import CapacityError, DegeneracyError, UsageError, as_number
 from .order import estimate_order_exact, estimate_order_greedy
 from .regress import ClassSpec, MisspecTruth, misspec_experiment
 from .semgen import DataMatrix, EdgeFunction, SemSpec, identifiability_gap, sample
@@ -104,14 +104,15 @@ def _need(cfg: dict, key: str):
 def _number(cfg: dict, key: str, kind=float, default=None):
     """Config entry `key` as an int or a finite float; `default` if absent, required if None."""
     raw = _need(cfg, key) if default is None else cfg.get(key, default)
-    what = "an integer" if kind is int else "a finite number"
-    try:
-        v = kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"config entry {key!r} must be {what}, got {raw!r}") from exc
-    if not math.isfinite(v):
-        raise UsageError(f"config entry {key!r} must be {what}, got {raw!r}")
-    return v
+    return as_number(raw, f"config entry {key!r}", kind)
+
+
+def _numbers(cfg: dict, key: str, count: int, default) -> list[float]:
+    """Config entry `key` as a list of `count` finite floats; `default` if absent."""
+    raw = cfg.get(key, default)
+    if not isinstance(raw, (list, tuple)) or len(raw) != count:
+        raise UsageError(f"config entry {key!r} must be a list of {count} finite numbers, got {raw!r}")
+    return [as_number(v, f"config entry {key!r}") for v in raw]
 
 
 def _positive_int(cfg: dict, key: str) -> int:
@@ -178,7 +179,7 @@ def cmd_rates(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
         grid=_need(cfg, "grid"),
         reps=_positive_int(cfg, "reps"),
         family=str(cfg.get("family", TRIGONOMETRIC)),
-        domain=tuple(cfg.get("domain", (0.0, 1.0))),
+        domain=tuple(_numbers(cfg, "domain", 2, (0.0, 1.0))),
         restarts=_number(cfg, "restarts", int, 64),
         seed=seed,
         self_test=self_test,
@@ -251,10 +252,7 @@ def cmd_empnorm(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
         raise UsageError("budget must be positive")
     u = _number(cfg, "u", float, 1.0)
     noise_sd = _number(cfg, "noise_sd", float, 1.0)
-    coefs = cfg.get("response_coefficients", [1.0] * p)
-    w = np.asarray(coefs, dtype=np.float64)
-    if w.shape != (p,) or not np.all(np.isfinite(w)):
-        raise UsageError(f"response_coefficients must be {p} finite numbers")
+    w = np.array(_numbers(cfg, "response_coefficients", p, [1.0] * p))
     restarts = _number(cfg, "restarts", int, 32)
 
     rng = derived_rng(seed)

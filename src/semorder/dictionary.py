@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
-from .errors import UsageError
+from .errors import UsageError, as_number
 
 PIECEWISE_CONSTANT = "piecewise-constant"
 CUBIC_B_SPLINE = "cubic-b-spline"
@@ -72,11 +71,15 @@ class Dictionary:
             raise UsageError(f"size must be a positive integer, got {self.size!r}")
         object.__setattr__(self, "size", int(self.size))
         a, b = float(self.domain[0]), float(self.domain[1])
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        if not (math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a)):
             raise UsageError(f"domain must be a finite interval with a < b, got {self.domain!r}")
         object.__setattr__(self, "domain", (a, b))
-        if self.family == CUBIC_B_SPLINE and self.size < 4:
-            raise UsageError(f"cubic-b-spline needs size >= 4, got {self.size}")
+        if self.family == CUBIC_B_SPLINE:
+            if self.size < 4:
+                raise UsageError(f"cubic-b-spline needs size >= 4, got {self.size}")
+            # the spline recursion divides by the gaps between breakpoints
+            if not np.all(np.diff(self.knots()[3:-3]) > 0):
+                raise UsageError(f"domain {self.domain!r} is too narrow for {self.size - 2} distinct spline breakpoints")
 
     @property
     def sup_bound(self) -> float:
@@ -108,7 +111,11 @@ class Dictionary:
             raise UsageError(f"dictionary config needs family/size/domain, got {cfg!r}") from exc
         if not isinstance(domain, (list, tuple)) or len(domain) != 2:
             raise UsageError(f"dictionary domain must be a [a, b] pair, got {domain!r}")
-        return cls(family=str(family), size=int(size), domain=(float(domain[0]), float(domain[1])))
+        return cls(
+            family=str(family),
+            size=as_number(size, "dictionary size", int),
+            domain=tuple(as_number(v, "dictionary domain") for v in domain),
+        )
 
 
 def basis_matrix(d: Dictionary, x) -> np.ndarray:
@@ -127,11 +134,35 @@ def basis_matrix(d: Dictionary, x) -> np.ndarray:
         out[np.arange(n_pts), idx] = 1.0
         return out
     if d.family == CUBIC_B_SPLINE:
-        return BSpline.design_matrix(x, d.knots(), 3).toarray()
+        return _cubic_bspline(x, d.knots())
     # trigonometric
     t = (x - a) / (b - a)
     r = np.arange(1, size + 1)
     return np.cos(np.pi * np.outer(t, r))
+
+
+def _cubic_bspline(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """All ``len(t) - 4`` cubic B-splines on knots `t` at points `x` in ``[t[3], t[-4]]``.
+
+    De Boor's recursion, vectorized over points, in FITPACK's operation order
+    (``fpbspl``), so the values match the reference implementation bit for
+    bit.  Each point has 4 nonzero values, in columns ``ell - 3 .. ell`` of
+    its knot interval ``ell``; the right end belongs to the last interval.
+    Clamped knots with distinct breakpoints keep every divisor positive.
+    """
+    m = t.size - 4
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, 3, m - 1)
+    h = [np.ones_like(x)]
+    for j in range(1, 4):
+        hh, h = h, [np.zeros_like(x)]
+        for i in range(1, j + 1):
+            xb, xa = t[ell + i], t[ell + i - j]
+            w = hh[i - 1] / (xb - xa)
+            h[i - 1] = h[i - 1] + w * (xb - x)
+            h.append(w * (x - xa))
+    out = np.zeros((x.shape[0], m))
+    np.put_along_axis(out, ell[:, None] + np.arange(-3, 1), np.stack(h, axis=1), axis=1)
+    return out
 
 
 def eval_basis(d: Dictionary, r: int, x):

@@ -32,9 +32,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import PD_REL_TOL, check_symmetric, inv_sqrt_pd, project_l1
+from ._linalg import PD_REL_TOL, check_symmetric, gen_eigh, inv_sqrt_pd, project_l1
 from ._rng import derived_rng
 from .dictionary import (
     TRIGONOMETRIC,
@@ -43,7 +42,7 @@ from .dictionary import (
     moment_matrix,
     moment_vector,
 )
-from .errors import DegeneracyError, UsageError
+from .errors import DegeneracyError, UsageError, as_number
 
 RATE_CASES = ("case3", "case4", "l1_theorem", "l3_theorem")
 
@@ -115,7 +114,7 @@ def _require_pd_sigma(sigma: np.ndarray) -> None:
 
 def _sup_gen_eig(delta: np.ndarray, sigma: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest-|lambda| solution of ``delta v = lambda sigma v`` with its vector."""
-    w, v = scipy.linalg.eigh(delta, sigma)
+    w, v = gen_eigh(delta, sigma)
     idx = int(np.argmax(np.abs(w)))
     return float(abs(w[idx])), v[:, idx]
 
@@ -261,7 +260,7 @@ def z_sup_l1(
     upper = budget * budget * float(np.max(np.abs(delta))) if d else 0.0
     cands: list[np.ndarray] = []
     try:
-        w_all, v_all = scipy.linalg.eigh(delta, sigma)
+        w_all, v_all = gen_eigh(delta, sigma)
         top = int(np.argmax(np.abs(w_all)))
         upper = min(upper, float(abs(w_all[top])))
         cands.append(v_all[:, top])
@@ -295,7 +294,7 @@ def z_sup_l1(
             best_val, best_pt = val, b
     scored.sort(key=lambda t: -t[0])
     n_ascend = min(len(scored), max(8, restarts // 8))
-    dnorm = float(np.max(np.abs(np.linalg.eigvalsh(delta)))) if d else 0.0
+    dnorm = float(np.max(np.abs(w_d))) if d else 0.0
     ascents = retired = capped = 0
     if dnorm > 0.0:
         # one row per (start, sign), start-major, each with its own step size
@@ -551,8 +550,7 @@ def check_incoherence(blocks) -> float:
     w_b = np.linalg.eigvalsh(b)
     if w_b[0] <= PD_REL_TOL * max(float(np.trace(b)), 0.0):
         raise DegeneracyError(f"block sum is numerically singular (min eigenvalue {w_b[0]:.3e})")
-    w = scipy.linalg.eigh(a, b, eigvals_only=True)
-    return float(w[-1])
+    return float(gen_eigh(a, b)[0][-1])
 
 
 def check_eigenvalue_cond(diag_blocks, n_basis: int | None = None) -> float:
@@ -670,14 +668,18 @@ class RateReport:
 def _normalize_cell(case: str, cell, idx: int) -> dict:
     if not isinstance(cell, dict):
         raise UsageError(f"grid cell {idx} must be a mapping, got {cell!r}")
-    out = {"n": int(cell["n"]), "p": int(cell["p"])}
+
+    def entry(key, kind, what):
+        if key not in cell:
+            raise UsageError(f"grid cell {idx} needs {what}")
+        return as_number(cell[key], f"grid cell {idx} entry {key!r}", kind)
+
+    out = {"n": entry("n", int, "a sample size n"), "p": entry("p", int, "a dimension p")}
     if out["n"] < 1 or out["p"] < 1:
         raise UsageError(f"grid cell {idx} needs positive n and p")
     additive = case in ("case3", "case4")
     if additive:
-        if "N" not in cell:
-            raise UsageError(f"grid cell {idx} needs a basis size N for {case}")
-        out["N"] = int(cell["N"])
+        out["N"] = entry("N", int, f"a basis size N for {case}")
         if out["N"] < 1:
             raise UsageError(f"grid cell {idx} needs positive N")
         if out["p"] * out["N"] + 1 > out["n"]:
@@ -685,9 +687,7 @@ def _normalize_cell(case: str, cell, idx: int) -> dict:
     if out["p"] > out["n"]:
         raise UsageError(f"grid cell {idx} violates p <= n")
     if case in ("case3", "l1_theorem"):
-        if "M" not in cell:
-            raise UsageError(f"grid cell {idx} needs a budget M for {case}")
-        out["M"] = float(cell["M"])
+        out["M"] = entry("M", float, f"a budget M for {case}")
         if not (out["M"] > 0):
             raise UsageError(f"grid cell {idx} needs a positive budget")
     return out

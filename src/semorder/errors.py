@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check that raises them."""
+
+import math
 
 
 class UsageError(ValueError):
@@ -11,3 +13,19 @@ class CapacityError(UsageError):
 
 class DegeneracyError(RuntimeError):
     """Raised when a numerical precondition fails (singular moment matrix, zero spread)."""
+
+
+def as_number(raw, name: str, kind=float):
+    """`raw` as an int (``kind=int``) or a finite float; a UsageError naming `name` otherwise.
+
+    An int must equal `raw` exactly: 2.5 is rejected, not truncated to 2.
+    """
+    what = "an integer" if kind is int else "a finite number"
+    try:
+        v = kind(raw)
+        ok = math.isfinite(v) and v == float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{name} must be {what}, got {raw!r}") from exc
+    if not ok:
+        raise UsageError(f"{name} must be {what}, got {raw!r}")
+    return v

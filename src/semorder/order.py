@@ -127,20 +127,11 @@ def conditional_sigma(data, v: int, s, class_spec: ClassSpec, return_flags: bool
     return rv
 
 
-def _score_from_cache(cache: _FlooredSigmas, pi) -> float:
-    sigmas = np.empty(len(pi))
-    mask = 0
-    for pos, v in enumerate(pi):
-        sigmas[pos] = cache.entry(v, mask)[0]
-        mask |= 1 << v
-    return float(np.sum(np.log(sigmas)))
-
-
 def score(data, pi, class_spec: ClassSpec) -> float:
     """Sum of log conditional residual variances along the permutation."""
     cache = _FlooredSigmas(data, class_spec)
     pi = _validate_perm(pi, cache.p)
-    return _score_from_cache(cache, pi)
+    return _estimate_from_cache(cache, pi, "given").score
 
 
 def _estimate_from_cache(cache: _FlooredSigmas, pi, method: str) -> OrderEstimate:
@@ -302,7 +293,7 @@ def consistency_experiment(
             data = sample(spec, n, (seed, n, rep))
             cache = _FlooredSigmas(data, class_spec)
             est = _exact_from_cache(cache) if method == "exact" else _greedy_from_cache(cache)
-            best_topo = min(_score_from_cache(cache, pi) for pi in pi0)
+            best_topo = min(_estimate_from_cache(cache, pi, "given").score for pi in pi0)
             hit = in_pi0(est.order, spec)
             hits += hit
             gaps[rep] = est.score - best_topo

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import derived_rng
 from .dictionary import Dictionary, basis_matrix
-from .errors import CapacityError, UsageError
+from .errors import CapacityError, UsageError, as_number
 from .regress import ClassSpec, ConditionalFits
 
 SAMPLE_BLOCK = 4096
@@ -58,11 +58,11 @@ class EdgeFunction:
     def __post_init__(self):
         if self.kind not in _EDGE_KINDS:
             raise UsageError(f"unknown edge kind {self.kind!r}; expected one of {_EDGE_KINDS}")
-        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
+        object.__setattr__(self, "params", tuple(as_number(v, "edge params") for v in self.params))
         if self.kind == "dictionary-combination":
             if self.dictionary is None or self.coefficients is None:
                 raise UsageError("dictionary-combination needs a dictionary and coefficients")
-            coefs = tuple(float(v) for v in self.coefficients)
+            coefs = tuple(as_number(v, "edge coefficients") for v in self.coefficients)
             if len(coefs) != self.dictionary.size:
                 raise UsageError(
                     f"coefficient count {len(coefs)} does not match dictionary size {self.dictionary.size}"
@@ -74,9 +74,6 @@ class EdgeFunction:
             want = 2 if self.kind == "sine" else 1
             if len(self.params) != want:
                 raise UsageError(f"{self.kind} takes {want} parameter(s), got {len(self.params)}")
-        for v in self.params:
-            if not math.isfinite(v):
-                raise UsageError(f"edge parameters must be finite, got {self.params!r}")
 
     @classmethod
     def sine(cls, amplitude: float, frequency: float) -> "EdgeFunction":
@@ -162,7 +159,7 @@ class SemSpec:
         if sorted(order) != list(range(self.p)):
             raise UsageError(f"order must be a permutation of 0..{self.p - 1}, got {order!r}")
         object.__setattr__(self, "order", order)
-        sds = tuple(float(s) for s in self.noise_sd)
+        sds = tuple(as_number(s, "noise_sd") for s in self.noise_sd)
         if len(sds) != self.p or any(not (s > 0) for s in sds):
             raise UsageError(f"noise_sd must be {self.p} positive reals, got {self.noise_sd!r}")
         object.__setattr__(self, "noise_sd", sds)
@@ -199,7 +196,7 @@ class SemSpec:
         try:
             p = int(cfg["p"])
             order = [int(v) - 1 for v in cfg["order"]]
-            noise_sd = cfg["noise_sd"]
+            noise_sd = tuple(cfg["noise_sd"])
             edge_list = cfg.get("edges", [])
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"sem config needs p/order/noise_sd, got {cfg!r}") from exc
@@ -210,7 +207,7 @@ class SemSpec:
             except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(f"edge entry needs from/to, got {e!r}") from exc
             edges[key] = EdgeFunction.from_config(e)
-        return cls(p=p, order=tuple(order), edges=edges, noise_sd=tuple(noise_sd))
+        return cls(p=p, order=tuple(order), edges=edges, noise_sd=noise_sd)
 
 
 @dataclass

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semorder
 from semorder import cli
 from semorder.errors import DegeneracyError
 from semorder.semgen import DataMatrix
@@ -295,6 +300,17 @@ def test_empnorm_rejects_oversized_p(tmp_path, capsys):
         ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 3, "M": 1.0}], "reps": 1, "restarts": "x"}, "restarts"),
         ("empnorm", {"n": 50, "p": 2, "noise_sd": math.inf}, "noise_sd"),
         ("empnorm", {"n": 50, "p": 2, "response_coefficients": [1.0, math.nan]}, "response_coefficients"),
+        ("empnorm", {"n": 50, "p": 2, "response_coefficients": "x"}, "response_coefficients"),
+        ("empnorm", {"n": 50, "p": 2, "response_coefficients": ["x", 1.0]}, "response_coefficients"),
+        ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": "three", "M": 1.0}], "reps": 1}, "N"),
+        ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 2.5, "M": 1.0}], "reps": 1}, "N"),
+        ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 3, "M": "big"}], "reps": 1}, "M"),
+        ("rates", {"case": "case3", "grid": [{"p": 2, "N": 3, "M": 1.0}], "reps": 1}, "sample size n"),
+        ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 3, "M": 1.0}], "reps": 1, "domain": "ab"}, "domain"),
+        ("order", {"sem": {**sine_chain_cfg(p=2), "edges": [{"from": 1, "to": 2, "kind": "sine", "params": ["x", 1]}]}, "n": 50, "class": SPLINE5}, "params"),
+        ("order", {"sem": {**sine_chain_cfg(p=2), "noise_sd": ["a", 1]}, "n": 50, "class": SPLINE5}, "noise_sd"),
+        ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {"dictionary": {**SPLINE5["dictionary"], "size": "six"}}}, "size"),
+        ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {"dictionary": {**SPLINE5["dictionary"], "domain": ["a", 1]}}}, "domain"),
     ],
 )
 def test_bad_numeric_config_entry_is_usage_error(tmp_path, capsys, command, cfg, key):
@@ -358,3 +374,11 @@ def test_manifest_rerun_identical(tmp_path, capsys):
     assert run(["empnorm", "--config", cfg, "--out", str(out2), "--seed", "4"], capsys)[0] == 0
     assert (out1 / "empnorm.json").read_bytes() == (out2 / "empnorm.json").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(semorder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, semorder.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"

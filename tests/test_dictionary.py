@@ -39,6 +39,26 @@ def test_spline_partition_of_unity_at_point():
     assert abs(total - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("domain", [(-5.0, 5.0), (0.0, 1.0), (-1.0, 3.7), (1e-3, 2e-3)])
+@pytest.mark.parametrize("size", [4, 5, 6, 9, 17])
+def test_spline_basis_equals_scipy_bit_for_bit(size, domain):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    d = Dictionary(CUBIC_B_SPLINE, size, domain)
+    t = d.knots()
+    rng = np.random.default_rng(size)
+    x = np.concatenate([
+        rng.uniform(*domain, 2000),
+        t,
+        np.nextafter(t, -np.inf),
+        np.nextafter(t, np.inf),
+        domain,
+    ])
+    x = d.clamp(x)
+    ours = basis_matrix(d, x)
+    ref = interpolate.BSpline.design_matrix(x, t, 3).toarray()
+    assert np.array_equal(ours, ref)
+
+
 def test_spline_partition_of_unity_on_grid():
     d = Dictionary(CUBIC_B_SPLINE, 8, (-2.0, 3.0))
     x = np.linspace(-2.0, 3.0, 1001)
@@ -143,6 +163,11 @@ def test_dictionary_validation():
     # spline needs at least 4 basis functions for a cubic space
     with pytest.raises(UsageError):
         Dictionary(CUBIC_B_SPLINE, 3, (0.0, 1.0))
+    # a width that overflows, and breakpoints that collapse onto each other
+    with pytest.raises(UsageError):
+        Dictionary(TRIGONOMETRIC, 3, (-1e308, 1e308))
+    with pytest.raises(UsageError):
+        Dictionary(CUBIC_B_SPLINE, 24, (0.0, 1e-322))
 
 
 def test_config_round_trip():

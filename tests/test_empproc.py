@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semorder._linalg import project_l1
+from semorder._linalg import gen_eigh, project_l1
 from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary, moment_matrix, moment_vector
 from semorder.empproc import (
     MomentPair,
@@ -35,6 +35,28 @@ def random_pair(rng, d, scale=0.1):
     delta = rng.standard_normal((d, d)) * scale
     delta = (delta + delta.T) / 2.0
     return MomentPair(sigma + delta, sigma)
+
+
+def test_gen_eigh_matches_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(40)
+    for d in (1, 2, 3, 5, 8, 13, 21, 30):
+        for _ in range(5):
+            g = rng.standard_normal((d, d))
+            a = g + g.T
+            h = rng.standard_normal((d, 2 * d))
+            b = h @ h.T / (2 * d) + 1e-3 * np.eye(d)
+            w, v = gen_eigh(a, b)
+            ref = linalg.eigh(a, b, eigvals_only=True)
+            assert np.all(np.diff(w) >= 0)
+            assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.allclose(v.T @ b @ v, np.eye(d), rtol=0, atol=1e-12)
+            assert np.allclose(a @ v, (b @ v) * w, rtol=0, atol=1e-10 * np.max(np.abs(ref)))
+
+
+def test_gen_eigh_rejects_indefinite_b():
+    with pytest.raises(np.linalg.LinAlgError):
+        gen_eigh(np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 def test_z_sup_ellipsoid_zero_and_scalar():
