@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, UsageError
 from .regress import ClassSpec, ConditionalFits
-from .semgen import DataMatrix, SemSpec, sample, topological_orders
+from .semgen import SemSpec, _parent_masks, _validate_perm, in_pi0, sample
 
 EXACT_GUARD = 18
 
@@ -88,20 +88,6 @@ class _FlooredSigmas:
         return math.log(self.entry(v, mask)[0])
 
 
-def _mask_of(indices) -> int:
-    m = 0
-    for v in indices:
-        m |= 1 << int(v)
-    return m
-
-
-def _validate_perm(pi, p: int) -> tuple[int, ...]:
-    pi = tuple(int(v) for v in pi)
-    if sorted(pi) != list(range(p)):
-        raise UsageError(f"expected a permutation of 0..{p - 1}, got {pi!r}")
-    return pi
-
-
 def conditional_sigma(data, v: int, s, class_spec: ClassSpec, return_flags: bool = False):
     """Residual variance of the class fit of column v on column set s.
 
@@ -110,18 +96,7 @@ def conditional_sigma(data, v: int, s, class_spec: ClassSpec, return_flags: bool
     of column v; ``return_flags=True`` also returns (floored, degenerate).
     """
     cache = _FlooredSigmas(data, class_spec)
-    v = int(v)
-    if not (0 <= v < cache.p):
-        raise UsageError(f"column index {v} out of range for {cache.p} columns")
-    s_idx = sorted(int(k) for k in s)
-    if v in s_idx:
-        raise UsageError(f"response column {v} cannot be conditioned on itself")
-    if len(set(s_idx)) != len(s_idx):
-        raise UsageError(f"conditioning set {s!r} has repeated indices")
-    for k in s_idx:
-        if not (0 <= k < cache.p):
-            raise UsageError(f"conditioning index {k} out of range for {cache.p} columns")
-    rv, floored, degenerate = cache.entry(v, _mask_of(s_idx))
+    rv, floored, degenerate = cache.entry(int(v), cache.fits.predictor_mask(v, s))
     if return_flags:
         return rv, floored, degenerate
     return rv
@@ -157,47 +132,57 @@ def _estimate_from_cache(cache: _FlooredSigmas, pi, method: str) -> OrderEstimat
     )
 
 
-def _exact_from_cache(cache: _FlooredSigmas) -> OrderEstimate:
+def _exact_from_cache(cache: _FlooredSigmas, before: list[int] | None = None) -> OrderEstimate:
+    """Score minimizer over the orders in which each v follows the set bits of ``before[v]``.
+
+    ``before=None`` leaves every permutation allowed.  A mask that holds a
+    variable whose required predecessors lie outside it cannot be reached
+    from the empty set, so it keeps an infinite suffix and costs no fit.
+    """
     p = cache.p
     if p > EXACT_GUARD:
         raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={p}")
+    if before is None:
+        before = [0] * p
     full = (1 << p) - 1
-    # suffix[m] = optimal remaining score given the variables in m are placed
-    suffix = np.empty(1 << p)
+    # need[m] = union of before[u] over the u in m; m is reachable iff need[m] lies in m
+    need = [0] * (1 << p)
+    for mask in range(1, 1 << p):
+        low = mask & -mask
+        need[mask] = need[mask ^ low] | before[low.bit_length() - 1]
+    # suffix[m] = optimal remaining score given the variables in m are placed,
+    # attained first (smallest v) by placing choice[m] next
+    suffix = np.full(1 << p, math.inf)
     suffix[full] = 0.0
+    choice = [-1] * (1 << p)
     for mask in range(full - 1, -1, -1):
+        if need[mask] & ~mask:
+            continue
         best = math.inf
         for v in range(p):
             bit = 1 << v
-            if mask & bit:
+            if mask & bit or before[v] & ~mask:
                 continue
             t = cache.log_sigma(v, mask) + suffix[mask | bit]
             if t < best:
-                best = t
+                best, choice[mask] = t, v
         suffix[mask] = best
     pi = []
     mask = 0
-    for _ in range(p):
-        for v in range(p):
-            bit = 1 << v
-            if mask & bit:
-                continue
-            # identical expression as above, so the attaining v matches exactly
-            if cache.log_sigma(v, mask) + suffix[mask | bit] == suffix[mask]:
-                pi.append(v)
-                mask |= bit
-                break
-        else:
-            raise AssertionError("no extension matched the table value")
+    while mask != full:
+        pi.append(choice[mask])
+        mask |= 1 << choice[mask]
     return _estimate_from_cache(cache, pi, "exact")
 
 
 def estimate_order_exact(data, class_spec: ClassSpec) -> OrderEstimate:
     """Global minimizer of the score over all permutations.
 
-    Dynamic programming over predecessor subsets; exact, deterministic, ties
-    broken toward the lexicographically smallest permutation.  Guarded at
-    p <= 18 by table memory.
+    Dynamic programming over predecessor subsets (Silander & Myllymaki, UAI
+    2006); exact, deterministic, ties broken toward the lexicographically
+    smallest permutation.  The same DP, restricted to orders that place each
+    variable after its parents, gives the best topological order in
+    :func:`consistency_experiment`.  Guarded at p <= 18 by table memory.
     """
     return _exact_from_cache(_FlooredSigmas(data, class_spec))
 
@@ -227,13 +212,6 @@ def estimate_order_greedy(data, class_spec: ClassSpec) -> OrderEstimate:
     """
     cache = _FlooredSigmas(data, class_spec)
     return _greedy_from_cache(cache)
-
-
-def in_pi0(pi, spec: SemSpec) -> bool:
-    """Whether every edge of the generating DAG respects the permutation."""
-    pi = _validate_perm(pi, spec.p)
-    pos = {v: i for i, v in enumerate(pi)}
-    return all(pos[k] < pos[j] for (k, j) in spec.edges)
 
 
 @dataclass
@@ -274,8 +252,11 @@ def consistency_experiment(
     derived from (seed, n, rep)) and the estimator of the chosen method runs
     on each.  Rows report the fraction of runs whose estimate is a
     topological order of the generating DAG and the mean excess of its score
-    over the best topological order on the same data.  Bit-identical across
-    runs for a fixed seed.
+    over the best topological order on the same data.  That best order comes
+    from the exact search's DP restricted to orders that place every
+    variable after its parents, reading the same fits as the estimator, so
+    no order is enumerated and only the exact search's guard limits p.
+    Bit-identical across runs for a fixed seed.
     """
     if method not in ("exact", "greedy"):
         raise UsageError(f"method must be 'exact' or 'greedy', got {method!r}")
@@ -284,7 +265,7 @@ def consistency_experiment(
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(n < 1 for n in n_grid):
         raise UsageError(f"n_grid must contain positive integers, got {n_grid!r}")
-    pi0 = sorted(topological_orders(spec))
+    parents = _parent_masks(spec)
     report = ConsistencyReport(method=method, seed=int(seed), reps=int(reps))
     for n in n_grid:
         hits = 0
@@ -293,7 +274,7 @@ def consistency_experiment(
             data = sample(spec, n, (seed, n, rep))
             cache = _FlooredSigmas(data, class_spec)
             est = _exact_from_cache(cache) if method == "exact" else _greedy_from_cache(cache)
-            best_topo = min(_estimate_from_cache(cache, pi, "given").score for pi in pi0)
+            best_topo = _exact_from_cache(cache, parents).score
             hit = in_pi0(est.order, spec)
             hits += hit
             gaps[rep] = est.score - best_topo

@@ -29,7 +29,7 @@ from . import empproc
 from ._linalg import min_norm_lstsq, pinv_solve_psd, project_l1
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix, design_matrix, stack_design
-from .errors import CapacityError, UsageError
+from .errors import CapacityError, UsageError, as_number
 
 SPAN = "span"
 L1 = "l1"
@@ -70,9 +70,10 @@ class ClassSpec:
         if self.kind not in (SPAN, L1):
             raise UsageError(f"class kind must be 'span' or 'l1', got {self.kind!r}")
         if self.kind == L1:
-            if self.budget is None or not (float(self.budget) > 0):
-                raise UsageError("l1 class needs a positive budget")
-            object.__setattr__(self, "budget", float(self.budget))
+            budget = as_number(self.budget, "l1 class budget")
+            if not budget > 0:
+                raise UsageError(f"l1 class needs a positive budget, got {budget!r}")
+            object.__setattr__(self, "budget", budget)
         elif self.budget is not None:
             raise UsageError("span class takes no budget")
 
@@ -108,11 +109,14 @@ class ClassSpec:
             dcfg = cfg["dictionary"]
         except (KeyError, TypeError) as exc:
             raise UsageError(f"class config needs a dictionary entry, got {cfg!r}") from exc
+        intercept = cfg.get("intercept", True)
+        if not isinstance(intercept, bool):
+            raise UsageError(f"class entry 'intercept' must be true or false, got {intercept!r}")
         return cls(
             dictionary=Dictionary.from_config(dcfg),
             kind=str(cfg.get("kind", SPAN)),
             budget=cfg.get("budget"),
-            intercept=bool(cfg.get("intercept", True)),
+            intercept=intercept,
         )
 
 
@@ -357,6 +361,26 @@ class ConditionalFits:
         self._blocks: dict[int, np.ndarray] = {}
         self._memo: dict[tuple[int, int], tuple[float, bool]] = {}
 
+    def predictor_mask(self, v: int, s) -> int:
+        """Bitmask of the conditioning set `s` of target column `v`, after checking both.
+
+        Every index must be a column, `s` may not repeat one, and `v` may not be in `s`.
+        """
+        v = int(v)
+        if not (0 <= v < self.p):
+            raise UsageError(f"target column {v} out of range for {self.p} columns")
+        mask = 0
+        for k in s:
+            k = int(k)
+            if not (0 <= k < self.p):
+                raise UsageError(f"conditioning index {k} out of range for {self.p} columns")
+            if k == v:
+                raise UsageError(f"target column {v} cannot be conditioned on itself")
+            if mask >> k & 1:
+                raise UsageError(f"conditioning set {s!r} has repeated indices")
+            mask |= 1 << k
+        return mask
+
     def fit(self, v: int, mask: int) -> FitResult:
         """Fit column `v` on the columns whose bits are set in `mask` (not memoized)."""
         cols = [k for k in range(self.p) if mask & (1 << k)]
@@ -388,21 +412,9 @@ def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple
     columns when ``k N + 1 > n``.
     """
     fits = ConditionalFits(data, class_spec)
-    p = fits.p
-    if not (0 <= j < p):
-        raise UsageError(f"target index {j} out of range for {p} columns")
-    keys = []
-    for s in subsets:
-        key = tuple(sorted(int(v) for v in s))
-        if len(set(key)) != len(key):
-            raise UsageError(f"subset {s!r} has repeated indices")
-        for v in key:
-            if not (0 <= v < p):
-                raise UsageError(f"subset index {v} out of range for {p} columns")
-            if v == j:
-                raise UsageError(f"target column {j} cannot be its own predictor")
-        keys.append(key)
-    return {key: fits.fit(j, sum(1 << v for v in key)) for key in dict.fromkeys(keys)}
+    fits.predictor_mask(j, ())  # checks `j` even when `subsets` is empty
+    masks = dict.fromkeys(fits.predictor_mask(j, s) for s in subsets)
+    return {tuple(k for k in range(fits.p) if m >> k & 1): fits.fit(j, m) for m in masks}
 
 
 @dataclass(frozen=True)

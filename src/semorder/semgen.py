@@ -31,7 +31,7 @@ __all__ = [
     "PopulationSigmas",
     "GapReport",
     "sample",
-    "topological_orders",
+    "in_pi0",
     "population_sigma",
     "identifiability_gap",
     "SAMPLE_BLOCK",
@@ -127,8 +127,9 @@ class EdgeFunction:
         except (KeyError, TypeError) as exc:
             raise UsageError(f"edge config needs a kind, got {cfg!r}") from exc
         if kind == "dictionary-combination":
-            if not isinstance(params, dict):
-                raise UsageError("dictionary-combination params must hold dictionary and coefficients")
+            if not (isinstance(params, dict) and "dictionary" in params
+                    and isinstance(params.get("coefficients"), list)):
+                raise UsageError("dictionary-combination params need a dictionary and a list of coefficients")
             return cls.dictionary_combination(
                 Dictionary.from_config(params["dictionary"]), params["coefficients"]
             )
@@ -194,18 +195,22 @@ class SemSpec:
     @classmethod
     def from_json(cls, cfg: dict) -> "SemSpec":
         try:
-            p = int(cfg["p"])
-            order = [int(v) - 1 for v in cfg["order"]]
+            p = as_number(cfg["p"], "sem entry 'p'", int)
+            order = [as_number(v, "sem entry 'order'", int) - 1 for v in cfg["order"]]
             noise_sd = tuple(cfg["noise_sd"])
             edge_list = cfg.get("edges", [])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise UsageError(f"sem config needs p/order/noise_sd, got {cfg!r}") from exc
+        if not isinstance(edge_list, list):
+            raise UsageError(f"sem entry 'edges' must be a list, got {edge_list!r}")
         edges = {}
         for e in edge_list:
             try:
-                key = (int(e["from"]) - 1, int(e["to"]) - 1)
-            except (KeyError, TypeError, ValueError) as exc:
+                key = tuple(as_number(e[end], f"edge entry {end!r}", int) - 1 for end in ("from", "to"))
+            except (KeyError, TypeError) as exc:
                 raise UsageError(f"edge entry needs from/to, got {e!r}") from exc
+            if key in edges:
+                raise UsageError(f"edge {key[0] + 1}->{key[1] + 1} is listed twice")
             edges[key] = EdgeFunction.from_config(e)
         return cls(p=p, order=tuple(order), edges=edges, noise_sd=noise_sd)
 
@@ -303,31 +308,33 @@ def sample(spec: SemSpec, n: int, seed) -> DataMatrix:
     return DataMatrix(values=x, seed=seed)
 
 
-def topological_orders(spec: SemSpec) -> set[tuple[int, ...]]:
-    """All permutations in which every edge's source precedes its target."""
-    if spec.p > 10:
-        raise CapacityError(f"topological order enumeration is limited to p <= 10, got p={spec.p}")
-    parents_mask = [0] * spec.p
+def _validate_perm(pi, p: int) -> tuple[int, ...]:
+    pi = tuple(int(v) for v in pi)
+    if sorted(pi) != list(range(p)):
+        raise UsageError(f"expected a permutation of 0..{p - 1}, got {pi!r}")
+    return pi
+
+
+def _parent_masks(spec: SemSpec) -> list[int]:
+    """Bitmask of each variable's parents: v may follow a placed set only if it holds them all."""
+    masks = [0] * spec.p
     for (k, j) in spec.edges:
-        parents_mask[j] |= 1 << k
-    out: set[tuple[int, ...]] = set()
-    order: list[int] = []
+        masks[j] |= 1 << k
+    return masks
 
-    def extend(done_mask: int):
-        if len(order) == spec.p:
-            out.add(tuple(order))
-            return
-        for v in range(spec.p):
-            if done_mask & (1 << v):
-                continue
-            if parents_mask[v] & ~done_mask:
-                continue
-            order.append(v)
-            extend(done_mask | (1 << v))
-            order.pop()
 
-    extend(0)
-    return out
+def _respects(pi, parents: list[int]) -> bool:
+    placed = 0
+    for v in pi:
+        if parents[v] & ~placed:
+            return False
+        placed |= 1 << v
+    return True
+
+
+def in_pi0(pi, spec: SemSpec) -> bool:
+    """Whether every edge of the generating DAG respects the permutation."""
+    return _respects(_validate_perm(pi, spec.p), _parent_masks(spec))
 
 
 @dataclass
@@ -374,9 +381,7 @@ def population_sigma(
     below the class span's dimension fall back to minimum-norm fits and are
     flagged.
     """
-    pi = tuple(int(v) for v in pi)
-    if sorted(pi) != list(range(spec.p)):
-        raise UsageError(f"pi must be a permutation of 0..{spec.p - 1}, got {pi!r}")
+    pi = _validate_perm(pi, spec.p)
     values, flags = _sigma_along_order(_oracle_fits(spec, class_spec, oracle_n, seed), pi)
     return PopulationSigmas(values=values, degenerate=flags, order=pi)
 
@@ -427,14 +432,14 @@ def identifiability_gap(
     if spec.p > 8:
         raise CapacityError(f"identifiability gap enumerates all p! permutations; p={spec.p} > 8")
     fits = _oracle_fits(spec, class_spec, oracle_n, seed)
-    pi0_set = topological_orders(spec)
+    parents = _parent_masks(spec)
     base, _ = _sigma_along_order(fits, spec.order)
     base_by_var = {v: base[i] for i, v in enumerate(spec.order)}
     gap = float("inf")
     rows = []
     for pi in permutations(range(spec.p)):
-        in_pi0 = pi in pi0_set
-        if in_pi0 and not return_table:
+        topological = _respects(pi, parents)
+        if topological and not return_table:
             continue
         values, _ = _sigma_along_order(fits, pi)
         # log sd ratio = half the log variance ratio, matched per variable
@@ -442,8 +447,8 @@ def identifiability_gap(
         for pos, v in enumerate(pi):
             score += 0.5 * (math.log(values[pos]) - math.log(base_by_var[v]))
         score /= spec.p
-        rows.append({"permutation": pi, "mean_log_sd_ratio": score, "topological": in_pi0})
-        if not in_pi0:
+        rows.append({"permutation": pi, "mean_log_sd_ratio": score, "topological": topological})
+        if not topological:
             gap = min(gap, score)
     rows.sort(key=lambda r: r["mean_log_sd_ratio"])
     if return_table:

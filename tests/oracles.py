@@ -14,6 +14,7 @@ import numpy as np
 
 from semorder.dictionary import basis_matrix
 from semorder.regress import fit_span
+from semorder.semgen import EdgeFunction, SemSpec
 
 try:
     _trapezoid = np.trapezoid
@@ -218,3 +219,16 @@ def topological_filter(spec):
         if all(pos[k] < pos[j] for (k, j) in spec.edges):
             out.append(pi)
     return out
+
+
+def random_dag(rng, p_low=3, p_high=7):
+    """A SemSpec with p in [p_low, p_high), a random order and each forward edge kept w.p. 0.4."""
+    p = int(rng.integers(p_low, p_high))
+    order = tuple(rng.permutation(p))
+    pos = {v: i for i, v in enumerate(order)}
+    edges = {}
+    for a in range(p):
+        for b in range(p):
+            if pos[a] < pos[b] and rng.random() < 0.4:
+                edges[(a, b)] = EdgeFunction.linear(1.0)
+    return SemSpec(p=p, order=order, edges=edges, noise_sd=(1.0,) * p)

@@ -311,6 +311,17 @@ def test_empnorm_rejects_oversized_p(tmp_path, capsys):
         ("order", {"sem": {**sine_chain_cfg(p=2), "noise_sd": ["a", 1]}, "n": 50, "class": SPLINE5}, "noise_sd"),
         ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {"dictionary": {**SPLINE5["dictionary"], "size": "six"}}}, "size"),
         ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {"dictionary": {**SPLINE5["dictionary"], "domain": ["a", 1]}}}, "domain"),
+        ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {**SPLINE5, "kind": "l1", "budget": "big"}}, "budget"),
+        ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {**SPLINE5, "kind": "l1", "budget": [1]}}, "budget"),
+        ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {**SPLINE5, "kind": "l1", "budget": math.inf}}, "budget"),
+        ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {**SPLINE5, "intercept": "false"}}, "intercept"),
+        ("order", {"sem": {**sine_chain_cfg(p=2), "p": 2.5}, "n": 50, "class": SPLINE5}, "'p'"),
+        ("order", {"sem": {**sine_chain_cfg(p=2), "order": [1.7, 2]}, "n": 50, "class": SPLINE5}, "'order'"),
+        ("order", {"sem": {**sine_chain_cfg(p=2), "edges": [{"from": 1.9, "to": 2, "kind": "sine", "params": [2.0, 1.5]}]}, "n": 50, "class": SPLINE5}, "'from'"),
+        ("order", {"sem": {**sine_chain_cfg(p=2), "edges": 5}, "n": 50, "class": SPLINE5}, "'edges'"),
+        ("order", {"sem": {**sine_chain_cfg(p=2), "edges": [{"from": 1, "to": 2, "kind": "dictionary-combination", "params": {"coefficients": [1.0]}}]}, "n": 50, "class": SPLINE5}, "dictionary"),
+        ("order", {"sem": {**sine_chain_cfg(p=2), "edges": sine_chain_cfg(p=2)["edges"] * 2}, "n": 50, "class": SPLINE5}, "listed twice"),
+        ("order", {"sem": {**sine_chain_cfg(p=2), "edges": [{"from": 1, "to": 2, "kind": "dictionary-combination", "params": {**SPLINE5, "coefficients": 5}}]}, "n": 50, "class": SPLINE5}, "coefficients"),
     ],
 )
 def test_bad_numeric_config_entry_is_usage_error(tmp_path, capsys, command, cfg, key):

@@ -8,6 +8,9 @@ from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRI
 from semorder.errors import CapacityError, UsageError
 from semorder.order import (
     OrderEstimate,
+    _estimate_from_cache,
+    _exact_from_cache,
+    _FlooredSigmas,
     conditional_sigma,
     consistency_experiment,
     estimate_order_exact,
@@ -16,7 +19,7 @@ from semorder.order import (
     score,
 )
 from semorder.regress import ClassSpec, fit_over_subsets, fit_span
-from semorder.semgen import EdgeFunction, SemSpec, sample
+from semorder.semgen import EdgeFunction, SemSpec, _parent_masks, sample
 
 import oracles
 
@@ -144,6 +147,43 @@ def test_exact_tie_break_is_lexicographic():
     assert score(data, (0, 1), cs) == score(data, (1, 0), cs)
 
 
+def best_topological(cache, spec):
+    """Lowest score over the topological orders, the lexicographically first on ties."""
+    best_score, best_pi = math.inf, None
+    for pi in oracles.topological_filter(spec):
+        s = _estimate_from_cache(cache, pi, "given").score
+        if s < best_score:
+            best_score, best_pi = s, pi
+    return best_score, best_pi
+
+
+def test_constrained_exact_matches_topological_enumeration():
+    rng = np.random.default_rng(57)
+    cs = trig_class()
+    for _ in range(8):
+        spec = oracles.random_dag(rng, 3, 6)
+        cache = _FlooredSigmas(rng.standard_normal((150, spec.p)), cs)
+        est = _exact_from_cache(cache, _parent_masks(spec))
+        # exactly the (variable, placed set) steps of some topological order are fitted
+        steps = {
+            (pi[i], sum(1 << v for v in pi[:i]))
+            for pi in oracles.topological_filter(spec)
+            for i in range(spec.p)
+        }
+        assert set(cache.fits._memo) == steps
+        assert (est.score, est.order) == best_topological(cache, spec)
+    # three equal columns under an intercept-only class tie every score bit
+    # for bit; the edge 3 -> 1 leaves (2, 3, 1) as the first topological order
+    x1 = rng.standard_normal(64)
+    data = np.column_stack([x1, x1, x1])
+    edges = {(2, 0): EdgeFunction("linear", (1.0,))}
+    spec = SemSpec(p=3, order=(2, 0, 1), edges=edges, noise_sd=(1.0,) * 3)
+    cache = _FlooredSigmas(data, ClassSpec(Dictionary(PIECEWISE_CONSTANT, 1, (-8.0, 8.0))))
+    est = _exact_from_cache(cache, _parent_masks(spec))
+    assert (est.score, est.order) == best_topological(cache, spec)
+    assert est.order == (1, 2, 0)
+
+
 def test_greedy_never_beats_exact():
     rng = np.random.default_rng(48)
     cs = trig_class()
@@ -257,6 +297,32 @@ def test_consistency_report_shape():
     assert len(rows) == 2
     blob = rep.to_json()
     assert blob["method"] == "greedy" and len(blob["rows"]) == 2
+
+
+def test_consistency_score_gap_is_to_best_topological_order():
+    spec = linear_chain(p=2)
+    cs = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-12.0, 12.0)))
+    rep = consistency_experiment(spec, cs, [200], reps=20, seed=59)
+    hits = [rec["in_pi0"] for rec in rep.records]
+    assert any(hits) and not all(hits)
+    for rec in rep.records:
+        # a topological estimate is the best topological order; any other beats it
+        if rec["in_pi0"]:
+            assert rec["score_gap"] == 0.0
+        else:
+            assert rec["score_gap"] < 0.0
+
+
+def test_consistency_greedy_runs_past_ten_variables():
+    spec = sine_chain(p=11)
+    cs = ClassSpec(Dictionary(CUBIC_B_SPLINE, 5, (-5.0, 5.0)))
+    rep = consistency_experiment(spec, cs, [400], reps=2, seed=58, method="greedy")
+    assert rep.rows[0]["reps"] == 2 and len(rep.records) == 2
+    for rec in rep.records:
+        assert len(rec["order"]) == 11
+        # the best topological order bounds every topological estimate
+        if rec["in_pi0"]:
+            assert rec["score_gap"] >= -1e-9
 
 
 def test_consistency_validation():

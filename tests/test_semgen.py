@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +13,9 @@ from semorder.semgen import (
     EdgeFunction,
     SemSpec,
     identifiability_gap,
+    in_pi0,
     population_sigma,
     sample,
-    topological_orders,
 )
 
 import oracles
@@ -53,14 +54,18 @@ def test_sample_respects_generation_order():
     assert abs(np.var(x0) - 5.0) <= 0.15
 
 
-def test_topological_orders_single_edge():
+def topological(spec):
+    return {pi for pi in itertools.permutations(range(spec.p)) if in_pi0(pi, spec)}
+
+
+def test_in_pi0_single_edge():
     spec = SemSpec(p=2, order=(0, 1), edges={(0, 1): EdgeFunction.linear(1.0)}, noise_sd=(1.0, 1.0))
-    assert topological_orders(spec) == {(0, 1)}
+    assert topological(spec) == {(0, 1)}
 
 
-def test_topological_orders_empty_dag():
+def test_in_pi0_empty_dag():
     spec = SemSpec(p=2, order=(0, 1), edges={}, noise_sd=(1.0, 1.0))
-    assert topological_orders(spec) == {(0, 1), (1, 0)}
+    assert topological(spec) == {(0, 1), (1, 0)}
 
 
 def test_topological_orders_collider():
@@ -70,30 +75,23 @@ def test_topological_orders_collider():
         edges={(0, 2): EdgeFunction.linear(1.0), (1, 2): EdgeFunction.linear(1.0)},
         noise_sd=(1.0, 1.0, 1.0),
     )
-    assert topological_orders(spec) == {(0, 1, 2), (1, 0, 2)}
+    assert topological(spec) == {(0, 1, 2), (1, 0, 2)}
 
 
-def test_topological_orders_matches_filter_on_random_dag():
+def test_in_pi0_matches_filter_on_random_dag():
     rng = np.random.default_rng(9)
     for _ in range(5):
-        p = int(rng.integers(3, 7))
-        order = tuple(rng.permutation(p))
-        pos = {v: i for i, v in enumerate(order)}
-        edges = {}
-        for a in range(p):
-            for b in range(p):
-                if pos[a] < pos[b] and rng.random() < 0.4:
-                    edges[(a, b)] = EdgeFunction.linear(1.0)
-        spec = SemSpec(p=p, order=order, edges=edges, noise_sd=(1.0,) * p)
-        got = topological_orders(spec)
+        spec = oracles.random_dag(rng)
+        got = topological(spec)
         assert got == set(oracles.topological_filter(spec))
-        assert order in got
+        assert spec.order in got
 
 
-def test_topological_orders_capacity_guard():
-    spec = SemSpec(p=11, order=tuple(range(11)), edges={}, noise_sd=(1.0,) * 11)
-    with pytest.raises(CapacityError):
-        topological_orders(spec)
+def test_in_pi0_validates_permutation():
+    spec = SemSpec(p=3, order=(0, 1, 2), edges={}, noise_sd=(1.0,) * 3)
+    for bad in [(0, 1), (0, 1, 1), (0, 1, 3)]:
+        with pytest.raises(UsageError):
+            in_pi0(bad, spec)
 
 
 def test_population_sigma_single_variable():
