@@ -1,12 +1,19 @@
 """Shared linear-algebra helpers.
 
-Conventions used throughout the package:
+Each convention used throughout the package is written once, here:
 
-* symmetry is checked with an absolute tolerance of 1e-10 on the max
-  elementwise asymmetry;
-* a symmetric matrix counts as numerically positive definite when its
-  smallest eigenvalue exceeds ``1e-12 * trace``;
-* least-squares ranks are decided at ``1e-10 * (largest column norm)``.
+* symmetry (:func:`check_symmetric`): an absolute tolerance of 1e-10 on the
+  max elementwise asymmetry;
+* positive semidefinite (:func:`check_psd`): the smallest eigenvalue is at
+  least ``-1e-10 * max(trace, 1)``;
+* positive definite (:func:`whitener`): the smallest eigenvalue of
+  ``eigh(b)`` exceeds ``1e-12 * trace``, and the same eigenpairs give the
+  whitener ``Q diag(w)^{-1/2}``;
+* least-squares rank (``RANK_REL_TOL``): every least-squares solve calls
+  ``np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)``, LAPACK's SVD-based
+  ``gelsd``, which keeps the singular values above ``1e-10`` times the
+  largest one.  It works on the design itself, not on ``x'x``, which would
+  square the condition number.
 """
 
 from __future__ import annotations
@@ -16,17 +23,19 @@ import numpy as np
 from .errors import DegeneracyError, UsageError
 
 SYM_TOL = 1e-10
+PSD_REL_TOL = 1e-10
 PD_REL_TOL = 1e-12
 RANK_REL_TOL = 1e-10
 
 __all__ = [
     "check_symmetric",
+    "check_psd",
+    "whitener",
     "gen_eigh",
-    "inv_sqrt_pd",
-    "min_norm_lstsq",
     "pinv_solve_psd",
     "project_l1",
     "SYM_TOL",
+    "PSD_REL_TOL",
     "PD_REL_TOL",
     "RANK_REL_TOL",
 ]
@@ -43,55 +52,38 @@ def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def inv_sqrt_pd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Inverse symmetric square root of a positive definite matrix."""
-    a = check_symmetric(a, name)
-    w, v = np.linalg.eigh(a)
-    floor = PD_REL_TOL * max(float(np.trace(a)), 0.0)
+def check_psd(w: np.ndarray, name: str = "matrix") -> None:
+    """Raise UsageError unless the ascending eigenvalues `w` pass the PSD rule."""
+    if w.size and w[0] < -PSD_REL_TOL * max(float(w.sum()), 1.0):
+        raise UsageError(f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+
+
+def whitener(w: np.ndarray, q: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``q diag(w)^{-1/2}`` for the ``eigh`` pair ``(w, q)`` of a positive definite `b`.
+
+    The result `white` satisfies ``white' b white = I``.  Raises
+    DegeneracyError, reporting ``Lambda_min = sqrt(w_min)``, unless ``w_min >
+    PD_REL_TOL * trace(b)``.
+    """
+    floor = PD_REL_TOL * max(float(w.sum()), 0.0)
     if w[0] <= floor:
+        lam = float(np.sqrt(max(w[0], 0.0)))
         raise DegeneracyError(
-            f"{name} is numerically singular (min eigenvalue {w[0]:.3e}, "
-            f"threshold {floor:.3e})"
+            f"{name} numerically singular: Lambda_min = {lam:.3e} "
+            f"(Lambda_min^2 = {w[0]:.3e} <= 1e-12 * trace = {floor:.3e})"
         )
-    return (v / np.sqrt(w)) @ v.T
+    return q / np.sqrt(w)
 
 
-def gen_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``a v = w b v`` for symmetric `a` and symmetric positive definite `b`.
+def gen_eigh(a: np.ndarray, white: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``a v = w b v`` for symmetric `a`, given ``white = whitener(*eigh(b))``.
 
-    Cholesky whitening, the reduction LAPACK's ``sygv`` makes: with ``b = L L'``
-    the eigenpairs of ``L^{-1} a L^{-T}`` give ``w`` and ``v = L^{-T} u``.
-    Returns ascending eigenvalues and eigenvectors normalized to ``v' b v = 1``;
-    raises ``LinAlgError`` when `b` is not positive definite.
+    The eigenpairs ``(w, u)`` of ``white' a white`` give ``v = white u``.
+    Returns ascending eigenvalues and eigenvectors normalized to ``v' b v = 1``.
     """
-    low = np.linalg.cholesky(b)
-    c = np.linalg.solve(low, np.linalg.solve(low, a).T)
+    c = white.T @ a @ white
     w, u = np.linalg.eigh(0.5 * (c + c.T))
-    return w, np.linalg.solve(low.T, u)
-
-
-def min_norm_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimum-norm least squares via SVD.
-
-    Singular values below ``RANK_REL_TOL * max column norm`` are treated as
-    zero.  Returns ``(beta, rank)``, the rank being the number of singular
-    values kept.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2:
-        raise UsageError(f"design must be 2-d, got shape {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise UsageError(f"response shape {y.shape} does not match design rows {x.shape[0]}")
-    if x.shape[1] == 0:
-        return np.zeros(0), 0
-    col_norms = np.linalg.norm(x, axis=0)
-    cutoff = RANK_REL_TOL * float(col_norms.max())
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    keep = s > cutoff
-    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    beta = vt.T @ (s_inv * (u.T @ y))
-    return beta, int(np.count_nonzero(keep))
+    return w, white @ u
 
 
 def pinv_solve_psd(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -107,8 +99,7 @@ def pinv_solve_psd(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
     if s.shape[0] == 0:
         return np.zeros(0), False
     w, v = np.linalg.eigh(s)
-    if w[0] < -SYM_TOL * max(float(np.trace(s)), 1.0):
-        raise UsageError(f"moment matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+    check_psd(w, "moment matrix")
     cutoff = PD_REL_TOL * max(float(w[-1]), 0.0) if w[-1] > 0 else 0.0
     keep = w > cutoff
     degenerate = bool(np.count_nonzero(keep) < s.shape[0])

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import PD_REL_TOL, check_symmetric, gen_eigh, inv_sqrt_pd, project_l1
+from ._linalg import check_psd, check_symmetric, gen_eigh, project_l1, whitener
 from ._rng import derived_rng
 from .dictionary import (
     TRIGONOMETRIC,
@@ -90,9 +90,7 @@ class MomentPair:
         s = check_symmetric(self.sigma, "sigma")
         if sh.shape != s.shape:
             raise UsageError(f"moment matrices disagree in shape: {sh.shape} vs {s.shape}")
-        w = np.linalg.eigvalsh(s)
-        if w.size and w[0] < -1e-10 * max(float(np.trace(s)), 1.0):
-            raise UsageError(f"population matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+        check_psd(np.linalg.eigvalsh(s), "population matrix")
         object.__setattr__(self, "sigma_hat", sh)
         object.__setattr__(self, "sigma", s)
 
@@ -101,20 +99,14 @@ class MomentPair:
         return self.sigma.shape[0]
 
 
-def _require_pd_sigma(sigma: np.ndarray) -> None:
-    w_min = float(np.linalg.eigvalsh(sigma)[0])
-    floor = PD_REL_TOL * max(float(np.trace(sigma)), 0.0)
-    if w_min <= floor:
-        lam = math.sqrt(max(w_min, 0.0))
-        raise DegeneracyError(
-            f"population matrix numerically singular: Lambda_min = {lam:.3e} "
-            f"(Lambda_min^2 = {w_min:.3e} <= 1e-12 * trace = {floor:.3e})"
-        )
+def _whiten(sigma: np.ndarray, name: str = "population matrix") -> np.ndarray:
+    """The whitener of a symmetric positive definite `sigma`, from one ``eigh``."""
+    return whitener(*np.linalg.eigh(check_symmetric(sigma, name)), name)
 
 
-def _sup_gen_eig(delta: np.ndarray, sigma: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest-|lambda| solution of ``delta v = lambda sigma v`` with its vector."""
-    w, v = gen_eigh(delta, sigma)
+def _sup_gen_eig(delta: np.ndarray, white: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest-|lambda| solution of ``delta v = lambda sigma v``, with ``white`` Sigma's whitener."""
+    w, v = gen_eigh(delta, white)
     idx = int(np.argmax(np.abs(w)))
     return float(abs(w[idx])), v[:, idx]
 
@@ -126,8 +118,7 @@ def z_sup_ellipsoid(mp: MomentPair, return_direction: bool = False):
     ``(Sigma_hat - Sigma) v = lambda Sigma v``.  Requires Sigma positive
     definite at tolerance ``Lambda_min^2 > 1e-12 * trace``.
     """
-    _require_pd_sigma(mp.sigma)
-    val, vec = _sup_gen_eig(mp.sigma_hat - mp.sigma, mp.sigma)
+    val, vec = _sup_gen_eig(mp.sigma_hat - mp.sigma, _whiten(mp.sigma))
     if return_direction:
         return val, vec
     return val
@@ -243,7 +234,6 @@ def z_sup_l1(
     sigma = mp.sigma
     d = mp.dim
     ev, evec = np.linalg.eigh(sigma)
-    ev = np.clip(ev, 0.0, None)
 
     def feasible_value(u: np.ndarray) -> tuple[float, np.ndarray]:
         l1 = float(np.abs(u).sum())
@@ -260,14 +250,15 @@ def z_sup_l1(
     upper = budget * budget * float(np.max(np.abs(delta))) if d else 0.0
     cands: list[np.ndarray] = []
     try:
-        w_all, v_all = gen_eigh(delta, sigma)
+        w_all, v_all = gen_eigh(delta, whitener(ev, evec))
         top = int(np.argmax(np.abs(w_all)))
         upper = min(upper, float(abs(w_all[top])))
         cands.append(v_all[:, top])
         cands.append(v_all[:, int(np.argmin(w_all))])
         cands.append(v_all[:, int(np.argmax(w_all))])
-    except (np.linalg.LinAlgError, ValueError):
+    except DegeneracyError:
         pass
+    ev = np.clip(ev, 0.0, None)
     w_d, v_d = np.linalg.eigh(delta)
     cands.append(v_d[:, int(np.argmax(np.abs(w_d)))])
     cands.append(v_d[:, 0])
@@ -359,11 +350,11 @@ def inner_product_sup(
     c = np.asarray(c, dtype=np.float64)
     if c_hat.shape != c.shape or c_hat.ndim != 2:
         raise UsageError(f"cross-moment matrices must share a 2-d shape, got {c_hat.shape} vs {c.shape}")
-    isf = inv_sqrt_pd(sigma_f, "first feature moment matrix")
-    isg = inv_sqrt_pd(sigma_g, "second feature moment matrix")
-    if isf.shape[0] != c_hat.shape[0] or isg.shape[0] != c_hat.shape[1]:
+    wf = _whiten(sigma_f, "first feature moment matrix")
+    wg = _whiten(sigma_g, "second feature moment matrix")
+    if wf.shape[0] != c_hat.shape[0] or wg.shape[0] != c_hat.shape[1]:
         raise UsageError("cross-moment shape does not match the feature moment matrices")
-    w = isf @ (c_hat - c) @ isg
+    w = wf.T @ (c_hat - c) @ wg
     smax = float(np.linalg.svd(w, compute_uv=False)[0]) if w.size else 0.0
     return r1 * r2 * smax
 
@@ -381,12 +372,8 @@ def subgauss_product_sup(data, y: np.ndarray, sigma: np.ndarray, m: np.ndarray) 
     m = np.asarray(m, dtype=np.float64).ravel()
     if m.shape != (x.shape[1],):
         raise UsageError(f"cross-moment vector length {m.shape[0]} does not match {x.shape[1]} features")
-    sigma = check_symmetric(sigma, "sigma")
-    _require_pd_sigma(sigma)
-    v = x.T @ y / x.shape[0] - m
-    w, q = np.linalg.eigh(sigma)
-    z = q.T @ v
-    return float(math.sqrt(float(np.sum(z * z / w))))
+    z = _whiten(sigma, "sigma").T @ (x.T @ y / x.shape[0] - m)
+    return float(math.sqrt(float(z @ z)))
 
 
 @dataclass(frozen=True)
@@ -422,7 +409,7 @@ def rademacher_diagnostic(data, mp: MomentPair, reps: int = 200, seed: int = 0) 
     """
     if reps < 30:
         raise UsageError(f"need reps >= 30 for stable standard errors, got {reps}")
-    _require_pd_sigma(mp.sigma)
+    white = _whiten(mp.sigma)
     sampler = data if callable(data) else None
     fixed = None if sampler else np.asarray(getattr(data, "values", data), dtype=np.float64)
     if fixed is not None and (fixed.ndim != 2 or fixed.shape[1] != mp.dim):
@@ -436,10 +423,10 @@ def rademacher_diagnostic(data, mp: MomentPair, reps: int = 200, seed: int = 0) 
             raise UsageError(f"sampled data shape {x.shape} does not match moment dimension {mp.dim}")
         n = x.shape[0]
         gram = x.T @ x / n
-        z_vals[r], _ = _sup_gen_eig(gram - mp.sigma, mp.sigma)
+        z_vals[r], _ = _sup_gen_eig(gram - mp.sigma, white)
         eps = rng.integers(0, 2, n) * 2.0 - 1.0
         gram_eps = x.T @ (eps[:, None] * x) / n
-        z_eps_vals[r], _ = _sup_gen_eig(gram_eps, mp.sigma)
+        z_eps_vals[r], _ = _sup_gen_eig(gram_eps, white)
     return RademacherResult(
         z_mean=float(z_vals.mean()),
         z_eps_mean=float(z_eps_vals.mean()),
@@ -540,17 +527,12 @@ def check_incoherence(blocks) -> float:
     p, _, nb, _ = arr.shape
     full = arr.transpose(0, 2, 1, 3).reshape(p * nb, p * nb)
     full = check_symmetric(full, "full block matrix")
-    w_full = np.linalg.eigvalsh(full)
-    if w_full[0] < -1e-10 * max(float(np.trace(full)), 1.0):
-        raise UsageError(f"full block matrix is not positive semidefinite (min eigenvalue {w_full[0]:.3e})")
+    check_psd(np.linalg.eigvalsh(full), "full block matrix")
     a = arr.trace(axis1=0, axis2=1)
     b = arr.sum(axis=(0, 1))
     a = 0.5 * (a + a.T)
     b = 0.5 * (b + b.T)
-    w_b = np.linalg.eigvalsh(b)
-    if w_b[0] <= PD_REL_TOL * max(float(np.trace(b)), 0.0):
-        raise DegeneracyError(f"block sum is numerically singular (min eigenvalue {w_b[0]:.3e})")
-    return float(gen_eigh(a, b)[0][-1])
+    return float(gen_eigh(a, _whiten(b, "block sum"))[0][-1])
 
 
 def check_eigenvalue_cond(diag_blocks, n_basis: int | None = None) -> float:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the number check that raises them."""
 
 import math
+import numbers
 
 
 class UsageError(ValueError):
@@ -19,12 +20,16 @@ def as_number(raw, name: str, kind=float):
     """`raw` as an int (``kind=int``) or a finite float; a UsageError naming `name` otherwise.
 
     An int must equal `raw` exactly: 2.5 is rejected, not truncated to 2.
+    Only real numbers are converted (numpy's included): a string such as
+    ``"2"`` and a boolean are rejected, not read as 2 and 1.
     """
     what = "an integer" if kind is int else "a finite number"
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+        raise UsageError(f"{name} must be {what}, got {raw!r}")
     try:
         v = kind(raw)
         ok = math.isfinite(v) and v == float(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"{name} must be {what}, got {raw!r}") from exc
     if not ok:
         raise UsageError(f"{name} must be {what}, got {raw!r}")

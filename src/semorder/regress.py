@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import empproc
-from ._linalg import min_norm_lstsq, pinv_solve_psd, project_l1
+from ._linalg import RANK_REL_TOL, pinv_solve_psd, project_l1
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix, design_matrix, stack_design
 from .errors import CapacityError, UsageError, as_number
@@ -148,14 +148,17 @@ def fit_span(x: np.ndarray, y: np.ndarray) -> FitResult:
     """Ordinary least squares; minimum-norm coefficients if rank-deficient.
 
     The residual variance is the mean squared residual (no degrees-of-freedom
-    correction).  ``rank`` is the numerical rank of `x`; ``degenerate`` marks
-    a rank below the column count.
+    correction).  ``rank`` is the numerical rank of `x`, the number of
+    singular values above ``RANK_REL_TOL`` times the largest; ``degenerate``
+    marks a rank below the column count.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise UsageError(f"incompatible shapes {x.shape} and {y.shape}")
     if x.shape[0] < 1:
         raise UsageError("need at least one observation")
-    beta, rank = min_norm_lstsq(x, y)
+    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)
     resid = y - x @ beta
     rv = float(resid @ resid) / x.shape[0]
     return FitResult(
@@ -164,7 +167,7 @@ def fit_span(x: np.ndarray, y: np.ndarray) -> FitResult:
         kind=SPAN,
         degenerate=rank < x.shape[1],
         n_obs=x.shape[0],
-        rank=rank,
+        rank=int(rank),
     )
 
 
@@ -260,7 +263,7 @@ def fit_l1(
         beta = proj(np.zeros(d))
         return FitResult(beta, obj(beta), L1, kkt_residual=0.0, budget=budget, intercept=intercept, n_obs=n)
 
-    beta = proj(min_norm_lstsq(x, y)[0])
+    beta = proj(np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)[0])
     step = 1.0 / lip
     residual = _kkt_from_gradient(2.0 * (a @ beta - b), beta, budget, intercept)
     converged = residual <= tol

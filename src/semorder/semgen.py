@@ -196,13 +196,13 @@ class SemSpec:
     def from_json(cls, cfg: dict) -> "SemSpec":
         try:
             p = as_number(cfg["p"], "sem entry 'p'", int)
-            order = [as_number(v, "sem entry 'order'", int) - 1 for v in cfg["order"]]
-            noise_sd = tuple(cfg["noise_sd"])
-            edge_list = cfg.get("edges", [])
+            order, noise_sd, edge_list = cfg["order"], cfg["noise_sd"], cfg.get("edges", [])
         except (KeyError, TypeError) as exc:
             raise UsageError(f"sem config needs p/order/noise_sd, got {cfg!r}") from exc
-        if not isinstance(edge_list, list):
-            raise UsageError(f"sem entry 'edges' must be a list, got {edge_list!r}")
+        for key, val in (("order", order), ("noise_sd", noise_sd), ("edges", edge_list)):
+            if not isinstance(val, list):
+                raise UsageError(f"sem entry {key!r} must be a list, got {val!r}")
+        order = [as_number(v, "sem entry 'order'", int) - 1 for v in order]
         edges = {}
         for e in edge_list:
             try:
@@ -212,7 +212,7 @@ class SemSpec:
             if key in edges:
                 raise UsageError(f"edge {key[0] + 1}->{key[1] + 1} is listed twice")
             edges[key] = EdgeFunction.from_config(e)
-        return cls(p=p, order=tuple(order), edges=edges, noise_sd=noise_sd)
+        return cls(p=p, order=tuple(order), edges=edges, noise_sd=tuple(noise_sd))
 
 
 @dataclass

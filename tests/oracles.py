@@ -43,6 +43,21 @@ def normal_equations(x, y):
     return np.linalg.solve(x.T @ x, x.T @ y)
 
 
+def svd_lstsq(x, y, rank_rel_tol=1e-10):
+    """Minimum-norm least squares by an explicit thin SVD; returns (beta, rank).
+
+    Singular values at or below ``rank_rel_tol`` times the largest column norm
+    count as zero: the rank rule the package used before it called LAPACK's
+    ``gelsd`` (whose cutoff is relative to the largest singular value).
+    """
+    if x.shape[1] == 0:
+        return np.zeros(0), 0
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    keep = s > rank_rel_tol * float(np.linalg.norm(x, axis=0).max())
+    beta = vt[keep].T @ ((u[:, keep].T @ y) / s[keep])
+    return beta, int(np.count_nonzero(keep))
+
+
 def scan_quadratic_ellipsoid(delta, sigma, n_dirs=100_000, seed=0):
     """max |u' delta u| over u' sigma u = 1 by random directions; returns (value, argmax u)."""
     rng = np.random.default_rng(seed)

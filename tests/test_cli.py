@@ -322,6 +322,14 @@ def test_empnorm_rejects_oversized_p(tmp_path, capsys):
         ("order", {"sem": {**sine_chain_cfg(p=2), "edges": [{"from": 1, "to": 2, "kind": "dictionary-combination", "params": {"coefficients": [1.0]}}]}, "n": 50, "class": SPLINE5}, "dictionary"),
         ("order", {"sem": {**sine_chain_cfg(p=2), "edges": sine_chain_cfg(p=2)["edges"] * 2}, "n": 50, "class": SPLINE5}, "listed twice"),
         ("order", {"sem": {**sine_chain_cfg(p=2), "edges": [{"from": 1, "to": 2, "kind": "dictionary-combination", "params": {**SPLINE5, "coefficients": 5}}]}, "n": 50, "class": SPLINE5}, "coefficients"),
+        ("simulate", {"sem": {**sine_chain_cfg(p=2), "p": "2"}, "n": 50}, "'p'"),
+        ("simulate", {"sem": {**sine_chain_cfg(p=2), "order": "12"}, "n": 50}, "'order'"),
+        ("simulate", {"sem": {**sine_chain_cfg(p=2), "noise_sd": "11"}, "n": 50}, "'noise_sd'"),
+        ("simulate", {"sem": sine_chain_cfg(p=2), "n": True}, "'n'"),
+        ("simulate", {"sem": sine_chain_cfg(p=2), "n": "50"}, "'n'"),
+        ("simulate", {"sem": {**sine_chain_cfg(p=2), "noise_sd": [1.0, True]}, "n": 50}, "noise_sd"),
+        ("rates", {"case": "case3", "grid": [{"n": "50", "p": 2, "N": 3, "M": 1.0}], "reps": 1}, "'n'"),
+        ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {**SPLINE5, "kind": "l1", "budget": True}}, "budget"),
     ],
 )
 def test_bad_numeric_config_entry_is_usage_error(tmp_path, capsys, command, cfg, key):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semorder._linalg import gen_eigh, project_l1
+from semorder._linalg import gen_eigh, project_l1, whitener
 from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary, moment_matrix, moment_vector
 from semorder.empproc import (
     MomentPair,
@@ -46,7 +46,7 @@ def test_gen_eigh_matches_scipy():
             a = g + g.T
             h = rng.standard_normal((d, 2 * d))
             b = h @ h.T / (2 * d) + 1e-3 * np.eye(d)
-            w, v = gen_eigh(a, b)
+            w, v = gen_eigh(a, whitener(*np.linalg.eigh(b)))
             ref = linalg.eigh(a, b, eigvals_only=True)
             assert np.all(np.diff(w) >= 0)
             assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -55,8 +55,9 @@ def test_gen_eigh_matches_scipy():
 
 
 def test_gen_eigh_rejects_indefinite_b():
-    with pytest.raises(np.linalg.LinAlgError):
-        gen_eigh(np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+    # gen_eigh takes b through its whitener, which enforces the PD rule
+    with pytest.raises(DegeneracyError, match="Lambda_min"):
+        gen_eigh(np.eye(2), whitener(*np.linalg.eigh(np.array([[1.0, 0.0], [0.0, -1.0]]))))
 
 
 def test_z_sup_ellipsoid_zero_and_scalar():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semorder.dictionary import CUBIC_B_SPLINE, TRIGONOMETRIC, Dictionary
+from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary
 from semorder.errors import CapacityError, UsageError
 from semorder.regress import (
     ClassSpec,
@@ -13,7 +13,7 @@ from semorder.regress import (
     misspec_experiment,
     population_projection,
 )
-from semorder.semgen import DataMatrix
+from semorder.semgen import DataMatrix, EdgeFunction, SemSpec, sample
 
 import oracles
 
@@ -62,6 +62,53 @@ def test_fit_span_rank_deficient_min_norm():
     assert res.degenerate
     # minimum-norm solution is orthogonal to the null space direction (1,1,-1)
     assert abs(res.coefficients @ np.array([1.0, 1.0, -1.0])) <= 1e-8
+
+
+def _all_conditional_fits(values, class_spec):
+    """(design, response) of every fit of one column on a nonempty set of the others."""
+    p = values.shape[1]
+    for v in range(p):
+        others = [k for k in range(p) if k != v]
+        for mask in range(1, 1 << len(others)):
+            cols = [values[:, k] for i, k in enumerate(others) if mask >> i & 1]
+            yield class_spec.design(cols), values[:, v]
+
+
+def test_fit_span_matches_svd_reference():
+    # Rank must agree with the explicit-SVD reference everywhere.  sigma^2 must
+    # agree within 1e-12 relative on well-conditioned designs, and within 1e-8
+    # on two n=60 samples of the demo chain whose designs keep singular values
+    # down to 1e-10 of the largest, next to the 1e-10 rank cutoff.
+    chain = SemSpec(
+        p=4, order=(0, 1, 2, 3),
+        edges={(j, j + 1): EdgeFunction("sine", (2.0, 1.5)) for j in range(3)},
+        noise_sd=(1.0, 0.3, 0.3, 0.3),
+    )
+    weak = SemSpec(
+        p=3, order=(0, 1, 2),
+        edges={(j, j + 1): EdgeFunction("sine", (1.0, 1.0)) for j in range(2)},
+        noise_sd=(1.0, 0.9, 0.9),
+    )
+    values = sample(chain, 300, seed=5).values
+    families = [(CUBIC_B_SPLINE, 6), (PIECEWISE_CONSTANT, 5), (TRIGONOMETRIC, 3)]
+    cases = [
+        (values, ClassSpec(Dictionary(kind, size, (-5.0, 5.0)), intercept=icpt), 1e-12)
+        for kind, size in families
+        for icpt in (True, False)
+    ]
+    spline = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)))
+    cases += [(sample(weak, 60, (10, 60, rep)).values, spline, 1e-8) for rep in (12, 19)]
+    count = 0
+    for values, class_spec, tol in cases:
+        for x, y in _all_conditional_fits(values, class_spec):
+            res = fit_span(x, y)
+            beta, rank = oracles.svd_lstsq(x, y)
+            resid = y - x @ beta
+            ref = float(resid @ resid) / x.shape[0]
+            assert res.rank == rank
+            assert abs(res.residual_variance - ref) <= tol * ref
+            count += 1
+    assert count == 6 * 28 + 2 * 9
 
 
 def test_fit_span_empty_rejected():
