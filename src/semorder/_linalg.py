@@ -112,7 +112,9 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of `v` onto the l1 ball of the given radius.
 
     Sort-based simplex projection; O(d log d).  A 2-d `v` is projected row by
-    row, each row onto its own ball.
+    row, each row onto its own ball.  The threshold index is the last sorted
+    index that passes ``u_k k > cumsum_k - radius``; when a radius below the
+    rounding unit of the entries lets none pass, it is the first.
     """
     if radius < 0:
         raise UsageError("l1 radius must be nonnegative")
@@ -124,7 +126,8 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     u = -np.sort(-mag, axis=1)
     css = np.cumsum(u, axis=1)
     d = u.shape[1]
-    idx = d - 1 - np.argmax((u * np.arange(1, d + 1) > css - radius)[:, ::-1], axis=1)
+    passes = u * np.arange(1, d + 1) > css - radius
+    idx = np.where(passes.any(axis=1), d - 1 - np.argmax(passes[:, ::-1], axis=1), 0)
     theta = (css[np.arange(rows.shape[0]), idx] - radius) / (idx + 1.0)
     theta[mag.sum(axis=1) <= radius] = 0.0
     return (np.sign(rows) * np.maximum(mag - theta[:, None], 0.0)).reshape(v.shape)

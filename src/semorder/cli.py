@@ -38,7 +38,7 @@ from .empproc import (
     z_sup_l1,
 )
 from .errors import CapacityError, DegeneracyError, UsageError, as_number
-from .order import estimate_order_exact, estimate_order_greedy
+from .order import EXACT_GUARD, estimate_order_exact, estimate_order_greedy
 from .regress import ClassSpec, MisspecTruth, misspec_experiment
 from .semgen import DataMatrix, EdgeFunction, SemSpec, identifiability_gap, sample
 
@@ -147,6 +147,8 @@ def cmd_order(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
         try:
             est = estimate_order_exact(data, class_spec)
         except CapacityError as exc:
+            if data.p <= EXACT_GUARD:
+                raise  # greedy also fits the last variable on all others, so it fails alike
             raise UsageError(f"{exc}; rerun with \"method\": \"greedy\"") from exc
     elif method == "greedy":
         est = estimate_order_greedy(data, class_spec)

@@ -125,6 +125,7 @@ def z_sup_ellipsoid(mp: MomentPair, return_direction: bool = False):
 
 
 NEWTON_MAX_ITERS = 100
+ASCENT_ITERS = 150
 
 
 def _project_ellipsoid(v: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -205,7 +206,6 @@ def z_sup_l1(
     budget: float,
     restarts: int = 64,
     seed: int = 0,
-    ascent_iters: int = 150,
     return_details: bool = False,
 ):
     """Certified lower bound on the norm-gap supremum under an l1 budget.
@@ -214,10 +214,10 @@ def z_sup_l1(
     intersection of the l1 ball of radius `budget` with the Sigma unit
     ellipsoid.  Multi-start projected gradient ascent (Dykstra projections
     onto the intersection), seeded deterministically, with every start and
-    sign advanced together as one batch; every evaluated point is rescaled
-    exactly onto the feasible set, so the returned value is a true lower
-    bound.  Exact for practical purposes in low dimension; a heuristic beyond
-    that.
+    sign advanced together as one batch for at most ``ASCENT_ITERS`` steps;
+    every evaluated point is rescaled exactly onto the feasible set, so the
+    returned value is a true lower bound.  Exact for practical purposes in
+    low dimension; a heuristic beyond that.
 
     With ``return_details=True`` also returns a dict holding the maximizer
     (``argmax``), the number of scored ``starts`` and of ``ascents``, the
@@ -294,7 +294,7 @@ def z_sup_l1(
         q_beta = sign * np.einsum("ij,ij->i", beta, beta @ delta)
         step = np.full(beta.shape[0], 0.45 / dnorm)
         active = np.ones(beta.shape[0], dtype=bool)
-        for _ in range(ascent_iters):
+        for _ in range(ASCENT_ITERS):
             rows = np.nonzero(active)[0]
             b = beta[rows]
             grad = 2.0 * sign[rows, None] * (b @ delta)

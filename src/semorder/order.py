@@ -5,7 +5,8 @@ term is the residual variance of the class regression of variable pi_j on all
 variables placed before it.  Because each term depends only on (variable,
 predecessor set), the global minimizer over all p! permutations is found with
 O(p 2^p) conditional fits by dynamic programming over subsets; a forward
-greedy search provides the cheap alternative.  Both read their fits from one
+greedy search provides the cheap alternative.  Both read the floored
+variances and flags of the sigma table of one
 :class:`semorder.regress.ConditionalFits` engine per dataset and break ties
 lexicographically, so results are deterministic.
 """
@@ -62,41 +63,23 @@ class OrderEstimate:
         }
 
 
-class _FlooredSigmas:
-    """Conditional residual variances of one dataset, floored for the score.
-
-    Fits come from a :class:`ConditionalFits` engine; each value is floored at
-    ``1e-12 * mean square`` of the response column so scores never hit log(0).
-    """
-
-    def __init__(self, data, class_spec: ClassSpec):
-        self.fits = fits = ConditionalFits(data, class_spec)
-        self.p = fits.p
-        if fits.p > fits.n:
-            raise UsageError(f"estimation needs p <= n, got p={fits.p}, n={fits.n}")
-        ms = np.mean(fits.values * fits.values, axis=0)
-        self._floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny).tolist()
-
-    def entry(self, v: int, mask: int) -> tuple[float, bool, bool]:
-        """(residual variance, floored?, degenerate?) of v regressed on mask."""
-        rv, degenerate = self.fits.sigma(v, mask)
-        if rv < self._floor[v]:
-            return self._floor[v], True, degenerate
-        return rv, False, degenerate
-
-    def log_sigma(self, v: int, mask: int) -> float:
-        return math.log(self.entry(v, mask)[0])
+def _engine(data, class_spec: ClassSpec) -> ConditionalFits:
+    """The fit engine of one dataset, after the estimation rule ``p <= n``."""
+    fits = ConditionalFits(data, class_spec)
+    if fits.p > fits.n:
+        raise UsageError(f"estimation needs p <= n, got p={fits.p}, n={fits.n}")
+    return fits
 
 
 def conditional_sigma(data, v: int, s, class_spec: ClassSpec, return_flags: bool = False):
     """Residual variance of the class fit of column v on column set s.
 
     Empty s gives the intercept-only fit (or the raw second moment without an
-    intercept).  The value is floored at 1e-12 times the sample second moment
-    of column v; ``return_flags=True`` also returns (floored, degenerate).
+    intercept).  The value carries the variance floor of
+    :class:`ConditionalFits`; ``return_flags=True`` also returns (floored, degenerate).
     """
-    cache = _FlooredSigmas(data, class_spec)
-    rv, floored, degenerate = cache.entry(int(v), cache.fits.predictor_mask(v, s))
+    fits = _engine(data, class_spec)
+    rv, floored, degenerate = fits.sigma(int(v), fits.predictor_mask(v, s))
     if return_flags:
         return rv, floored, degenerate
     return rv
@@ -104,42 +87,31 @@ def conditional_sigma(data, v: int, s, class_spec: ClassSpec, return_flags: bool
 
 def score(data, pi, class_spec: ClassSpec) -> float:
     """Sum of log conditional residual variances along the permutation."""
-    cache = _FlooredSigmas(data, class_spec)
-    pi = _validate_perm(pi, cache.p)
-    return _estimate_from_cache(cache, pi, "given").score
+    fits = _engine(data, class_spec)
+    pi = _validate_perm(pi, fits.p)
+    return _estimate_from_cache(fits, pi, "given").score
 
 
-def _estimate_from_cache(cache: _FlooredSigmas, pi, method: str) -> OrderEstimate:
-    sigmas = np.empty(len(pi))
-    floored = []
-    degenerate = []
-    mask = 0
-    for pos, v in enumerate(pi):
-        rv, fl, dg = cache.entry(v, mask)
-        sigmas[pos] = rv
-        if fl:
-            floored.append(pos)
-        if dg:
-            degenerate.append(pos)
-        mask |= 1 << v
+def _estimate_from_cache(fits: ConditionalFits, pi, method: str) -> OrderEstimate:
+    sigmas, floored, degenerate = fits.along(pi)
     return OrderEstimate(
         order=tuple(pi),
         sigma_hat=sigmas,
         score=float(np.sum(np.log(sigmas))),
         method=method,
-        floored=tuple(floored),
-        degenerate=tuple(degenerate),
+        floored=tuple(pos for pos, f in enumerate(floored) if f),
+        degenerate=tuple(pos for pos, d in enumerate(degenerate) if d),
     )
 
 
-def _exact_from_cache(cache: _FlooredSigmas, before: list[int] | None = None) -> OrderEstimate:
+def _exact_from_cache(fits: ConditionalFits, before: list[int] | None = None) -> OrderEstimate:
     """Score minimizer over the orders in which each v follows the set bits of ``before[v]``.
 
     ``before=None`` leaves every permutation allowed.  A mask that holds a
     variable whose required predecessors lie outside it cannot be reached
     from the empty set, so it keeps an infinite suffix and costs no fit.
     """
-    p = cache.p
+    p = fits.p
     if p > EXACT_GUARD:
         raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={p}")
     if before is None:
@@ -163,7 +135,7 @@ def _exact_from_cache(cache: _FlooredSigmas, before: list[int] | None = None) ->
             bit = 1 << v
             if mask & bit or before[v] & ~mask:
                 continue
-            t = cache.log_sigma(v, mask) + suffix[mask | bit]
+            t = math.log(fits.sigma(v, mask)[0]) + suffix[mask | bit]
             if t < best:
                 best, choice[mask] = t, v
         suffix[mask] = best
@@ -172,7 +144,7 @@ def _exact_from_cache(cache: _FlooredSigmas, before: list[int] | None = None) ->
     while mask != full:
         pi.append(choice[mask])
         mask |= 1 << choice[mask]
-    return _estimate_from_cache(cache, pi, "exact")
+    return _estimate_from_cache(fits, pi, "exact")
 
 
 def estimate_order_exact(data, class_spec: ClassSpec) -> OrderEstimate:
@@ -184,11 +156,11 @@ def estimate_order_exact(data, class_spec: ClassSpec) -> OrderEstimate:
     variable after its parents, gives the best topological order in
     :func:`consistency_experiment`.  Guarded at p <= 18 by table memory.
     """
-    return _exact_from_cache(_FlooredSigmas(data, class_spec))
+    return _exact_from_cache(_engine(data, class_spec))
 
 
-def _greedy_from_cache(cache: _FlooredSigmas) -> OrderEstimate:
-    p = cache.p
+def _greedy_from_cache(fits: ConditionalFits) -> OrderEstimate:
+    p = fits.p
     pi = []
     mask = 0
     for _ in range(p):
@@ -196,12 +168,12 @@ def _greedy_from_cache(cache: _FlooredSigmas) -> OrderEstimate:
         for v in range(p):
             if mask & (1 << v):
                 continue
-            t = cache.log_sigma(v, mask)
+            t = math.log(fits.sigma(v, mask)[0])
             if t < best_t:
                 best_v, best_t = v, t
         pi.append(best_v)
         mask |= 1 << best_v
-    return _estimate_from_cache(cache, pi, "greedy")
+    return _estimate_from_cache(fits, pi, "greedy")
 
 
 def estimate_order_greedy(data, class_spec: ClassSpec) -> OrderEstimate:
@@ -210,8 +182,7 @@ def estimate_order_greedy(data, class_spec: ClassSpec) -> OrderEstimate:
     Lexicographic tie-break (strict improvement required to displace an
     earlier candidate).  Its score is never below the exact minimum.
     """
-    cache = _FlooredSigmas(data, class_spec)
-    return _greedy_from_cache(cache)
+    return _greedy_from_cache(_engine(data, class_spec))
 
 
 @dataclass
@@ -272,9 +243,9 @@ def consistency_experiment(
         gaps = np.empty(reps)
         for rep in range(reps):
             data = sample(spec, n, (seed, n, rep))
-            cache = _FlooredSigmas(data, class_spec)
-            est = _exact_from_cache(cache) if method == "exact" else _greedy_from_cache(cache)
-            best_topo = _exact_from_cache(cache, parents).score
+            fits = _engine(data, class_spec)
+            est = _exact_from_cache(fits) if method == "exact" else _greedy_from_cache(fits)
+            best_topo = _exact_from_cache(fits, parents).score
             hit = in_pi0(est.order, spec)
             hits += hit
             gaps[rep] = est.score - best_topo

@@ -10,7 +10,9 @@ Two estimators over the same additive design:
 
 :class:`ConditionalFits` fits one column of a data matrix on a set of the
 others by the rules of a :class:`ClassSpec`; every conditional fit in the
-package goes through it or through :meth:`ClassSpec.fit`.
+package goes through it or through :meth:`ClassSpec.fit`.  It also owns the
+sigma table, with its variance floor and flags, that order search and the
+identifiability gap read.
 
 :func:`misspec_experiment` measures convergence of the fitted coefficients to
 the population projection when the true regression function lies outside the
@@ -77,24 +79,24 @@ class ClassSpec:
         elif self.budget is not None:
             raise UsageError("span class takes no budget")
 
-    def design(self, columns, n_rows: int | None = None) -> np.ndarray:
-        return design_matrix(self.dictionary, columns, intercept=self.intercept, n_rows=n_rows)
+    def design(self, columns) -> np.ndarray:
+        return design_matrix(self.dictionary, columns, intercept=self.intercept)
 
     def total_budget(self, n_blocks: int) -> float:
         if self.kind != L1:
             raise UsageError("total_budget is only defined for l1 classes")
         return self.budget * n_blocks
 
-    def fit(self, columns, y, n_rows: int | None = None) -> "FitResult":
+    def fit(self, columns, y) -> "FitResult":
         """Fit the class regression of `y` on the given input columns, in the order given.
 
-        `n_rows`, if given, must be the length of `y`.  See :func:`_fit_blocks`
-        for the design, the empty-design convention and the ``degenerate`` flag.
+        See :func:`_fit_blocks` for the design, the empty-design convention
+        and the ``degenerate`` flag.
         """
         y = np.asarray(y, dtype=np.float64).ravel()
         blocks = [basis_matrix(self.dictionary, np.ravel(c)) for c in columns]
-        if n_rows not in (None, y.shape[0]) or any(b.shape[0] != y.shape[0] for b in blocks):
-            raise UsageError(f"input columns and n_rows must match the {y.shape[0]} responses")
+        if any(b.shape[0] != y.shape[0] for b in blocks):
+            raise UsageError(f"input columns must match the {y.shape[0]} responses")
         return _fit_blocks(self, blocks, y)
 
     def to_config(self) -> dict:
@@ -346,23 +348,33 @@ class ConditionalFits:
     order search, the population residual variances and
     :func:`fit_over_subsets` all read their fits from it.  It owns:
 
+    * the data check: every column's mean square must be finite, else
+      :class:`UsageError` naming the column;
     * one basis block per column, built on first use;
     * the capacity rule ``|S| N + 1 <= n``, else :class:`CapacityError`;
     * the design ``[1 | B_k ...]`` with blocks in ascending column order, and
       the span/l1 dispatch and empty-design convention of :func:`_fit_blocks`;
-    * the memo of ``(residual variance, degenerate)`` keyed by (variable,
-      predecessor bitmask).
+    * the sigma table: ``(residual variance, floored, degenerate)`` keyed by
+      (variable, predecessor bitmask), each variance floored at
+      ``max(1e-12 * mean square, tiny)`` of its column so that logs stay
+      finite, and its walk along an order (:meth:`along`).
     """
 
     def __init__(self, data, class_spec: ClassSpec):
         values = np.asarray(getattr(data, "values", data), dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise UsageError(f"data must be a nonempty 2-d matrix, got shape {values.shape}")
+        with np.errstate(over="ignore"):
+            ms = np.mean(values * values, axis=0)
+        bad = np.flatnonzero(~np.isfinite(ms))
+        if bad.size:
+            raise UsageError(f"column x{bad[0] + 1} has a non-finite mean square ({ms[bad[0]]})")
         self.values = values
         self.n, self.p = values.shape
         self.class_spec = class_spec
+        self._floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny).tolist()
         self._blocks: dict[int, np.ndarray] = {}
-        self._memo: dict[tuple[int, int], tuple[float, bool]] = {}
+        self._memo: dict[tuple[int, int], tuple[float, bool, bool]] = {}
 
     def predictor_mask(self, v: int, s) -> int:
         """Bitmask of the conditioning set `s` of target column `v`, after checking both.
@@ -395,13 +407,27 @@ class ConditionalFits:
                 self._blocks[k] = basis_matrix(self.class_spec.dictionary, self.values[:, k])
         return _fit_blocks(self.class_spec, [self._blocks[k] for k in cols], self.values[:, v])
 
-    def sigma(self, v: int, mask: int) -> tuple[float, bool]:
-        """Memoized ``(residual variance, degenerate)`` of :meth:`fit`."""
+    def sigma(self, v: int, mask: int) -> tuple[float, bool, bool]:
+        """Memoized ``(floored residual variance, floored, degenerate)`` of :meth:`fit`."""
         hit = self._memo.get((v, mask))
         if hit is None:
             fit = self.fit(v, mask)
-            hit = self._memo[(v, mask)] = (fit.residual_variance, fit.degenerate)
+            floored = fit.residual_variance < self._floor[v]
+            rv = self._floor[v] if floored else fit.residual_variance
+            hit = self._memo[(v, mask)] = (rv, floored, fit.degenerate)
         return hit
+
+    def along(self, pi) -> tuple[np.ndarray, tuple[bool, ...], tuple[bool, ...]]:
+        """:meth:`sigma` at each position of the order `pi`, on the variables placed before it.
+
+        Returns the variances and the per-position floored and degenerate flags.
+        """
+        rows, mask = [], 0
+        for v in pi:
+            rows.append(self.sigma(v, mask))
+            mask |= 1 << v
+        values, floored, degenerate = zip(*rows)
+        return np.array(values), floored, degenerate
 
 
 def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple[int, ...], FitResult]:

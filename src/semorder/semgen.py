@@ -5,7 +5,9 @@ edges to 1-d functions; each variable is the sum of its parents' edge
 functions plus independent centered Gaussian noise.  The module also
 estimates, by a large oracle sample, the population residual variances a
 regression class attains under an arbitrary ordering, and from those the
-identifiability gap separating the true orders from all others.
+identifiability gap separating the true orders from all others.  Both read
+the sigma table of one :class:`semorder.regress.ConditionalFits` engine over
+the oracle sample, with the estimator's variance floor.
 """
 
 from __future__ import annotations
@@ -354,17 +356,6 @@ def _oracle_fits(spec: SemSpec, class_spec: ClassSpec, oracle_n: int, seed) -> C
     return ConditionalFits(sample(spec, oracle_n, seed).values, class_spec)
 
 
-def _sigma_along_order(fits: ConditionalFits, pi):
-    values = np.empty(len(pi))
-    flags = []
-    mask = 0
-    for pos, v in enumerate(pi):
-        values[pos], flag = fits.sigma(v, mask)
-        flags.append(flag)
-        mask |= 1 << v
-    return values, tuple(flags)
-
-
 def population_sigma(
     spec: SemSpec,
     pi,
@@ -377,13 +368,14 @@ def population_sigma(
     Position j regresses the j-th variable of `pi` on all earlier ones over a
     fresh oracle sample of size `oracle_n`; the first position gets the empty
     predictor set.  Values approximate the population quantities at
-    Monte-Carlo accuracy O(oracle_n^-1/2).  Designs whose numerical rank is
-    below the class span's dimension fall back to minimum-norm fits and are
-    flagged.
+    Monte-Carlo accuracy O(oracle_n^-1/2).  Values carry the estimator's
+    variance floor, relative to the oracle mean square of each variable.
+    Designs whose numerical rank is below the class span's dimension fall
+    back to minimum-norm fits and are flagged.
     """
     pi = _validate_perm(pi, spec.p)
-    values, flags = _sigma_along_order(_oracle_fits(spec, class_spec, oracle_n, seed), pi)
-    return PopulationSigmas(values=values, degenerate=flags, order=pi)
+    values, _, degenerate = _oracle_fits(spec, class_spec, oracle_n, seed).along(pi)
+    return PopulationSigmas(values=values, degenerate=degenerate, order=pi)
 
 
 @dataclass
@@ -433,7 +425,7 @@ def identifiability_gap(
         raise CapacityError(f"identifiability gap enumerates all p! permutations; p={spec.p} > 8")
     fits = _oracle_fits(spec, class_spec, oracle_n, seed)
     parents = _parent_masks(spec)
-    base, _ = _sigma_along_order(fits, spec.order)
+    base = fits.along(spec.order)[0]
     base_by_var = {v: base[i] for i, v in enumerate(spec.order)}
     gap = float("inf")
     rows = []
@@ -441,7 +433,7 @@ def identifiability_gap(
         topological = _respects(pi, parents)
         if topological and not return_table:
             continue
-        values, _ = _sigma_along_order(fits, pi)
+        values = fits.along(pi)[0]
         # log sd ratio = half the log variance ratio, matched per variable
         score = 0.0
         for pos, v in enumerate(pi):

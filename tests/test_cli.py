@@ -162,6 +162,14 @@ def test_order_capacity_suggests_greedy(tmp_path, capsys):
     assert sorted(est["order"]) == list(range(1, 20))
 
 
+def test_order_capacity_of_greedy_gets_no_greedy_hint(tmp_path, capsys):
+    # one conditioning column already needs N + 1 = 7 rows, so greedy fails too
+    cfg = write_cfg(tmp_path, "c.json", {"sem": sine_chain_cfg(p=3), "n": 3, "class": SPLINE5})
+    code, _, err = run(["order", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert "rows, have 3" in err and "greedy" not in err
+
+
 def test_order_missing_inputs_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {"class": TRIG3})
     code, _, err = run(["order", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
@@ -364,6 +372,25 @@ def test_order_rejects_non_finite_csv(tmp_path, capsys, cell):
     code, _, err = run(["order", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
     assert code == 2
     assert "bad.csv" in err and "x2" in err and "non-finite" in err
+
+
+def test_order_rejects_column_whose_mean_square_overflows(tmp_path, capsys):
+    x = np.random.default_rng(13).standard_normal((40, 3))
+    x[:, 1] *= 1e160
+    DataMatrix(x).to_csv(tmp_path / "big.csv")
+    cfg = write_cfg(tmp_path, "c.json", {"data": str(tmp_path / "big.csv"), "class": TRIG3})
+    code, _, err = run(["order", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "x2" in err
+
+
+def test_gap_rejects_noise_whose_mean_square_overflows(tmp_path, capsys):
+    sem = dict(sine_chain_cfg(p=2), noise_sd=[1.0, 1e160])
+    cfg = write_cfg(tmp_path, "c.json", {"sem": sem, "class": SPLINE5, "oracle_n": 2000, "replicates": 1})
+    code, _, err = run(["gap", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert "x2" in err
+    assert not (tmp_path / "r" / "gap.json").exists()
 
 
 def test_order_rejects_ragged_csv(tmp_path, capsys):

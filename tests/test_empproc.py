@@ -171,6 +171,15 @@ def test_project_l1_rows_match_bisection():
         assert np.array_equal(out, project_l1(row, 1.3))
 
 
+@pytest.mark.parametrize("radius", [1e-17, 1e-300])
+def test_project_l1_radius_below_rounding_stays_in_ball(radius):
+    # cumsum - radius rounds to cumsum, so no sorted index passes the threshold test
+    v = np.array([[1.0, 0.5, -0.2], [-3.0, 0.0, 2.0]])
+    out = project_l1(v, radius)
+    assert np.all(np.abs(out).sum(axis=1) <= radius)
+    assert np.array_equal(out[0], project_l1(v[0], radius))
+
+
 def test_moment_pair_validation():
     with pytest.raises(UsageError):
         MomentPair(np.array([[1.0, 0.2], [0.0, 1.0]]), np.eye(2))

@@ -9,8 +9,8 @@ from semorder.errors import CapacityError, UsageError
 from semorder.order import (
     OrderEstimate,
     _estimate_from_cache,
+    _engine,
     _exact_from_cache,
-    _FlooredSigmas,
     conditional_sigma,
     consistency_experiment,
     estimate_order_exact,
@@ -93,6 +93,18 @@ def test_degenerate_flags_rank_below_class_span():
     assert estimate_order_greedy(data, pc).degenerate != ()
 
 
+def test_estimators_reject_data_without_finite_mean_square():
+    rng = np.random.default_rng(60)
+    data = rng.standard_normal((50, 3))
+    data[7, 1] = np.nan
+    with pytest.raises(UsageError, match="x2"):
+        estimate_order_exact(data, trig_class())
+    data[7, 1] = 0.0
+    data[:, 2] *= 1e160  # finite entries whose squares overflow
+    with pytest.raises(UsageError, match="x3"):
+        estimate_order_greedy(data, trig_class())
+
+
 def test_score_independent_columns_permutation_invariant():
     rng = np.random.default_rng(43)
     data = rng.standard_normal((4000, 3))
@@ -147,11 +159,11 @@ def test_exact_tie_break_is_lexicographic():
     assert score(data, (0, 1), cs) == score(data, (1, 0), cs)
 
 
-def best_topological(cache, spec):
+def best_topological(fits, spec):
     """Lowest score over the topological orders, the lexicographically first on ties."""
     best_score, best_pi = math.inf, None
     for pi in oracles.topological_filter(spec):
-        s = _estimate_from_cache(cache, pi, "given").score
+        s = _estimate_from_cache(fits, pi, "given").score
         if s < best_score:
             best_score, best_pi = s, pi
     return best_score, best_pi
@@ -162,25 +174,25 @@ def test_constrained_exact_matches_topological_enumeration():
     cs = trig_class()
     for _ in range(8):
         spec = oracles.random_dag(rng, 3, 6)
-        cache = _FlooredSigmas(rng.standard_normal((150, spec.p)), cs)
-        est = _exact_from_cache(cache, _parent_masks(spec))
+        fits = _engine(rng.standard_normal((150, spec.p)), cs)
+        est = _exact_from_cache(fits, _parent_masks(spec))
         # exactly the (variable, placed set) steps of some topological order are fitted
         steps = {
             (pi[i], sum(1 << v for v in pi[:i]))
             for pi in oracles.topological_filter(spec)
             for i in range(spec.p)
         }
-        assert set(cache.fits._memo) == steps
-        assert (est.score, est.order) == best_topological(cache, spec)
+        assert set(fits._memo) == steps
+        assert (est.score, est.order) == best_topological(fits, spec)
     # three equal columns under an intercept-only class tie every score bit
     # for bit; the edge 3 -> 1 leaves (2, 3, 1) as the first topological order
     x1 = rng.standard_normal(64)
     data = np.column_stack([x1, x1, x1])
     edges = {(2, 0): EdgeFunction("linear", (1.0,))}
     spec = SemSpec(p=3, order=(2, 0, 1), edges=edges, noise_sd=(1.0,) * 3)
-    cache = _FlooredSigmas(data, ClassSpec(Dictionary(PIECEWISE_CONSTANT, 1, (-8.0, 8.0))))
-    est = _exact_from_cache(cache, _parent_masks(spec))
-    assert (est.score, est.order) == best_topological(cache, spec)
+    fits = _engine(data, ClassSpec(Dictionary(PIECEWISE_CONSTANT, 1, (-8.0, 8.0))))
+    est = _exact_from_cache(fits, _parent_masks(spec))
+    assert (est.score, est.order) == best_topological(fits, spec)
     assert est.order == (1, 2, 0)
 
 

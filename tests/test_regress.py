@@ -168,6 +168,18 @@ def test_fit_l1_kkt_certificates():
         assert np.abs(res.coefficients).sum() <= budget + 1e-10
 
 
+def test_fit_l1_budget_below_rounding_converges():
+    # a budget below the rounding unit of the coefficients pins them at 0,
+    # leaving only the free intercept to solve
+    rng = np.random.default_rng(10)
+    x = np.hstack([np.ones((60, 1)), rng.standard_normal((60, 3))])
+    y = x[:, 1] + 0.5 + 0.1 * rng.standard_normal(60)
+    res = fit_l1(x, y, budget=1e-300, intercept=True, max_iter=200)
+    assert res.converged
+    assert np.abs(res.coefficients[1:]).sum() <= 1e-300
+    assert abs(res.coefficients[0] - y.mean()) <= 1e-8
+
+
 def test_fit_l1_sigma_monotone_in_budget():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((60, 4))

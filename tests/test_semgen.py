@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semorder import dictionary, regress, semgen
-from semorder.dictionary import CUBIC_B_SPLINE, TRIGONOMETRIC, Dictionary
+from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary
 from semorder.errors import CapacityError, UsageError
 from semorder.regress import ClassSpec
 from semorder.semgen import (
@@ -111,6 +111,18 @@ def test_population_sigma_linear_chain_both_orders():
     # slot 1 holds the raw variance of x2, slot 2 the Gaussian regression residual
     assert abs(rev.values[0] - 2.0) <= 0.05
     assert abs(rev.values[1] - oracles.bivariate_residual_variance(1.0, 2.0, 1.0)) <= 0.02
+
+
+def test_population_sigma_takes_the_estimator_floor():
+    # the class holds the edge function exactly, so the fit of x2 on x1 leaves
+    # only rounding noise (about 1e-28); the population value is the floor
+    pc = Dictionary(PIECEWISE_CONSTANT, 4, (-3.0, 3.0))
+    edge = EdgeFunction.dictionary_combination(pc, (1.0, -2.0, 0.5, 3.0))
+    spec = SemSpec(p=2, order=(0, 1), edges={(0, 1): edge}, noise_sd=(1.0, 1e-300))
+    out = population_sigma(spec, (0, 1), ClassSpec(pc), oracle_n=2000, seed=3)
+    x2 = sample(spec, 2000, 3).values[:, 1]
+    assert out.values[1] == 1e-12 * np.mean(x2 * x2)
+    assert abs(out.values[0] - 1.0) <= 0.1
 
 
 def test_identifiability_gap_linear_chain_near_zero():
