@@ -9,14 +9,20 @@ Each convention used throughout the package is written once, here:
 * positive definite (:func:`whitener`): the smallest eigenvalue of
   ``eigh(b)`` exceeds ``1e-12 * trace``, and the same eigenpairs give the
   whitener ``Q diag(w)^{-1/2}``;
-* least-squares rank (``RANK_REL_TOL``): every least-squares solve calls
+* least squares (:func:`least_squares`): a Cholesky solve of the normal
+  equations where a bound certifies the design well conditioned, else
   ``np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)``, LAPACK's SVD-based
-  ``gelsd``, which keeps the singular values above ``1e-10`` times the
-  largest one.  It works on the design itself, not on ``x'x``, which would
-  square the condition number.
+  ``gelsd``, which keeps the singular values above ``RANK_REL_TOL = 1e-10``
+  times the largest one.  Forming ``x'x`` squares the condition number, so
+  the Cholesky factor ``L`` is used only when ``trace(x'x) ||L^-1||_F^2 <=
+  1 / RANK_REL_TOL``: that proves ``cond(x) <= 1e5``, so ``gelsd`` would keep
+  every singular value and both solvers give the same rank and, to rounding,
+  the same fit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +39,7 @@ __all__ = [
     "whitener",
     "gen_eigh",
     "pinv_solve_psd",
+    "least_squares",
     "project_l1",
     "SYM_TOL",
     "PSD_REL_TOL",
@@ -106,6 +113,29 @@ def pinv_solve_psd(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
     w_inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     beta = (v * w_inv) @ (v.T @ c)
     return beta, degenerate
+
+
+def least_squares(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Least-squares coefficients of `y` on the columns of `x`, and the numerical rank of `x`.
+
+    The Cholesky factor ``L`` of ``g = x'x`` is accepted only under the
+    certificate ``trace(g) ||L^-1||_F^2 <= 1 / RANK_REL_TOL``.  Its left side
+    is at least ``cond(x)^2``, so a certified `x` has full column rank under
+    the rank rule and is solved from ``g``.  Any other `x` (singular `g`, a
+    failed or NaN certificate) goes to ``np.linalg.lstsq`` with ``rcond =
+    RANK_REL_TOL``, which returns the minimum-norm solution.
+    """
+    g = x.T @ x
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(g))
+        with np.errstate(over="ignore"):
+            bound = float(np.trace(g)) * float(np.sum(inv * inv))
+    except np.linalg.LinAlgError:
+        bound = math.nan
+    if not (bound <= 1.0 / RANK_REL_TOL):
+        beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)
+        return beta, int(rank)
+    return inv.T @ (inv @ (x.T @ y)), x.shape[1]
 
 
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:

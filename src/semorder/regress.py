@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import empproc
-from ._linalg import RANK_REL_TOL, pinv_solve_psd, project_l1
+from ._linalg import least_squares, pinv_solve_psd, project_l1
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix, design_matrix, stack_design
 from .errors import CapacityError, UsageError, as_number
@@ -149,10 +149,12 @@ class ProjectionResult:
 def fit_span(x: np.ndarray, y: np.ndarray) -> FitResult:
     """Ordinary least squares; minimum-norm coefficients if rank-deficient.
 
-    The residual variance is the mean squared residual (no degrees-of-freedom
-    correction).  ``rank`` is the numerical rank of `x`, the number of
-    singular values above ``RANK_REL_TOL`` times the largest; ``degenerate``
-    marks a rank below the column count.
+    Solved by :func:`semorder._linalg.least_squares`: a certified Cholesky
+    solve when `x` is well conditioned, else LAPACK's ``gelsd``.  The residual
+    variance is the mean squared residual ``y - x beta`` (no
+    degrees-of-freedom correction).  ``rank`` is the numerical rank of `x`,
+    the number of singular values above ``RANK_REL_TOL`` times the largest;
+    ``degenerate`` marks a rank below the column count.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -160,7 +162,7 @@ def fit_span(x: np.ndarray, y: np.ndarray) -> FitResult:
         raise UsageError(f"incompatible shapes {x.shape} and {y.shape}")
     if x.shape[0] < 1:
         raise UsageError("need at least one observation")
-    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)
+    beta, rank = least_squares(x, y)
     resid = y - x @ beta
     rv = float(resid @ resid) / x.shape[0]
     return FitResult(
@@ -169,7 +171,7 @@ def fit_span(x: np.ndarray, y: np.ndarray) -> FitResult:
         kind=SPAN,
         degenerate=rank < x.shape[1],
         n_obs=x.shape[0],
-        rank=int(rank),
+        rank=rank,
     )
 
 
@@ -265,7 +267,7 @@ def fit_l1(
         beta = proj(np.zeros(d))
         return FitResult(beta, obj(beta), L1, kkt_residual=0.0, budget=budget, intercept=intercept, n_obs=n)
 
-    beta = proj(np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)[0])
+    beta = proj(least_squares(x, y)[0])
     step = 1.0 / lip
     residual = _kkt_from_gradient(2.0 * (a @ beta - b), beta, budget, intercept)
     converged = residual <= tol
@@ -341,6 +343,21 @@ def _fit_blocks(class_spec: ClassSpec, blocks: list[np.ndarray], y: np.ndarray) 
     return replace(fit, degenerate=fit.rank < dim)
 
 
+def _span_block(class_spec: ClassSpec, block: np.ndarray) -> np.ndarray:
+    """The engine's basis block of a span class: `block` without columns that add nothing to the span.
+
+    All-zero columns (empty cells) are dropped.  For a partition-of-unity
+    family with an intercept, so is the last remaining column: the kept
+    columns still sum to the intercept, so the span of ``[1 | blocks...]`` is
+    unchanged, and with no empty cell it has the ``k(N-1)+1`` columns that
+    :func:`_fit_blocks` counts as its dimension.
+    """
+    keep = np.flatnonzero(block.any(axis=0))
+    if class_spec.intercept and class_spec.dictionary.family != TRIGONOMETRIC:
+        keep = keep[:-1]
+    return block if keep.size == block.shape[1] else block[:, keep]
+
+
 class ConditionalFits:
     """Class regressions of the columns of one data matrix on sets of the others.
 
@@ -350,7 +367,12 @@ class ConditionalFits:
 
     * the data check: every column's mean square must be finite, else
       :class:`UsageError` naming the column;
-    * one basis block per column, built on first use;
+    * one basis block per column, built on first use.  For a span class the
+      block drops its all-zero columns and, for a partition-of-unity family
+      with an intercept, its last column (see :func:`_span_block`), so a
+      design with an intercept has no column that is redundant by
+      construction, and span-fit coefficients are in this reduced basis; l1
+      classes keep the full block;
     * the capacity rule ``|S| N + 1 <= n``, else :class:`CapacityError`;
     * the design ``[1 | B_k ...]`` with blocks in ascending column order, and
       the span/l1 dispatch and empty-design convention of :func:`_fit_blocks`;
@@ -404,7 +426,8 @@ class ConditionalFits:
             raise CapacityError(f"conditioning on {len(cols)} columns needs {need} rows, have {self.n}")
         for k in cols:
             if k not in self._blocks:
-                self._blocks[k] = basis_matrix(self.class_spec.dictionary, self.values[:, k])
+                block = basis_matrix(self.class_spec.dictionary, self.values[:, k])
+                self._blocks[k] = _span_block(self.class_spec, block) if self.class_spec.kind == SPAN else block
         return _fit_blocks(self.class_spec, [self._blocks[k] for k in cols], self.values[:, v])
 
     def sigma(self, v: int, mask: int) -> tuple[float, bool, bool]:
@@ -434,8 +457,12 @@ def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple
     """Fit the class regression of column `j` on each subset of other columns.
 
     All fits come from one :class:`ConditionalFits` engine, so each column's
-    basis block is built once, and each fit equals ``class_spec.fit`` on the
-    same columns in ascending order.  Keys of the returned dict are sorted
+    basis block is built once.  Each fit spans the same functions as
+    ``class_spec.fit`` on the same columns in ascending order, with the same
+    residual variance to rounding, but the coefficients of a span class are
+    in the engine's reduced basis: all-zero basis columns are dropped and,
+    for a partition-of-unity family with an intercept, so is each block's
+    last remaining column.  Keys of the returned dict are sorted
     index tuples; the empty subset without an intercept gives the
     ``mean(y*y)`` fit.  Raises :class:`CapacityError` for a subset of k
     columns when ``k N + 1 > n``.

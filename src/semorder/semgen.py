@@ -341,9 +341,10 @@ def in_pi0(pi, spec: SemSpec) -> bool:
 
 @dataclass
 class PopulationSigmas:
-    """Estimated residual variances along one ordering, with degeneracy flags."""
+    """Estimated residual variances along one ordering, with floored and degeneracy flags."""
 
     values: np.ndarray
+    floored: tuple[bool, ...]
     degenerate: tuple[bool, ...]
     order: tuple[int, ...]
 
@@ -369,13 +370,14 @@ def population_sigma(
     fresh oracle sample of size `oracle_n`; the first position gets the empty
     predictor set.  Values approximate the population quantities at
     Monte-Carlo accuracy O(oracle_n^-1/2).  Values carry the estimator's
-    variance floor, relative to the oracle mean square of each variable.
-    Designs whose numerical rank is below the class span's dimension fall
-    back to minimum-norm fits and are flagged.
+    variance floor, relative to the oracle mean square of each variable, and
+    positions at the floor are flagged ``floored``.  Designs whose numerical
+    rank is below the class span's dimension fall back to minimum-norm fits
+    and are flagged ``degenerate``.
     """
     pi = _validate_perm(pi, spec.p)
-    values, _, degenerate = _oracle_fits(spec, class_spec, oracle_n, seed).along(pi)
-    return PopulationSigmas(values=values, degenerate=degenerate, order=pi)
+    values, floored, degenerate = _oracle_fits(spec, class_spec, oracle_n, seed).along(pi)
+    return PopulationSigmas(values=values, floored=floored, degenerate=degenerate, order=pi)
 
 
 @dataclass

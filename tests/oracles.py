@@ -189,11 +189,19 @@ def enumerate_order(data, class_spec):
 
     Reproduces the conditional-fit assembly directly (same basis blocks, same
     hstack order, same floor) so values are bit-identical to the estimator's.
+    Like the engine, each block loses its all-zero columns and, for a
+    partition-of-unity family with an intercept, its last remaining column.
     """
     assert class_spec.kind == "span"
     values = np.asarray(getattr(data, "values", data), dtype=np.float64)
     n, p = values.shape
-    blocks = [basis_matrix(class_spec.dictionary, values[:, k]) for k in range(p)]
+    blocks = []
+    for k in range(p):
+        block = basis_matrix(class_spec.dictionary, values[:, k])
+        keep = [r for r in range(block.shape[1]) if np.any(block[:, r] != 0.0)]
+        if class_spec.intercept and class_spec.dictionary.family != "trigonometric":
+            keep = keep[:-1]
+        blocks.append(block if len(keep) == block.shape[1] else block[:, keep])
     ones = np.ones((n, 1))
     ms = np.mean(values * values, axis=0)
     floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny)

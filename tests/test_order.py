@@ -136,14 +136,18 @@ def test_score_validates_permutation():
 
 def test_exact_matches_enumeration_bit_for_bit():
     rng = np.random.default_rng(46)
-    cs = trig_class()
-    for _ in range(10):
-        p = int(rng.integers(3, 5))
-        data = rng.standard_normal((150, p))
-        est = estimate_order_exact(data, cs)
-        ref_score, ref_pi = oracles.enumerate_order(data, cs)
-        assert est.score == ref_score  # exact float equality, no tolerance
-        assert tuple(est.order) == ref_pi
+    # the spline and piecewise-constant classes are served by the engine's
+    # reduced blocks; the outer cells of the latter are empty
+    spline = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0)))
+    cells = ClassSpec(Dictionary(PIECEWISE_CONSTANT, 8, (-6.0, 6.0)))
+    for cs in (trig_class(), spline, cells):
+        for _ in range(10):
+            p = int(rng.integers(3, 5))
+            data = rng.standard_normal((150, p))
+            est = estimate_order_exact(data, cs)
+            ref_score, ref_pi = oracles.enumerate_order(data, cs)
+            assert est.score == ref_score  # exact float equality, no tolerance
+            assert tuple(est.order) == ref_pi
 
 
 def test_exact_tie_break_is_lexicographic():

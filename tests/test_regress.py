@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import semorder
+from semorder._linalg import RANK_REL_TOL, least_squares
 from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary
 from semorder.errors import CapacityError, UsageError
 from semorder.regress import (
     ClassSpec,
+    ConditionalFits,
     MisspecTruth,
     fit_l1,
     fit_over_subsets,
@@ -109,6 +114,119 @@ def test_fit_span_matches_svd_reference():
             assert abs(res.residual_variance - ref) <= tol * ref
             count += 1
     assert count == 6 * 28 + 2 * 9
+
+
+def _counting_lstsq(monkeypatch):
+    """Patch ``np.linalg.lstsq`` to count its calls; returns the one-entry counter."""
+    calls = [0]
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_least_squares_certifies_only_well_conditioned_designs(monkeypatch):
+    calls = _counting_lstsq(monkeypatch)
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((80, 5))
+    y = x @ rng.standard_normal(5) + 0.1 * rng.standard_normal(80)
+    beta, rank = least_squares(x, y)
+    ref, _, ref_rank, _ = np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)
+    assert calls[0] == 1 and rank == ref_rank == 5  # the reference's own call
+    assert np.max(np.abs(beta - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # full rank, but cond(x) is about 1e7 > 1e5: the certificate fails
+    x[:, 4] = x[:, 3] + 1e-7 * rng.standard_normal(80)
+    assert least_squares(x, y)[1] == 5 and calls[0] == 2
+    # rank-deficient: the Cholesky factorization itself fails or is refused
+    x[:, 4] = x[:, 3]
+    assert least_squares(x, y)[1] == 4 and calls[0] == 3
+
+
+def test_least_squares_solvers_live_in_linalg():
+    # every least-squares solve and Cholesky factorization goes through the
+    # one certified policy in _linalg
+    package = Path(semorder.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_linalg.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        for name in ("np.linalg.lstsq", "np.linalg.cholesky"):
+            assert name not in text, f"{path.name} calls {name}"
+
+
+def _span_dimension(class_spec, k):
+    dictionary = class_spec.dictionary
+    if k and dictionary.family != TRIGONOMETRIC:
+        return k * (dictionary.size - 1) + 1
+    return int(class_spec.intercept) + k * dictionary.size
+
+
+def test_engine_matches_svd_reference_on_full_design(monkeypatch):
+    # The engine fits on reduced blocks; the reference is the explicit SVD of
+    # the full class design.  Rank and both flags must agree everywhere, and
+    # sigma^2 within 1e-12 relative on every fit the Cholesky path certified.
+    calls = _counting_lstsq(monkeypatch)
+    chain = SemSpec(
+        p=4, order=(0, 1, 2, 3),
+        edges={(j, j + 1): EdgeFunction("sine", (2.0, 1.5)) for j in range(3)},
+        noise_sd=(1.0, 0.3, 0.3, 0.3),
+    )
+    values = sample(chain, 300, seed=5).values
+    # the chain stays inside (-3.5, 3.5), so 10 cells on (-5, 5) leave the
+    # outer ones empty
+    families = [(CUBIC_B_SPLINE, 6), (PIECEWISE_CONSTANT, 5), (PIECEWISE_CONSTANT, 10), (TRIGONOMETRIC, 3)]
+    assert not np.any(np.abs(values) >= 3.5)
+    certified = 0
+    for kind, size in families:
+        for icpt in (True, False):
+            class_spec = ClassSpec(Dictionary(kind, size, (-5.0, 5.0)), intercept=icpt)
+            fits = ConditionalFits(values, class_spec)
+            for v in range(4):
+                others = [k for k in range(4) if k != v]
+                y = values[:, v]
+                floor = max(1e-12 * float(np.mean(y * y)), np.finfo(np.float64).tiny)
+                for sub in range(1, 1 << 3):
+                    cols = [k for i, k in enumerate(others) if sub >> i & 1]
+                    mask = fits.predictor_mask(v, cols)
+                    before = calls[0]
+                    fit = fits.fit(v, mask)
+                    _, floored, degenerate = fits.sigma(v, mask)
+                    x = class_spec.design([values[:, k] for k in cols])
+                    beta, rank = oracles.svd_lstsq(x, y)
+                    resid = y - x @ beta
+                    ref = float(resid @ resid) / x.shape[0]
+                    assert fit.rank == rank
+                    assert degenerate == (rank < _span_dimension(class_spec, len(cols)))
+                    assert floored == (ref < floor)
+                    if calls[0] == before:
+                        certified += 1
+                        assert abs(fit.residual_variance - ref) <= 1e-12 * ref
+    # everything but the rank-deficient no-intercept partition-of-unity fits
+    # on two or more blocks: 8 classes * 28 fits - 3 * 4 * 4
+    assert certified == 8 * 28 - 3 * 4 * 4
+
+
+def test_sigma_table_builds_without_lstsq(monkeypatch):
+    # on a well-conditioned chain every fit takes the certified Cholesky path
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    chain = SemSpec(
+        p=5, order=(0, 1, 2, 3, 4),
+        edges={(j, j + 1): EdgeFunction("sine", (2.0, 1.5)) for j in range(4)},
+        noise_sd=(1.0, 0.3, 0.3, 0.3, 0.3),
+    )
+    fits = ConditionalFits(sample(chain, 500, seed=7).values, ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0))))
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for v in range(5):
+        for mask in range(1 << 5):
+            if not mask >> v & 1:
+                fits.sigma(v, mask)
+    assert len(fits._memo) == 5 * 2 ** 4
 
 
 def test_fit_span_empty_rejected():

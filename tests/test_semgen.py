@@ -122,6 +122,7 @@ def test_population_sigma_takes_the_estimator_floor():
     out = population_sigma(spec, (0, 1), ClassSpec(pc), oracle_n=2000, seed=3)
     x2 = sample(spec, 2000, 3).values[:, 1]
     assert out.values[1] == 1e-12 * np.mean(x2 * x2)
+    assert out.floored == (False, True)
     assert abs(out.values[0] - 1.0) <= 0.1
 
 
