@@ -5,8 +5,8 @@ Two estimators over the same additive design:
 * :func:`fit_span` solves unpenalized least squares (minimum-norm under rank
   deficiency);
 * :func:`fit_l1` minimizes the same objective subject to an l1 budget on the
-  non-intercept coefficients, by projected gradient descent with backtracking,
-  and certifies the result with an explicit KKT residual.
+  non-intercept coefficients, exactly, by the lasso homotopy, and certifies
+  the result with an explicit KKT residual.
 
 :class:`ConditionalFits` fits one column of a data matrix on a set of the
 others by the rules of a :class:`ClassSpec`; every conditional fit in the
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import empproc
-from ._linalg import least_squares, pinv_solve_psd, project_l1
+from ._linalg import least_squares, pinv_solve_psd
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix, design_matrix, stack_design
 from .errors import CapacityError, UsageError, as_number
@@ -182,7 +182,7 @@ def _split_penalized(v: np.ndarray, intercept: bool) -> np.ndarray:
 def kkt_residual(x: np.ndarray, y: np.ndarray, beta: np.ndarray, budget: float, intercept: bool = False) -> float:
     """Stationarity residual for the l1-constrained least-squares problem.
 
-    For an interior iterate the residual is the sup-norm of the gradient (the
+    For an interior point the residual is the sup-norm of the gradient (the
     intercept coordinate included either way).  On the boundary it measures
     how far the negative gradient is from a common multiplier ``lam =
     max_j |grad_j|`` aligned with the sign pattern on the support.  A true
@@ -223,10 +223,12 @@ def fit_l1(
 ) -> FitResult:
     """Least squares under ``sum_j |beta_j| <= budget`` (intercept exempt).
 
-    Projected gradient descent on the precomputed second-moment form of the
-    objective, with backtracking line search.  Iterations stop once the KKT
-    residual from :func:`kkt_residual` drops to `tol`; hitting `max_iter`
-    first returns the iterate with ``converged=False`` and a warning.
+    Solved exactly by the lasso homotopy of :func:`_lasso_path` on the moment
+    form ``a = x'x / n``, ``b = x'y / n``, after one Schur complement on column
+    0 removes an intercept.  ``converged`` requires the KKT residual of
+    :func:`kkt_residual` to be at most `tol`; a path cut at `max_iter` steps
+    never converges.  A fit that does not converge warns.  On collinear
+    columns the coefficients may not be unique; the fitted values are.
 
     Parameters
     ----------
@@ -250,50 +252,18 @@ def fit_l1(
 
     a = x.T @ x / n
     b = x.T @ y / n
-    y2 = float(y @ y) / n
-
-    def obj(v: np.ndarray) -> float:
-        return y2 - 2.0 * float(b @ v) + float(v @ (a @ v))
-
-    def proj(v: np.ndarray) -> np.ndarray:
-        if intercept:
-            out = v.copy()
-            out[1:] = project_l1(v[1:], budget)
-            return out
-        return project_l1(v, budget)
-
-    lip = 2.0 * float(np.linalg.eigvalsh(a)[-1])
-    if lip <= 0:
-        beta = proj(np.zeros(d))
-        return FitResult(beta, obj(beta), L1, kkt_residual=0.0, budget=budget, intercept=intercept, n_obs=n)
-
-    beta = proj(least_squares(x, y)[0])
-    step = 1.0 / lip
+    if intercept:
+        pivot, col = a[0, 0] or 1.0, a[1:, 0]  # a zero column 0 gets coefficient 0
+        a_pen, b_pen = a[1:, 1:] - np.outer(col, col) / pivot, b[1:] - col * (b[0] / pivot)
+        v, steps, done = _lasso_path(a_pen, b_pen, budget, max_iter)
+        beta = np.concatenate([[(b[0] - col @ v) / pivot], v])
+    else:
+        beta, steps, done = _lasso_path(a, b, budget, max_iter)
     residual = _kkt_from_gradient(2.0 * (a @ beta - b), beta, budget, intercept)
-    converged = residual <= tol
-    it = 0
-    while not converged and it < max_iter:
-        grad = 2.0 * (a @ beta - b)
-        s = min(step * 1.5, 64.0 / lip)
-        f0 = obj(beta)
-        while True:
-            cand = proj(beta - s * grad)
-            diff = cand - beta
-            quad = f0 + float(grad @ diff) + float(diff @ diff) / (2.0 * s)
-            if obj(cand) <= quad + 1e-15 * (1.0 + abs(quad)) or s <= 0.25 / lip:
-                break
-            s *= 0.5
-        step = s
-        beta = cand
-        residual = _kkt_from_gradient(2.0 * (a @ beta - b), beta, budget, intercept)
-        converged = residual <= tol
-        it += 1
+    converged = done and residual <= tol
     if not converged:
-        warnings.warn(
-            f"l1 fit stopped after {max_iter} iterations with KKT residual {residual:.3e} > {tol:.1e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        msg = f"l1 fit stopped after {steps} path steps with KKT residual {residual:.3e} > {tol:.1e}"
+        warnings.warn(msg, RuntimeWarning, stacklevel=2)
     resid = y - x @ beta
     return FitResult(
         coefficients=beta,
@@ -305,6 +275,57 @@ def fit_l1(
         intercept=intercept,
         n_obs=n,
     )
+
+
+def _lasso_path(a: np.ndarray, b: np.ndarray, budget: float, max_steps: int) -> tuple[np.ndarray, int, bool]:
+    """Minimize ``v'a v - 2 b'v`` over ``||v||_1 <= budget`` by the lasso homotopy.
+
+    The penalized minimizer is piecewise linear in its multiplier ``lam``
+    (Osborne, Presnell & Turlach 2000; Efron et al. 2004).  From ``v = 0`` at
+    ``lam = max|b|``, the correlations ``c = b - a v`` of the active set S stay
+    at ``lam`` times their signs s while v moves along ``a_SS^-1 s`` and
+    ``lam`` falls at unit rate, up to the nearest event: a column joins S, a
+    coefficient reaches 0 and leaves, the budget binds, or ``lam`` reaches 0
+    (least squares).  A joining column that leaves ``a_SS`` singular is in the
+    span of S, so its correlation stays at ``lam`` by itself: it stays out
+    until a column leaves.  Returns ``(v, steps, finished)``.
+    """
+    dim = b.shape[0]
+    v, sign, riding = np.zeros(dim), np.zeros(dim), np.zeros(dim, dtype=bool)
+    lam = float(np.max(np.abs(b), initial=0.0))
+    if budget == 0 or lam == 0:
+        return v, 0, True
+    c, j = b, int(np.argmax(np.abs(b)))
+    sign[j] = np.sign(b[j])
+    for step in range(1, max_steps + 1):
+        act, dv = np.flatnonzero(sign), np.zeros(dim)
+        dv[act], singular = pinv_solve_psd(a[np.ix_(act, act)], sign[act])
+        if singular:
+            sign[j], riding[j] = 0.0, True
+            continue
+        w = a @ dv
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(w < 1.0, np.maximum(lam - c, 0.0) / (1.0 - w), np.inf)
+            down = np.where(w > -1.0, np.maximum(lam + c, 0.0) / (1.0 + w), np.inf)
+            leave = np.where(sign * dv < 0, -v / dv, np.inf)
+        join = np.where(riding | (sign != 0), np.inf, np.minimum(up, down))
+        slope = float(sign @ dv)
+        to_budget = max(budget - float(np.abs(v).sum()), 0.0) / slope if slope > 0 else np.inf
+        gaps = np.concatenate([[to_budget, lam], leave, join])
+        event = int(np.argmin(gaps))
+        v += gaps[event] * dv
+        lam -= gaps[event]
+        if event < 2:  # rescaled where rounding left v outside the ball
+            used = float(np.abs(v).sum())
+            return (v * (budget / used) if used > budget else v), step, True
+        if event < 2 + dim:
+            v[event - 2] = sign[event - 2] = 0.0
+            riding[:] = False
+        else:
+            j = event - 2 - dim
+            sign[j] = 1.0 if up[j] <= down[j] else -1.0
+        c = b - a @ v
+    return v, max_steps, False
 
 
 def population_projection(sigma: np.ndarray, c: np.ndarray) -> ProjectionResult:
@@ -343,19 +364,26 @@ def _fit_blocks(class_spec: ClassSpec, blocks: list[np.ndarray], y: np.ndarray) 
     return replace(fit, degenerate=fit.rank < dim)
 
 
-def _span_block(class_spec: ClassSpec, block: np.ndarray) -> np.ndarray:
-    """The engine's basis block of a span class: `block` without columns that add nothing to the span.
+def _span_block(class_spec: ClassSpec, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's basis block of a span class, whole and reduced.
 
-    All-zero columns (empty cells) are dropped.  For a partition-of-unity
-    family with an intercept, so is the last remaining column: the kept
-    columns still sum to the intercept, so the span of ``[1 | blocks...]`` is
-    unchanged, and with no empty cell it has the ``k(N-1)+1`` columns that
-    :func:`_fit_blocks` counts as its dimension.
+    Both drop the all-zero columns of `block` (empty cells).  The columns of a
+    partition-of-unity block sum to the constant function, so its last
+    column adds nothing to a design whose span has the constants already,
+    from the intercept or else from the design's first block; the reduced
+    block drops it.  :meth:`ConditionalFits.fit` uses every block reduced
+    but the first block of a design without an intercept.  The span is
+    unchanged, and with no empty cell the design has the ``k(N-1)+1``
+    columns that :func:`_fit_blocks` counts as its dimension.  These blocks
+    are stored in Fortran order, as a block with empty cells is anyway, so
+    the rounding of ``x'x`` does not depend on whether a cell is empty.
     """
-    keep = np.flatnonzero(block.any(axis=0))
-    if class_spec.intercept and class_spec.dictionary.family != TRIGONOMETRIC:
-        keep = keep[:-1]
-    return block if keep.size == block.shape[1] else block[:, keep]
+    keep = block.any(axis=0)
+    if class_spec.dictionary.family == TRIGONOMETRIC:
+        block = block if keep.all() else block[:, keep]
+        return block, block
+    block = np.asfortranarray(block[:, keep])
+    return block, block[:, :-1]
 
 
 class ConditionalFits:
@@ -368,11 +396,14 @@ class ConditionalFits:
     * the data check: every column's mean square must be finite, else
       :class:`UsageError` naming the column;
     * one basis block per column, built on first use.  For a span class the
-      block drops its all-zero columns and, for a partition-of-unity family
-      with an intercept, its last column (see :func:`_span_block`), so a
-      design with an intercept has no column that is redundant by
-      construction, and span-fit coefficients are in this reduced basis; l1
-      classes keep the full block;
+      block drops its all-zero columns, and each design of a
+      partition-of-unity family drops the last column of every block once
+      the constants are in the design's span: of every block with an
+      intercept, of every block but the first without one (see
+      :func:`_span_block`).  So no design has a column that is redundant by
+      construction, and span-fit coefficients are in this reduced basis.  l1
+      classes keep the full block, since dropping a column would change the
+      l1 ball;
     * the capacity rule ``|S| N + 1 <= n``, else :class:`CapacityError`;
     * the design ``[1 | B_k ...]`` with blocks in ascending column order, and
       the span/l1 dispatch and empty-design convention of :func:`_fit_blocks`;
@@ -395,7 +426,7 @@ class ConditionalFits:
         self.n, self.p = values.shape
         self.class_spec = class_spec
         self._floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny).tolist()
-        self._blocks: dict[int, np.ndarray] = {}
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._memo: dict[tuple[int, int], tuple[float, bool, bool]] = {}
 
     def predictor_mask(self, v: int, s) -> int:
@@ -427,8 +458,12 @@ class ConditionalFits:
         for k in cols:
             if k not in self._blocks:
                 block = basis_matrix(self.class_spec.dictionary, self.values[:, k])
-                self._blocks[k] = _span_block(self.class_spec, block) if self.class_spec.kind == SPAN else block
-        return _fit_blocks(self.class_spec, [self._blocks[k] for k in cols], self.values[:, v])
+                span = self.class_spec.kind == SPAN
+                self._blocks[k] = _span_block(self.class_spec, block) if span else (block, block)
+        blocks = [self._blocks[k][1] for k in cols]
+        if cols and not self.class_spec.intercept:  # the first block brings the constants
+            blocks[0] = self._blocks[cols[0]][0]
+        return _fit_blocks(self.class_spec, blocks, self.values[:, v])
 
     def sigma(self, v: int, mask: int) -> tuple[float, bool, bool]:
         """Memoized ``(floored residual variance, floored, degenerate)`` of :meth:`fit`."""
@@ -461,8 +496,10 @@ def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple
     ``class_spec.fit`` on the same columns in ascending order, with the same
     residual variance to rounding, but the coefficients of a span class are
     in the engine's reduced basis: all-zero basis columns are dropped and,
-    for a partition-of-unity family with an intercept, so is each block's
-    last remaining column.  Keys of the returned dict are sorted
+    for a partition-of-unity family, so is each block's last remaining
+    column, except in the first block when the class has no intercept.  The
+    coefficients of an l1 class on collinear blocks may not be unique; see
+    :func:`fit_l1`.  Keys of the returned dict are sorted
     index tuples; the empty subset without an intercept gives the
     ``mean(y*y)`` fit.  Raises :class:`CapacityError` for a subset of k
     columns when ``k N + 1 > n``.

@@ -58,6 +58,44 @@ def svd_lstsq(x, y, rank_rel_tol=1e-10):
     return beta, int(np.count_nonzero(keep))
 
 
+def l1_enumerate(a, b, budget):
+    """Minimizer of ``v'a v - 2 b'v`` over ``||v||_1 <= budget`` by enumerating all 3^d sign faces (d <= 6).
+
+    Some minimizer has a support T with nonsingular ``a_TT``: moving a
+    minimizer along a null vector of ``a_TT`` changes neither the objective
+    nor, where the budget binds, the l1 norm, until a coordinate reaches 0.
+    So only faces (T, s) with well-conditioned ``a_TT`` are visited.  Each
+    offers two candidates: the free minimizer ``u = a_TT^-1 b_T``, kept if it
+    lies in the ball, and the minimizer on the plane ``s'v = budget``,
+    ``u - mu a_TT^-1 s`` with ``mu = (s'u - budget) / (s' a_TT^-1 s)``, kept
+    if its signs are s.  Returns the best candidate, or 0.
+    """
+    d = b.shape[0]
+    assert d <= 6
+    best, best_v = 0.0, np.zeros(d)
+    for size in range(1, d + 1):
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=size)))
+        for support in itertools.combinations(range(d), size):
+            t = list(support)
+            a_tt, b_t = a[np.ix_(t, t)], b[t]
+            if np.linalg.cond(a_tt) > 1e10:
+                continue
+            inv = np.linalg.inv(a_tt)
+            u = inv @ b_t
+            g = signs @ inv
+            mu = (signs @ u - budget) / np.sum(g * signs, axis=1)
+            plane = u - mu[:, None] * g
+            cands = plane[np.all(signs * plane > 0, axis=1)]
+            if np.abs(u).sum() <= budget:
+                cands = np.vstack([cands, u])
+            for v in cands:
+                val = float(v @ a_tt @ v - 2.0 * b_t @ v)
+                if val < best:
+                    best, best_v = val, np.zeros(d)
+                    best_v[t] = v
+    return best_v
+
+
 def scan_quadratic_ellipsoid(delta, sigma, n_dirs=100_000, seed=0):
     """max |u' delta u| over u' sigma u = 1 by random directions; returns (value, argmax u)."""
     rng = np.random.default_rng(seed)
@@ -190,18 +228,19 @@ def enumerate_order(data, class_spec):
     Reproduces the conditional-fit assembly directly (same basis blocks, same
     hstack order, same floor) so values are bit-identical to the estimator's.
     Like the engine, each block loses its all-zero columns and, for a
-    partition-of-unity family with an intercept, its last remaining column.
+    partition-of-unity family, its last remaining column, except in the first
+    block of a design without an intercept.
     """
     assert class_spec.kind == "span"
     values = np.asarray(getattr(data, "values", data), dtype=np.float64)
     n, p = values.shape
+    reduce = class_spec.dictionary.family != "trigonometric"
+    first = 0 if class_spec.intercept else 1
     blocks = []
     for k in range(p):
         block = basis_matrix(class_spec.dictionary, values[:, k])
         keep = [r for r in range(block.shape[1]) if np.any(block[:, r] != 0.0)]
-        if class_spec.intercept and class_spec.dictionary.family != "trigonometric":
-            keep = keep[:-1]
-        blocks.append(block if len(keep) == block.shape[1] else block[:, keep])
+        blocks.append(block[:, keep] if reduce or len(keep) < block.shape[1] else block)
     ones = np.ones((n, 1))
     ms = np.mean(values * values, axis=0)
     floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny)
@@ -211,7 +250,9 @@ def enumerate_order(data, class_spec):
         hit = memo.get((v, key))
         if hit is None:
             y = values[:, v]
-            parts = ([ones] if class_spec.intercept else []) + [blocks[k] for k in key]
+            parts = ([ones] if class_spec.intercept else []) + [
+                blocks[k][:, :-1] if reduce and i >= first else blocks[k] for i, k in enumerate(key)
+            ]
             if parts:
                 design = np.hstack(parts) if len(parts) > 1 else parts[0]
                 rv = fit_span(design, y).residual_variance

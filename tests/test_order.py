@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from semorder.order import (
     in_pi0,
     score,
 )
-from semorder.regress import ClassSpec, fit_over_subsets, fit_span
+from semorder.regress import ClassSpec, ConditionalFits, fit_over_subsets, fit_span
 from semorder.semgen import EdgeFunction, SemSpec, _parent_masks, sample
 
 import oracles
@@ -140,7 +142,8 @@ def test_exact_matches_enumeration_bit_for_bit():
     # reduced blocks; the outer cells of the latter are empty
     spline = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0)))
     cells = ClassSpec(Dictionary(PIECEWISE_CONSTANT, 8, (-6.0, 6.0)))
-    for cs in (trig_class(), spline, cells):
+    no_intercept = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0)), intercept=False)
+    for cs in (trig_class(), spline, cells, no_intercept):
         for _ in range(10):
             p = int(rng.integers(3, 5))
             data = rng.standard_normal((150, p))
@@ -148,6 +151,27 @@ def test_exact_matches_enumeration_bit_for_bit():
             ref_score, ref_pi = oracles.enumerate_order(data, cs)
             assert est.score == ref_score  # exact float equality, no tolerance
             assert tuple(est.order) == ref_pi
+
+
+def test_exact_search_with_l1_class_matches_enumeration():
+    # an l1 class end to end: every fit of the sigma table is a certified
+    # exact solution that raises no warning, and the DP finds the best of
+    # all 24 orders
+    data = sample(sine_chain(p=4), 500, seed=53).values
+    cs = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)), kind="l1", budget=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = ConditionalFits(data, cs)
+        for v in range(4):
+            for mask in range(1, 16):
+                if not mask >> v & 1:
+                    fit = fits.fit(v, mask)
+                    assert fit.converged and fit.kkt_residual <= 1e-12
+        est = estimate_order_exact(data, cs)
+        scores = {pi: score(data, pi, cs) for pi in itertools.permutations(range(4))}
+    best = min(scores.values())
+    assert est.score == best
+    assert tuple(est.order) == min(pi for pi, s in scores.items() if s == best)
 
 
 def test_exact_tie_break_is_lexicographic():

@@ -5,7 +5,7 @@ import pytest
 
 import semorder
 from semorder._linalg import RANK_REL_TOL, least_squares
-from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary
+from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary, basis_matrix
 from semorder.errors import CapacityError, UsageError
 from semorder.regress import (
     ClassSpec,
@@ -168,7 +168,8 @@ def _span_dimension(class_spec, k):
 def test_engine_matches_svd_reference_on_full_design(monkeypatch):
     # The engine fits on reduced blocks; the reference is the explicit SVD of
     # the full class design.  Rank and both flags must agree everywhere, and
-    # sigma^2 within 1e-12 relative on every fit the Cholesky path certified.
+    # every fit must take the certified Cholesky path, with sigma^2 within
+    # 1e-12 relative.
     calls = _counting_lstsq(monkeypatch)
     chain = SemSpec(
         p=4, order=(0, 1, 2, 3),
@@ -205,9 +206,8 @@ def test_engine_matches_svd_reference_on_full_design(monkeypatch):
                     if calls[0] == before:
                         certified += 1
                         assert abs(fit.residual_variance - ref) <= 1e-12 * ref
-    # everything but the rank-deficient no-intercept partition-of-unity fits
-    # on two or more blocks: 8 classes * 28 fits - 3 * 4 * 4
-    assert certified == 8 * 28 - 3 * 4 * 4
+    # every fit, with or without an intercept: 8 classes * 28 fits
+    assert certified == 8 * 28
 
 
 def test_sigma_table_builds_without_lstsq(monkeypatch):
@@ -245,7 +245,7 @@ def test_fit_l1_zero_budget():
     xi = np.hstack([np.ones((60, 1)), x])
     res_i = fit_l1(xi, y + 5.0, budget=0.0, intercept=True)
     assert np.array_equal(res_i.coefficients[1:], np.zeros(3))
-    # the free intercept is solved iteratively to the gradient tolerance
+    # the free intercept is the mean of the response, to rounding
     assert abs(res_i.coefficients[0] - (y + 5.0).mean()) <= 1e-8
 
 
@@ -314,6 +314,49 @@ def test_fit_l1_nonconvergence_warns():
         res = fit_l1(x, y, budget=0.7, tol=1e-14, max_iter=2)
     assert not res.converged
     assert res.kkt_residual > 1e-14
+
+
+def _l1_oracle_designs(rng):
+    """Random (design without intercept column, response) pairs of at most 6 columns.
+
+    Gaussian columns, and partition-of-unity blocks: one spline block, two
+    piecewise-constant blocks, or a spline and a piecewise-constant block.
+    Two blocks are collinear, since each sums to 1; centering, as an
+    intercept does, makes every block collinear.
+    """
+    z = rng.standard_normal((int(rng.integers(40, 120)), 2))
+    kind = rng.integers(4)
+    if kind == 0:
+        d = int(rng.integers(1, 7))
+        x = rng.standard_normal((z.shape[0], d)) * rng.uniform(0.5, 2.0, d)
+    elif kind == 1:
+        x = basis_matrix(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0)), z[:, 0])
+    else:
+        pair = [(PIECEWISE_CONSTANT, 3)] * 2 if kind == 2 else [(CUBIC_B_SPLINE, 4), (PIECEWISE_CONSTANT, 2)]
+        x = np.hstack([basis_matrix(Dictionary(f, m, (-4.0, 4.0)), z[:, k]) for k, (f, m) in enumerate(pair)])
+    y = np.sin(1.5 * z[:, 0]) + 0.5 * z[:, 1] + 0.3 * rng.standard_normal(z.shape[0])
+    return x, y
+
+
+def test_fit_l1_matches_sign_face_enumeration():
+    # sigma^2 of the homotopy against an independent exact minimum, with and
+    # without an intercept, budgets from deep inside to beyond least squares
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for i in range(300):
+        x, y = _l1_oracle_designs(rng)
+        n = x.shape[0]
+        icpt = i % 2 == 0
+        xc, yc = (x - x.mean(axis=0), y - y.mean()) if icpt else (x, y)
+        scale = np.abs(np.linalg.lstsq(xc, yc, rcond=None)[0]).sum()
+        budget = float(scale * 10 ** rng.uniform(-1.5, 0.3))
+        v = oracles.l1_enumerate(xc.T @ xc / n, xc.T @ yc / n, budget)
+        ref = float(np.mean((yc - xc @ v) ** 2))
+        design = np.column_stack([np.ones(n), x]) if icpt else x
+        fit = fit_l1(design, y, budget, tol=1e-12, intercept=icpt)
+        assert fit.converged and fit.kkt_residual <= 1e-12
+        worst = max(worst, abs(fit.residual_variance - ref) / ref)
+    assert worst <= 1e-12
 
 
 def test_population_projection_identity():
