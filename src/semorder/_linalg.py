@@ -144,7 +144,9 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     Sort-based simplex projection; O(d log d).  A 2-d `v` is projected row by
     row, each row onto its own ball.  The threshold index is the last sorted
     index that passes ``u_k k > cumsum_k - radius``; when a radius below the
-    rounding unit of the entries lets none pass, it is the first.
+    rounding unit of the entries lets none pass, it is the first.  The
+    threshold is raised by ``5 eps cumsum_k``, which bounds the rounding error
+    of the threshold and of the l1 norm, so that norm never exceeds the radius.
     """
     if radius < 0:
         raise UsageError("l1 radius must be nonnegative")
@@ -158,6 +160,7 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     d = u.shape[1]
     passes = u * np.arange(1, d + 1) > css - radius
     idx = np.where(passes.any(axis=1), d - 1 - np.argmax(passes[:, ::-1], axis=1), 0)
-    theta = (css[np.arange(rows.shape[0]), idx] - radius) / (idx + 1.0)
+    top = css[np.arange(rows.shape[0]), idx]
+    theta = (top - radius) / (idx + 1.0) + 5.0 * np.finfo(np.float64).eps * top
     theta[mag.sum(axis=1) <= radius] = 0.0
     return (np.sign(rows) * np.maximum(mag - theta[:, None], 0.0)).reshape(v.shape)

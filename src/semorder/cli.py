@@ -219,13 +219,12 @@ def cmd_gap(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     replicates = _number(cfg, "replicates", int, 3)
     if replicates < 1:
         raise UsageError("replicates must be at least 1")
-    gaps = []
-    table = None
+    gaps, table = [], None
     for r in range(replicates):
-        rep = identifiability_gap(spec, class_spec, oracle_n=oracle_n, seed=(seed, r), return_table=True)
-        gaps.append(rep.gap)
-        if table is None:
-            table = rep.to_json()["table"]
+        gap = identifiability_gap(spec, class_spec, oracle_n=oracle_n, seed=(seed, r), return_table=r == 0)
+        if r == 0:  # only the first replicate's table is written; the others return the gap alone
+            table, gap = gap.to_json()["table"], gap.gap
+        gaps.append(gap)
     finite = [g for g in gaps if math.isfinite(g)]
     mean = float(np.mean(finite)) if len(finite) == len(gaps) else float("inf")
     se = float(np.std(finite, ddof=1) / math.sqrt(len(finite))) if len(finite) == len(gaps) and len(finite) >= 2 else None
@@ -333,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=os.cpu_count() or 1,
-            help="parallelism degree; results do not depend on it",
+            help="recorded in the manifest; not yet used, so results do not depend on it",
         )
         if name in ("rates", "empnorm"):
             sp.add_argument(

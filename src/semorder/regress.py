@@ -28,10 +28,10 @@ from typing import Callable
 import numpy as np
 
 from . import empproc
-from ._linalg import least_squares, pinv_solve_psd
+from ._linalg import least_squares, pinv_solve_psd, whitener
 from ._rng import derived_rng
-from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix, design_matrix, stack_design
-from .errors import CapacityError, UsageError, as_number
+from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix, stack_design
+from .errors import CapacityError, DegeneracyError, UsageError, as_number
 
 SPAN = "span"
 L1 = "l1"
@@ -80,7 +80,11 @@ class ClassSpec:
             raise UsageError("span class takes no budget")
 
     def design(self, columns) -> np.ndarray:
-        return design_matrix(self.dictionary, columns, intercept=self.intercept)
+        """The design that :meth:`fit` solves on the given input columns, in that order."""
+        if not len(columns):
+            raise UsageError("a class design needs at least one input column")
+        n = np.ravel(columns[0]).shape[0]
+        return _stack(self, self._parts(columns, n), n)
 
     def total_budget(self, n_blocks: int) -> float:
         if self.kind != L1:
@@ -88,16 +92,15 @@ class ClassSpec:
         return self.budget * n_blocks
 
     def fit(self, columns, y) -> "FitResult":
-        """Fit the class regression of `y` on the given input columns, in the order given.
-
-        See :func:`_fit_blocks` for the design, the empty-design convention
-        and the ``degenerate`` flag.
-        """
+        """Fit the class regression of `y` on the given input columns, in that order (see :func:`_fit_blocks`)."""
         y = np.asarray(y, dtype=np.float64).ravel()
+        return _fit_blocks(self, self._parts(columns, y.shape[0]), y)
+
+    def _parts(self, columns, n: int) -> list[tuple[np.ndarray, np.ndarray, bool]]:
         blocks = [basis_matrix(self.dictionary, np.ravel(c)) for c in columns]
-        if any(b.shape[0] != y.shape[0] for b in blocks):
-            raise UsageError(f"input columns must match the {y.shape[0]} responses")
-        return _fit_blocks(self, blocks, y)
+        if any(b.shape[0] != n for b in blocks):
+            raise UsageError(f"input columns must all have {n} rows")
+        return [_design_block(self, b) for b in blocks]
 
     def to_config(self) -> dict:
         cfg = {"dictionary": self.dictionary.to_config(), "kind": self.kind, "intercept": self.intercept}
@@ -338,52 +341,54 @@ def population_projection(sigma: np.ndarray, c: np.ndarray) -> ProjectionResult:
     return ProjectionResult(coefficients=beta, degenerate=degenerate)
 
 
-def _fit_blocks(class_spec: ClassSpec, blocks: list[np.ndarray], y: np.ndarray) -> FitResult:
-    """Class regression of `y` on the design ``[1 | blocks...]``.
+def _design_block(class_spec: ClassSpec, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The columns that a class design keeps of the basis block `block`: the package's one rule.
 
-    The one place that assembles a class design and picks its solver: an l1
-    class with k >= 1 blocks takes ``total_budget(k)``, every other fit is a
-    span fit.  With neither blocks nor intercept the residual is `y` itself,
-    so the residual variance is ``mean(y*y)``.  A span fit is ``degenerate``
-    only when its rank is below the dimension of the class span:
-    ``k(N-1)+1`` for k >= 1 blocks of a partition-of-unity family, else
-    ``intercept + kN``.  l1 fits are never flagged.
+    Returns the block as the design's first block and as a later one, and
+    whether it kept every basis function.  A span class drops the all-zero
+    columns (cells no observation reaches).  A partition-of-unity block (any
+    family but the trigonometric) sums to the constants, so it also drops its
+    last remaining column once the design's span has them: always with an
+    intercept, after the first block without one.  The span is unchanged; with
+    every cell reached the design has one column per dimension of the span,
+    ``k(N-1)+1`` for k such blocks, else ``intercept + kN``.  Fortran order
+    keeps the rounding of ``x'x`` independent of empty cells.  An l1 class
+    keeps every block whole, since dropping a column would change the l1 ball.
     """
-    n, k = y.shape[0], len(blocks)
+    if class_spec.kind == L1:
+        return block, block, True
+    keep = block.any(axis=0)
+    full = bool(keep.all())
+    if class_spec.dictionary.family == TRIGONOMETRIC:
+        block = block if full else block[:, keep]
+        return block, block, full
+    block = np.asfortranarray(block[:, keep])
+    return (block[:, :-1] if class_spec.intercept else block), block[:, :-1], full
+
+
+def _stack(class_spec: ClassSpec, parts, n: int) -> np.ndarray:
+    """The design ``[1 | blocks...]`` on the :func:`_design_block` triples `parts`, in design order."""
+    return stack_design([part[i > 0] for i, part in enumerate(parts)], class_spec.intercept, n)
+
+
+def _fit_blocks(class_spec: ClassSpec, parts, y: np.ndarray) -> FitResult:
+    """Class regression of `y` on the :func:`_design_block` triples `parts`, in design order.
+
+    The one place that picks a class fit's solver: an l1 class with k >= 1
+    blocks takes ``total_budget(k)``, every other fit is a span fit.  With
+    neither blocks nor intercept the residual is `y` itself, so the residual
+    variance is ``mean(y*y)``.  A span fit is ``degenerate`` only when its
+    rank is below the dimension of the class span: below the design's column
+    count, or a block lost an all-zero column.  l1 fits are never flagged.
+    """
+    n, k = y.shape[0], len(parts)
     if k == 0 and not class_spec.intercept:
         return FitResult(np.zeros(0), float(np.mean(y * y)), SPAN, n_obs=n, rank=0)
-    design = stack_design(blocks, class_spec.intercept, n)
+    design = _stack(class_spec, parts, n)
     if class_spec.kind == L1 and k:
         return fit_l1(design, y, class_spec.total_budget(k), intercept=class_spec.intercept)
     fit = fit_span(design, y)
-    n_basis = class_spec.dictionary.size
-    if k and class_spec.dictionary.family != TRIGONOMETRIC:
-        dim = k * (n_basis - 1) + 1
-    else:
-        dim = int(class_spec.intercept) + k * n_basis
-    return replace(fit, degenerate=fit.rank < dim)
-
-
-def _span_block(class_spec: ClassSpec, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The engine's basis block of a span class, whole and reduced.
-
-    Both drop the all-zero columns of `block` (empty cells).  The columns of a
-    partition-of-unity block sum to the constant function, so its last
-    column adds nothing to a design whose span has the constants already,
-    from the intercept or else from the design's first block; the reduced
-    block drops it.  :meth:`ConditionalFits.fit` uses every block reduced
-    but the first block of a design without an intercept.  The span is
-    unchanged, and with no empty cell the design has the ``k(N-1)+1``
-    columns that :func:`_fit_blocks` counts as its dimension.  These blocks
-    are stored in Fortran order, as a block with empty cells is anyway, so
-    the rounding of ``x'x`` does not depend on whether a cell is empty.
-    """
-    keep = block.any(axis=0)
-    if class_spec.dictionary.family == TRIGONOMETRIC:
-        block = block if keep.all() else block[:, keep]
-        return block, block
-    block = np.asfortranarray(block[:, keep])
-    return block, block[:, :-1]
+    return replace(fit, degenerate=fit.degenerate or not all(part[2] for part in parts))
 
 
 class ConditionalFits:
@@ -395,15 +400,8 @@ class ConditionalFits:
 
     * the data check: every column's mean square must be finite, else
       :class:`UsageError` naming the column;
-    * one basis block per column, built on first use.  For a span class the
-      block drops its all-zero columns, and each design of a
-      partition-of-unity family drops the last column of every block once
-      the constants are in the design's span: of every block with an
-      intercept, of every block but the first without one (see
-      :func:`_span_block`).  So no design has a column that is redundant by
-      construction, and span-fit coefficients are in this reduced basis.  l1
-      classes keep the full block, since dropping a column would change the
-      l1 ball;
+    * one basis block per column, built on first use and reduced by
+      :func:`_design_block`, the rule that :meth:`ClassSpec.fit` follows too;
     * the capacity rule ``|S| N + 1 <= n``, else :class:`CapacityError`;
     * the design ``[1 | B_k ...]`` with blocks in ascending column order, and
       the span/l1 dispatch and empty-design convention of :func:`_fit_blocks`;
@@ -426,7 +424,7 @@ class ConditionalFits:
         self.n, self.p = values.shape
         self.class_spec = class_spec
         self._floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny).tolist()
-        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray, bool]] = {}
         self._memo: dict[tuple[int, int], tuple[float, bool, bool]] = {}
 
     def predictor_mask(self, v: int, s) -> int:
@@ -458,12 +456,8 @@ class ConditionalFits:
         for k in cols:
             if k not in self._blocks:
                 block = basis_matrix(self.class_spec.dictionary, self.values[:, k])
-                span = self.class_spec.kind == SPAN
-                self._blocks[k] = _span_block(self.class_spec, block) if span else (block, block)
-        blocks = [self._blocks[k][1] for k in cols]
-        if cols and not self.class_spec.intercept:  # the first block brings the constants
-            blocks[0] = self._blocks[cols[0]][0]
-        return _fit_blocks(self.class_spec, blocks, self.values[:, v])
+                self._blocks[k] = _design_block(self.class_spec, block)
+        return _fit_blocks(self.class_spec, [self._blocks[k] for k in cols], self.values[:, v])
 
     def sigma(self, v: int, mask: int) -> tuple[float, bool, bool]:
         """Memoized ``(floored residual variance, floored, degenerate)`` of :meth:`fit`."""
@@ -492,17 +486,12 @@ def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple
     """Fit the class regression of column `j` on each subset of other columns.
 
     All fits come from one :class:`ConditionalFits` engine, so each column's
-    basis block is built once.  Each fit spans the same functions as
-    ``class_spec.fit`` on the same columns in ascending order, with the same
-    residual variance to rounding, but the coefficients of a span class are
-    in the engine's reduced basis: all-zero basis columns are dropped and,
-    for a partition-of-unity family, so is each block's last remaining
-    column, except in the first block when the class has no intercept.  The
-    coefficients of an l1 class on collinear blocks may not be unique; see
-    :func:`fit_l1`.  Keys of the returned dict are sorted
-    index tuples; the empty subset without an intercept gives the
-    ``mean(y*y)`` fit.  Raises :class:`CapacityError` for a subset of k
-    columns when ``k N + 1 > n``.
+    basis block is built once.  Each fit equals ``class_spec.fit`` on the
+    same columns in ascending order.  The coefficients of an l1 class on
+    collinear blocks may not be unique; see :func:`fit_l1`.  Keys of the
+    returned dict are sorted index tuples; the empty subset without an
+    intercept gives the ``mean(y*y)`` fit.  Raises :class:`CapacityError` for
+    a subset of k columns when ``k N + 1 > n``.
     """
     fits = ConditionalFits(data, class_spec)
     fits.predictor_mask(j, ())  # checks `j` even when `subsets` is empty
@@ -587,7 +576,11 @@ def misspec_experiment(
     distance metric and for the theoretical rate.  Cell ``(n, rep)`` uses the
     stream derived from ``(seed, n, rep)``; the oracle uses ``(seed,
     oracle_n, 0)``, so the cell with ``n == oracle_n``, ``rep == 0`` sees
-    exactly the oracle sample.
+    exactly the oracle sample.  Each design keeps the columns that
+    :meth:`ClassSpec.fit` keeps, so ``n_features`` is the span's dimension.
+    :class:`DegeneracyError` is raised when Sigma fails the positive definite
+    rule of :func:`whitener`, naming ``Lambda_min``, and when a cell's fit is
+    degenerate or lacks a column that the oracle keeps.
 
     Per cell the report records the Sigma-weighted coefficient distance
     ``sqrt((b - b*)' Sigma (b - b*))`` and the gap between empirical and
@@ -620,6 +613,7 @@ def misspec_experiment(
     pop_rv = float(resid_o @ resid_o) / oracle_n
     k0 = float(np.sqrt(np.mean(y_o**2)))
     lam_min = empproc.lambda_min(sigma_o)
+    whitener(*np.linalg.eigh(sigma_o), name="oracle moment matrix Sigma_o")
 
     report = MisspecReport(
         truth_label=truth.label,
@@ -639,6 +633,8 @@ def misspec_experiment(
         for rep in range(reps):
             x, y = draw(derived_rng(seed, n, rep), n)
             fit = class_spec.fit([x], y)
+            if fit.degenerate or fit.coefficients.shape != beta_star.shape:
+                raise DegeneracyError(f"the n={n} sample of rep {rep} does not determine the {d} coefficients")
             db = fit.coefficients - beta_star
             dists[rep] = float(np.sqrt(max(db @ (sigma_o @ db), 0.0)))
             vgaps[rep] = abs(fit.residual_variance - pop_rv)

@@ -231,6 +231,41 @@ def test_misspec_smoke_reports_rate_and_slope(tmp_path, capsys):
     assert (out / "misspec.csv").exists()
 
 
+def _misspec(tmp_path, capsys, cls):
+    cfg = {
+        "truth": {"kind": "cubic", "params": [1.0], "noise_sd": 0.3},
+        "class": cls,
+        "n_grid": [256, 1024],
+        "reps": 2,
+        "oracle_n": 20000,
+    }
+    out = tmp_path / "r"
+    code, _, err = run(["misspec", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(out)], capsys)
+    return code, err, (json.loads((out / "misspec.json").read_text(encoding="utf-8")) if code == 0 else None)
+
+
+@pytest.mark.parametrize("family,size", [("cubic-b-spline", 6), ("piecewise-constant", 6), ("trigonometric", 3)])
+@pytest.mark.parametrize("intercept", [True, False])
+def test_misspec_span_classes_have_full_rank_designs(tmp_path, capsys, family, size, intercept):
+    # the design has the span's dimension: N for a partition of unity, which
+    # has the constants already, and intercept + N for the trigonometric family
+    dictionary = {"family": family, "size": size, "domain": [-1.0, 1.0]}
+    code, err, rep = _misspec(tmp_path, capsys, {"dictionary": dictionary, "intercept": intercept})
+    assert code == 0, err
+    assert rep["n_features"] == (size + intercept if family == "trigonometric" else size)
+    assert rep["lambda_min"] >= 1e-3
+    assert all(0.0 < c["delta_n"] < 10.0 for c in rep["cells"])
+
+
+@pytest.mark.parametrize("family", ["cubic-b-spline", "piecewise-constant"])
+def test_misspec_l1_partition_of_unity_with_intercept_is_degenerate(tmp_path, capsys, family):
+    # an l1 class keeps whole blocks, which sum to the intercept column
+    dictionary = {"family": family, "size": 6, "domain": [-1.0, 1.0]}
+    code, err, _ = _misspec(tmp_path, capsys, {"dictionary": dictionary, "kind": "l1", "budget": 3.0})
+    assert code == 3
+    assert "Lambda_min" in err
+
+
 def test_gap_linear_chain_is_zero_within_tolerance(tmp_path, capsys):
     sem = {
         "p": 2,

@@ -180,6 +180,25 @@ def test_project_l1_radius_below_rounding_stays_in_ball(radius):
     assert np.array_equal(out[0], project_l1(v[0], radius))
 
 
+def test_project_l1_never_leaves_the_ball():
+    # ties, rounded entries, and radii from far below the rounding unit of the
+    # entries up to about their l1 norm: the computed l1 norm of every row,
+    # by np.sum or by math.fsum, stays at or below the radius
+    rng = np.random.default_rng(33)
+    for trial in range(600):
+        d = int(rng.integers(1, 10))
+        v = rng.standard_normal((40, d)) * 10 ** rng.uniform(-3, 3, (40, 1))
+        if trial % 3 == 1:
+            v = np.abs(v[:, :1]) * rng.choice([-1.0, 1.0], (40, d))
+        elif trial % 3 == 2:
+            v = np.round(v, 1)
+        radius = float(np.median(np.abs(v).sum(axis=1)) * 10 ** rng.uniform(-20, 0.3))
+        out = project_l1(v, radius)
+        assert np.all(np.abs(out).sum(axis=1) <= radius)
+        assert all(math.fsum(np.abs(row)) <= radius for row in out)
+    assert np.abs(project_l1(np.full(3, 0.1), 1e-17)).sum() <= 1e-17
+
+
 def test_moment_pair_validation():
     with pytest.raises(UsageError):
         MomentPair(np.array([[1.0, 0.2], [0.0, 1.0]]), np.eye(2))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary
+from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary, design_matrix
 from semorder.errors import CapacityError, UsageError
 from semorder.order import (
     OrderEstimate,
@@ -88,7 +88,7 @@ def test_degenerate_flags_rank_below_class_span():
     for key, fit in fit_over_subsets(data, 0, spline, subsets).items():
         assert fit.rank == 5 * len(key) + 1 and not fit.degenerate
         # fit_span itself still flags a rank below the column count
-        assert fit_span(spline.design([data[:, k] for k in key]), data[:, 0]).degenerate
+        assert fit_span(design_matrix(spline.dictionary, [data[:, k] for k in key]), data[:, 0]).degenerate
     for key, fit in fit_over_subsets(data, 0, pc, subsets).items():
         assert fit.rank < 5 * len(key) + 1 and fit.degenerate
     assert estimate_order_greedy(data, spline).degenerate == ()

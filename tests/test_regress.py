@@ -5,8 +5,15 @@ import pytest
 
 import semorder
 from semorder._linalg import RANK_REL_TOL, least_squares
-from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary, basis_matrix
-from semorder.errors import CapacityError, UsageError
+from semorder.dictionary import (
+    CUBIC_B_SPLINE,
+    PIECEWISE_CONSTANT,
+    TRIGONOMETRIC,
+    Dictionary,
+    basis_matrix,
+    design_matrix,
+)
+from semorder.errors import CapacityError, DegeneracyError, UsageError
 from semorder.regress import (
     ClassSpec,
     ConditionalFits,
@@ -76,7 +83,7 @@ def _all_conditional_fits(values, class_spec):
         others = [k for k in range(p) if k != v]
         for mask in range(1, 1 << len(others)):
             cols = [values[:, k] for i, k in enumerate(others) if mask >> i & 1]
-            yield class_spec.design(cols), values[:, v]
+            yield design_matrix(class_spec.dictionary, cols, intercept=class_spec.intercept), values[:, v]
 
 
 def test_fit_span_matches_svd_reference():
@@ -196,7 +203,7 @@ def test_engine_matches_svd_reference_on_full_design(monkeypatch):
                     before = calls[0]
                     fit = fits.fit(v, mask)
                     _, floored, degenerate = fits.sigma(v, mask)
-                    x = class_spec.design([values[:, k] for k in cols])
+                    x = design_matrix(class_spec.dictionary, [values[:, k] for k in cols], intercept=icpt)
                     beta, rank = oracles.svd_lstsq(x, y)
                     resid = y - x @ beta
                     ref = float(resid @ resid) / x.shape[0]
@@ -398,15 +405,26 @@ def trig_class(size=3, domain=(-1.0, 1.0), intercept=True):
 
 
 def test_fit_over_subsets_matches_individual_fits():
+    # ClassSpec.fit keeps the engine's columns, so the two agree bit for bit,
+    # empty cells (the outer ones of N=10 on (-5, 5)) and no intercept included
     rng = np.random.default_rng(11)
     data = DataMatrix(rng.standard_normal((200, 3)))
-    cls = trig_class()
-    out = fit_over_subsets(data, 2, cls, [(), (0,), (1,), (0, 1)])
-    assert set(out) == {(), (0,), (1,), (0, 1)}
-    for key, res in out.items():
-        direct = cls.fit([data.values[:, k] for k in key], data.values[:, 2])
-        assert res.residual_variance == direct.residual_variance
-        assert np.array_equal(res.coefficients, direct.coefficients)
+    dictionaries = [
+        Dictionary(CUBIC_B_SPLINE, 6, (-2.0, 2.0)),
+        Dictionary(PIECEWISE_CONSTANT, 5, (-2.0, 2.0)),
+        Dictionary(PIECEWISE_CONSTANT, 10, (-5.0, 5.0)),
+        Dictionary(TRIGONOMETRIC, 3, (-1.0, 1.0)),
+    ]
+    for dictionary in dictionaries:
+        for intercept in (True, False):
+            cls = ClassSpec(dictionary, intercept=intercept)
+            out = fit_over_subsets(data, 2, cls, [(), (0,), (1,), (0, 1)])
+            assert set(out) == {(), (0,), (1,), (0, 1)}
+            for key, res in out.items():
+                direct = cls.fit([data.values[:, k] for k in key], data.values[:, 2])
+                assert res.residual_variance == direct.residual_variance
+                assert np.array_equal(res.coefficients, direct.coefficients)
+                assert (res.rank, res.degenerate) == (direct.rank, direct.degenerate)
 
 
 def test_fit_over_subsets_empty_is_intercept_only():
@@ -474,6 +492,13 @@ def test_misspec_oracle_cell_collapses():
     # the cell that re-draws the oracle sample fits the projection exactly
     rep = misspec_experiment(cubic_truth(), trig_class(), n_grid=[4096], reps=1, oracle_n=4096, seed=19)
     assert rep.cells[0]["mean_dist"] <= 1e-6
+
+
+def test_misspec_refuses_a_sample_that_misses_a_cell():
+    # 4 points cannot reach 6 cells, so the fit has fewer columns than the oracle's
+    cls = ClassSpec(Dictionary(PIECEWISE_CONSTANT, 6, (-1.0, 1.0)), intercept=False)
+    with pytest.raises(DegeneracyError, match="n=4"):
+        misspec_experiment(cubic_truth(), cls, n_grid=[4], reps=1, oracle_n=2000, seed=0)
 
 
 def test_misspec_report_shape():
