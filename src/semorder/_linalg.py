@@ -40,7 +40,6 @@ __all__ = [
     "gen_eigh",
     "pinv_solve_psd",
     "least_squares",
-    "project_l1",
     "SYM_TOL",
     "PSD_REL_TOL",
     "PD_REL_TOL",
@@ -137,30 +136,3 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
         return beta, int(rank)
     return inv.T @ (inv @ (x.T @ y)), x.shape[1]
 
-
-def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of `v` onto the l1 ball of the given radius.
-
-    Sort-based simplex projection; O(d log d).  A 2-d `v` is projected row by
-    row, each row onto its own ball.  The threshold index is the last sorted
-    index that passes ``u_k k > cumsum_k - radius``; when a radius below the
-    rounding unit of the entries lets none pass, it is the first.  The
-    threshold is raised by ``5 eps cumsum_k``, which bounds the rounding error
-    of the threshold and of the l1 norm, so that norm never exceeds the radius.
-    """
-    if radius < 0:
-        raise UsageError("l1 radius must be nonnegative")
-    v = np.asarray(v, dtype=np.float64)
-    if radius == 0:
-        return np.zeros_like(v)
-    rows = np.atleast_2d(v)
-    mag = np.abs(rows)
-    u = -np.sort(-mag, axis=1)
-    css = np.cumsum(u, axis=1)
-    d = u.shape[1]
-    passes = u * np.arange(1, d + 1) > css - radius
-    idx = np.where(passes.any(axis=1), d - 1 - np.argmax(passes[:, ::-1], axis=1), 0)
-    top = css[np.arange(rows.shape[0]), idx]
-    theta = (top - radius) / (idx + 1.0) + 5.0 * np.finfo(np.float64).eps * top
-    theta[mag.sum(axis=1) <= radius] = 0.0
-    return (np.sign(rows) * np.maximum(mag - theta[:, None], 0.0)).reshape(v.shape)

@@ -182,7 +182,6 @@ def cmd_rates(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
         reps=_positive_int(cfg, "reps"),
         family=str(cfg.get("family", TRIGONOMETRIC)),
         domain=tuple(_numbers(cfg, "domain", 2, (0.0, 1.0))),
-        restarts=_number(cfg, "restarts", int, 64),
         seed=seed,
         self_test=self_test,
     )
@@ -254,7 +253,6 @@ def cmd_empnorm(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     u = _number(cfg, "u", float, 1.0)
     noise_sd = _number(cfg, "noise_sd", float, 1.0)
     w = np.array(_numbers(cfg, "response_coefficients", p, [1.0] * p))
-    restarts = _number(cfg, "restarts", int, 32)
 
     rng = derived_rng(seed)
     x = rng.uniform(-1.0, 1.0, (n, p))
@@ -263,7 +261,7 @@ def cmd_empnorm(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     sigma_hat = sigma if self_test else x.T @ x / n
     mp = MomentPair(sigma_hat, sigma, n=n, p=p, k_x=1.0)
     z_ell = z_sup_ellipsoid(mp)
-    z_l1 = z_sup_l1(mp, budget, restarts=restarts, seed=(seed, 1))
+    z_l1 = z_sup_l1(mp, budget)
     d_f = (p + 1) // 2
     if p >= 2:
         inner = inner_product_sup(

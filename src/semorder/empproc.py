@@ -8,14 +8,9 @@ For a feature map ``psi`` with empirical and population second-moment matrices
 the worst-case gap between empirical and population squared norms over the
 unit ellipsoid of the class.  Over the full ellipsoid Z is the largest
 absolute generalized eigenvalue and is computed exactly
-(:func:`z_sup_ellipsoid`); intersected with an l1 budget it is NP-hard in
-general and :func:`z_sup_l1` returns a certified lower bound by multi-start
-projected gradient ascent, together with a cheap certified upper bound.  The
-ascent advances every start and both signs as one batch of rows, each with
-its own step size.  Its projection onto the intersection of the l1 ball and
-the ellipsoid is Dykstra's method, stopped per row; the ellipsoid projection
-finds its multiplier by a vectorized Newton iteration on the secular equation
-in Sigma's eigen-coordinates (More & Sorensen 1983).
+(:func:`z_sup_ellipsoid`).  Intersected with an l1 budget it is NP-hard in
+general; :func:`z_sup_l1` computes it exactly in low dimension by enumerating
+the KKT points on every face of the l1 ball, up to ``d = L1_MAX_DIM``.
 
 The module also evaluates the closed-form bound ingredients (entropy bound,
 Dudley-type integral, the plug-in rate :func:`delta_n`), checks the two side
@@ -27,13 +22,14 @@ equal 1, so their values are meaningful up to constants only.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import check_psd, check_symmetric, gen_eigh, project_l1, whitener
+from ._linalg import check_psd, check_symmetric, gen_eigh, whitener
 from ._rng import derived_rng
 from .dictionary import (
     TRIGONOMETRIC,
@@ -42,9 +38,10 @@ from .dictionary import (
     moment_matrix,
     moment_vector,
 )
-from .errors import DegeneracyError, UsageError, as_number
+from .errors import CapacityError, DegeneracyError, UsageError, as_number
 
 RATE_CASES = ("case3", "case4", "l1_theorem", "l3_theorem")
+EPS = np.finfo(np.float64).eps
 
 __all__ = [
     "MomentPair",
@@ -90,6 +87,8 @@ class MomentPair:
         s = check_symmetric(self.sigma, "sigma")
         if sh.shape != s.shape:
             raise UsageError(f"moment matrices disagree in shape: {sh.shape} vs {s.shape}")
+        if not (np.isfinite(sh).all() and np.isfinite(s).all()):
+            raise UsageError("moment matrices must be finite")
         check_psd(np.linalg.eigvalsh(s), "population matrix")
         object.__setattr__(self, "sigma_hat", sh)
         object.__setattr__(self, "sigma", s)
@@ -124,210 +123,147 @@ def z_sup_ellipsoid(mp: MomentPair, return_direction: bool = False):
     return val
 
 
-NEWTON_MAX_ITERS = 100
-ASCENT_ITERS = 150
+L1_MAX_DIM = 9
 
 
-def _project_ellipsoid(v: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Row-wise Euclidean projection onto ``{x : x' Sigma x <= 1}`` given eigh(Sigma).
+def _feasible_best(cands: np.ndarray, budget: float, sigma: np.ndarray, delta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Best of the candidate rows, each rescaled onto the l1 ball ∩ Sigma ellipsoid.
 
-    A row outside the ellipsoid, with coordinates ``z`` in the eigenbasis,
-    maps to ``(I + mu Lambda)^{-1} z`` where mu > 0 is the root of the secular
-    equation ``phi(mu) = 1 / ||(I + mu Lambda)^{-1} Lambda^{1/2} z|| - 1``.
-    phi is concave and increasing, so Newton's method from mu = 0 rises
-    monotonically to the root (More & Sorensen 1983).  A row stops once it
-    reaches the root or a step falls below ``1e-15 + 8.9e-16 mu``.  Returns
-    the projected rows and the number of rows whose iteration hit
-    NEWTON_MAX_ITERS.
+    A row ``u`` becomes ``b = t u`` with ``t = (1 - 1e-12) min(budget /
+    ||u||_1, (u' Sigma u)^{-1/2})``, so every ``b`` is feasible and its value
+    ``|b' Delta b|`` a true lower bound.  Rows are first scaled to max-norm 1;
+    zero rows and rows holding a non-finite entry are dropped (the
+    generalized eigenvectors that lead the rows always remain).
     """
-    z = v @ eigvecs
-    lz2 = eigvals * z * z
-    outside = lz2.sum(axis=1) > 1.0
-    if not outside.any():
-        return v.copy(), 0
-    z = z[outside]
-    lz2 = lz2[outside]
-    l2z2 = eigvals * lz2
-    mu = np.zeros(z.shape[0])
-    live = np.ones(z.shape[0], dtype=bool)
-    for _ in range(NEWTON_MAX_ITERS):
-        r = 1.0 / (1.0 + mu[:, None] * eigvals)
-        r2 = r * r
-        g = (lz2 * r2).sum(axis=1)
-        live &= g > 1.0
-        step = (g * np.sqrt(g) - g) / (l2z2 * r2 * r).sum(axis=1)
-        mu = np.where(live, mu + step, mu)
-        live &= step > 1e-15 + 8.9e-16 * mu
-        if not live.any():
-            break
-    out = v.copy()
-    out[outside] = (z / (1.0 + mu[:, None] * eigvals)) @ eigvecs.T
-    return out, int(np.count_nonzero(live))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = cands / np.abs(cands).max(axis=1, keepdims=True)
+    u = u[np.isfinite(u).all(axis=1)]
+    quad = np.einsum("ij,ij->i", u @ sigma, u)
+    t = np.minimum(budget / np.abs(u).sum(axis=1), 1.0 / np.sqrt(quad)) * (1.0 - 1e-12)
+    b = t[:, None] * u
+    vals = np.abs(np.einsum("ij,ij->i", b @ delta, b))
+    best = int(np.argmax(vals))
+    return float(vals[best]), b[best]
 
 
-def _project_intersection(
-    v: np.ndarray,
-    budget: float,
-    eigvals: np.ndarray,
-    eigvecs: np.ndarray,
-    iters: int = 40,
-) -> tuple[np.ndarray, int]:
-    """Row-wise Dykstra projections onto (l1 ball) ∩ (Sigma ellipsoid).
+def _face_candidates(delta: np.ndarray, sigma: np.ndarray, budget: float, k: int) -> np.ndarray:
+    """KKT candidates of families (b) and (c) on every face with support size `k`, as rows in R^d.
 
-    Each row stops on its own once an l1 step moves it by less than 1e-14 in
-    every coordinate.  Returns the rows and the count of ellipsoid projections
-    that hit the Newton cap.
+    A face is a support T with signs s whose first entry is +1.  Rows of a
+    degenerate face may be poor or non-finite.
     """
-    out = np.empty_like(v)
-    rows = np.arange(v.shape[0])
-    x = v
-    p_corr = np.zeros_like(v)
-    q_corr = np.zeros_like(v)
-    capped = 0
-    for _ in range(iters):
-        y, c = _project_ellipsoid(x + p_corr, eigvals, eigvecs)
-        capped += c
-        p_corr = x + p_corr - y
-        x_new = project_l1(y + q_corr, budget)
-        q_corr = y + q_corr - x_new
-        moving = np.abs(x_new - x).max(axis=1) >= 1e-14
-        x = x_new
-        if not moving.all():
-            out[rows[~moving]] = x[~moving]
-            rows, x, p_corr, q_corr = rows[moving], x[moving], p_corr[moving], q_corr[moving]
-            if not rows.size:
-                break
-    out[rows] = x
-    return out, capped
+    d = delta.shape[0]
+    supports = np.array(list(itertools.combinations(range(d), k)), dtype=np.intp)
+    signs = np.array([(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=k - 1)])
+    rows, cols = supports[:, :, None], supports[:, None, :]
+    d_tt, s_tt = delta[rows, cols], sigma[rows, cols]
+    # (b) ellipsoid slack: Delta_TT y = s, the minimum-norm solution when Delta_TT is singular
+    lam, vec = np.linalg.eigh(d_tt)
+    inv = np.where(np.abs(lam) > k * EPS * np.abs(lam).max(axis=1, keepdims=True), 1.0 / lam, 0.0)
+    cands = (signs @ (vec * inv[:, None, :]) @ np.swapaxes(vec, 1, 2))[:, :, None, :]
+    if k > 1:
+        cands = np.concatenate([cands, _both_active(d_tt, s_tt, signs, budget)], axis=2)
+    out = np.zeros(cands.shape[:3] + (d,))
+    np.put_along_axis(out, np.broadcast_to(supports[:, None, None, :], cands.shape), cands, axis=3)
+    return out.reshape(-1, d)
 
 
-def z_sup_l1(
-    mp: MomentPair,
-    budget: float,
-    restarts: int = 64,
-    seed: int = 0,
-    return_details: bool = False,
-):
-    """Certified lower bound on the norm-gap supremum under an l1 budget.
+def _both_active(d_tt: np.ndarray, s_tt: np.ndarray, signs: np.ndarray, budget: float) -> np.ndarray:
+    """Family (c) of :func:`z_sup_l1`: stationary points with ``s'b = budget`` and ``b' Sigma_TT b = 1``.
 
-    Maximizes ``s * b' (Sigma_hat - Sigma) b`` for both signs over the
+    With ``b = W u`` and ``W' Sigma_TT W = I`` the face is the unit sphere cut
+    by the plane ``g'u = budget``, ``g = W's``: ``u = u0 + P w`` with ``u0``
+    the plane's point nearest 0, P an orthonormal basis of g-perp and ``||w||
+    = r``, ``r^2 = 1 - budget^2 / g'g``.  The objective ``w'Aw + 2a'w`` is
+    stationary where ``w = -(A - mu I)^+ a``; the multipliers mu solve ``a'(A
+    - mu I)^-2 a = r^2``, a quadratic eigenproblem whose linearization
+    ``[[A, I], [aa'/r^2, A]]`` gives every root among its eigenvalues (Gander,
+    Golub & von Matt 1989).  The hard case ``mu = alpha_j``, an eigenvalue of
+    A, is completed along its eigenvector to norm r, with both signs.  Returns
+    candidate rows of shape (supports, signs, 4(k-1), k); a face whose plane
+    misses the sphere gives NaN rows.
+    """
+    m = d_tt.shape[1] - 1
+    om, q = np.linalg.eigh(s_tt)
+    white = q / np.sqrt(om)[:, None, :]
+    c_mat = np.swapaxes(white, 1, 2) @ d_tt @ white
+    g = signs @ white
+    gg = np.einsum("csi,csi->cs", g, g)
+    r2 = 1.0 - budget * budget / gg
+    u0 = (budget / gg)[..., None] * g
+    # a Householder reflection sends g to a multiple of e_1; its other columns span g-perp
+    h = g / np.sqrt(gg)[..., None]
+    h[..., 0] += np.where(h[..., 0] >= 0.0, 1.0, -1.0)  # now h'h = 2 |h_0|
+    p = (np.eye(m + 1) - h[..., :, None] * h[..., None, :] / np.abs(h[..., :1, None]))[..., 1:]
+    pt = np.swapaxes(p, -1, -2)
+    a_mat = pt @ c_mat[:, None] @ p
+    a_vec = np.einsum("csji,csj->csi", p, u0 @ c_mat)
+    outer = a_vec[..., :, None] * a_vec[..., None, :] / r2[..., None, None]
+    lin = np.block([[a_mat, np.broadcast_to(np.eye(m), a_mat.shape)], [outer, a_mat]])
+    ok = (r2 > 0.0) & np.isfinite(lin).all(axis=(-2, -1))
+    lin[~ok] = 0.0
+    alpha, qa = np.linalg.eigh(a_mat)
+    mus = np.concatenate([np.linalg.eigvals(lin).real, alpha], axis=-1)
+    a_hat = np.einsum("csji,csj->csi", qa, a_vec)
+    den = alpha[..., None, :] - mus[..., :, None]
+    scale = np.abs(alpha).max(axis=-1, keepdims=True)[..., None] + np.abs(mus)[..., None]
+    w_hat = np.where(np.abs(den) > 8.0 * EPS * scale, -a_hat[..., None, :] / den, 0.0)
+    hard = w_hat[..., 2 * m:, :]
+    lift = np.sqrt(np.maximum(r2[..., None] - (hard * hard).sum(axis=-1), 0.0))[..., None] * np.eye(m)
+    w_hat = np.concatenate([w_hat[..., : 2 * m, :], hard + lift, hard - lift], axis=-2)
+    u = u0[..., None, :] + w_hat @ np.swapaxes(qa, -1, -2) @ pt
+    u[~ok] = np.nan
+    return u @ np.swapaxes(white, 1, 2)[:, None]
+
+
+def z_sup_l1(mp: MomentPair, budget: float, return_details: bool = False):
+    """Norm-gap supremum under an l1 budget, by enumerating KKT points.
+
+    Maximizes ``|b' Delta b|``, ``Delta = Sigma_hat - Sigma``, over the
     intersection of the l1 ball of radius `budget` with the Sigma unit
-    ellipsoid.  Multi-start projected gradient ascent (Dykstra projections
-    onto the intersection), seeded deterministically, with every start and
-    sign advanced together as one batch for at most ``ASCENT_ITERS`` steps;
-    every evaluated point is rescaled exactly onto the feasible set, so the
-    returned value is a true lower bound.  Exact for practical purposes in
-    low dimension; a heuristic beyond that.
+    ellipsoid.  A maximizer lies in the relative interior of a face of the l1
+    ball: a support T with signs s, taken up to a global sign, ``(3^d - 1)/2``
+    faces in all.  There it is a KKT point of one of three families:
+
+    * (a) l1 slack: a generalized eigenvector of ``(Delta, Sigma)``;
+    * (b) ellipsoid slack: the solution of ``Delta_TT y = s``, minimum-norm
+      when ``Delta_TT`` is singular; for ``|T| = 1`` these are the vertices;
+    * (c) both constraints active: a trust-region problem on the face's
+      plane, solved in :func:`_both_active`.
+
+    Every KKT point of a face is kept, not only its global one, since the
+    face's sign constraints can make a local-nonglobal point the maximizer
+    (Martinez 1994).  The candidates of each support size are computed as
+    one batch; each is rescaled onto the feasible set and shrunk by ``1 -
+    1e-12``, so the value is a true lower bound, and with the enumeration
+    complete it is the maximum to that shrink.  Sigma must pass the positive
+    definite rule of :func:`semorder._linalg.whitener` (DegeneracyError
+    naming Lambda_min), and ``d <= L1_MAX_DIM`` (CapacityError).
 
     With ``return_details=True`` also returns a dict holding the maximizer
-    (``argmax``), the number of scored ``starts`` and of ``ascents``, the
-    certified upper bound ``upper = min(z_ellipsoid, M^2 max|Delta_ij|)``
-    (valid since ``|b' Delta b| <= ||b||_1^2 max|Delta_ij|``), the number of
-    ascents ``retired`` by the step-size rule before the iteration cap, and
-    the number of ellipsoid projections ``newton_capped`` at the Newton cap.
+    (``argmax``) and the certified upper bound ``upper = min(z_ellipsoid, M^2
+    max|Delta_ij|)`` (valid since ``|b' Delta b| <= ||b||_1^2
+    max|Delta_ij|``).
     """
     if not (budget > 0):
         raise UsageError(f"budget must be positive, got {budget!r}")
-    if restarts < 0:
-        raise UsageError("restarts must be nonnegative")
-    delta = mp.sigma_hat - mp.sigma
-    sigma = mp.sigma
     d = mp.dim
-    ev, evec = np.linalg.eigh(sigma)
-
-    def feasible_value(u: np.ndarray) -> tuple[float, np.ndarray]:
-        l1 = float(np.abs(u).sum())
-        if l1 <= 0.0:
-            return 0.0, u
-        quad = float(u @ (sigma @ u))
-        t = budget / l1
-        if quad > 0.0:
-            t = min(t, 1.0 / math.sqrt(quad))
-        t *= 1.0 - 1e-12
-        b = t * u
-        return abs(float(b @ (delta @ b))), b
-
-    upper = budget * budget * float(np.max(np.abs(delta))) if d else 0.0
-    cands: list[np.ndarray] = []
-    try:
-        w_all, v_all = gen_eigh(delta, whitener(ev, evec))
-        top = int(np.argmax(np.abs(w_all)))
-        upper = min(upper, float(abs(w_all[top])))
-        cands.append(v_all[:, top])
-        cands.append(v_all[:, int(np.argmin(w_all))])
-        cands.append(v_all[:, int(np.argmax(w_all))])
-    except DegeneracyError:
-        pass
-    ev = np.clip(ev, 0.0, None)
-    w_d, v_d = np.linalg.eigh(delta)
-    cands.append(v_d[:, int(np.argmax(np.abs(w_d)))])
-    cands.append(v_d[:, 0])
-    cands.append(v_d[:, -1])
-    cands.extend(np.eye(d))
-    rng = derived_rng(seed)
-    for _ in range(restarts):
-        g = rng.standard_normal(d)
-        cands.append(g)
-        if d > 2:
-            sparse = g.copy()
-            keep = np.argsort(np.abs(g))[-2:]
-            mask = np.zeros(d, dtype=bool)
-            mask[keep] = True
-            sparse[~mask] = 0.0
-            cands.append(sparse)
-
-    scored = []
-    best_val, best_pt = 0.0, np.zeros(d)
-    for u in cands:
-        val, b = feasible_value(u)
-        scored.append((val, b))
-        if val > best_val:
-            best_val, best_pt = val, b
-    scored.sort(key=lambda t: -t[0])
-    n_ascend = min(len(scored), max(8, restarts // 8))
-    dnorm = float(np.max(np.abs(w_d))) if d else 0.0
-    ascents = retired = capped = 0
-    if dnorm > 0.0:
-        # one row per (start, sign), start-major, each with its own step size
-        beta = np.repeat(np.array([b for _, b in scored[:n_ascend]]), 2, axis=0)
-        sign = np.tile([1.0, -1.0], n_ascend)
-        q_beta = sign * np.einsum("ij,ij->i", beta, beta @ delta)
-        step = np.full(beta.shape[0], 0.45 / dnorm)
-        active = np.ones(beta.shape[0], dtype=bool)
-        for _ in range(ASCENT_ITERS):
-            rows = np.nonzero(active)[0]
-            b = beta[rows]
-            grad = 2.0 * sign[rows, None] * (b @ delta)
-            cand, c = _project_intersection(b + step[rows, None] * grad, budget, ev, evec)
-            capped += c
-            q_cand = sign[rows] * np.einsum("ij,ij->i", cand, cand @ delta)
-            accept = q_cand >= q_beta[rows] - 1e-15
-            up = rows[accept]
-            beta[up] = cand[accept]
-            q_beta[up] = q_cand[accept]
-            step[up] = np.minimum(step[up] * 1.2, 4.0 / dnorm)
-            down = rows[~accept]
-            step[down] *= 0.5
-            retire = step[down] * dnorm < 1e-12
-            retired += int(np.count_nonzero(retire))
-            active[down[retire]] = False
-            if not active.any():
-                break
-        for row in beta:
-            val, b = feasible_value(row)
-            ascents += 1
-            if val > best_val:
-                best_val, best_pt = val, b
+    if d > L1_MAX_DIM:
+        raise CapacityError(
+            f"z_sup_l1 enumerates the (3^d - 1)/2 = {(3**d - 1) // 2} faces of the l1 ball; "
+            f"d={d} exceeds L1_MAX_DIM = {L1_MAX_DIM}"
+        )
+    delta = mp.sigma_hat - mp.sigma
+    w_gen, v_gen = gen_eigh(delta, _whiten(mp.sigma))
+    # a degenerate face (a singular block, a plane that misses the ellipsoid,
+    # an extreme budget) may give non-finite rows: _feasible_best drops them
+    with np.errstate(all="ignore"):
+        faces = [_face_candidates(delta, mp.sigma, budget, k) for k in range(1, d + 1)]
+    val, arg = _feasible_best(np.concatenate([v_gen.T] + faces), budget, mp.sigma, delta)
     if return_details:
-        return best_val, {
-            "argmax": best_pt,
-            "starts": len(scored),
-            "ascents": ascents,
-            "upper": upper,
-            "retired": retired,
-            "newton_capped": capped,
-        }
-    return best_val
+        upper = min(budget * budget * float(np.max(np.abs(delta))), float(np.max(np.abs(w_gen))))
+        return val, {"argmax": arg, "upper": upper}
+    return val
 
 
 def inner_product_sup(
@@ -611,7 +547,6 @@ class RateReport:
     seed: int
     family: str | None
     domain: tuple[float, float] | None
-    restarts: int | None
     self_test: bool
     theoretical_slope: float = -0.5
     cells: list[dict] = field(default_factory=list)
@@ -624,7 +559,6 @@ class RateReport:
             "seed": self.seed,
             "family": self.family,
             "domain": list(self.domain) if self.domain else None,
-            "restarts": self.restarts,
             "self_test": self.self_test,
             "theoretical_slope": self.theoretical_slope,
             "cells": self.cells,
@@ -681,7 +615,6 @@ def rate_experiment(
     reps: int,
     family: str = TRIGONOMETRIC,
     domain: tuple[float, float] = (0.0, 1.0),
-    restarts: int = 64,
     seed: int = 0,
     self_test: bool = False,
 ) -> RateReport:
@@ -695,7 +628,11 @@ def rate_experiment(
     come from exact quadrature, so the statistic has no population-estimation
     floor.  Per sample size the report carries mean/sd/se over `reps`
     replications; per fixed (p, N, M) group the fitted log-log slope is
-    compared with the theoretical -1/2.
+    compared with the theoretical -1/2.  The budgeted cases take the exact
+    supremum of :func:`z_sup_l1`, so their feature dimension (``p*N`` or p) is
+    capped at ``L1_MAX_DIM`` (CapacityError).  A cell whose population matrix
+    fails the positive definite rule is skipped, its message naming
+    ``Lambda_min``.
 
     With ``self_test=True`` the empirical matrix is replaced by the
     population one and every statistic must be exactly 0.
@@ -715,7 +652,6 @@ def rate_experiment(
         seed=int(seed),
         family=family if additive else None,
         domain=tuple(domain) if additive else (-1.0, 1.0),
-        restarts=restarts if budgeted else None,
         self_test=bool(self_test),
     )
     for ci, cell in enumerate(cells):
@@ -742,7 +678,7 @@ def rate_experiment(
                 sigma_hat = sigma if self_test else feats.T @ feats / n
                 mp = MomentPair(sigma_hat, sigma, n=n, p=p, n_basis=cell.get("N"), k_x=1.0)
                 if budgeted:
-                    vals[rep] = z_sup_l1(mp, cell["M"], restarts=restarts, seed=(seed, ci, rep, 1))
+                    vals[rep] = z_sup_l1(mp, cell["M"])
                 else:
                     vals[rep] = z_sup_ellipsoid(mp)
             record["values"] = [float(v) for v in vals]

@@ -255,13 +255,7 @@ def fit_l1(
 
     a = x.T @ x / n
     b = x.T @ y / n
-    if intercept:
-        pivot, col = a[0, 0] or 1.0, a[1:, 0]  # a zero column 0 gets coefficient 0
-        a_pen, b_pen = a[1:, 1:] - np.outer(col, col) / pivot, b[1:] - col * (b[0] / pivot)
-        v, steps, done = _lasso_path(a_pen, b_pen, budget, max_iter)
-        beta = np.concatenate([[(b[0] - col @ v) / pivot], v])
-    else:
-        beta, steps, done = _lasso_path(a, b, budget, max_iter)
+    beta, steps, done = _l1_moment_fit(a, b, budget, intercept, max_iter)
     residual = _kkt_from_gradient(2.0 * (a @ beta - b), beta, budget, intercept)
     converged = done and residual <= tol
     if not converged:
@@ -278,6 +272,21 @@ def fit_l1(
         intercept=intercept,
         n_obs=n,
     )
+
+
+def _l1_moment_fit(a: np.ndarray, b: np.ndarray, budget: float, intercept: bool, max_steps: int = 50000):
+    """Minimize ``beta'a beta - 2 b'beta`` under an l1 budget on the penalized coordinates.
+
+    The moment form of :func:`fit_l1`.  With an intercept, one Schur
+    complement on column 0 removes it before :func:`_lasso_path`; a zero
+    column 0 gets coefficient 0.  Returns ``(beta, steps, finished)``.
+    """
+    if not intercept:
+        return _lasso_path(a, b, budget, max_steps)
+    pivot, col = a[0, 0] or 1.0, a[1:, 0]
+    a_pen, b_pen = a[1:, 1:] - np.outer(col, col) / pivot, b[1:] - col * (b[0] / pivot)
+    v, steps, done = _lasso_path(a_pen, b_pen, budget, max_steps)
+    return np.concatenate([[(b[0] - col @ v) / pivot], v]), steps, done
 
 
 def _lasso_path(a: np.ndarray, b: np.ndarray, budget: float, max_steps: int) -> tuple[np.ndarray, int, bool]:
@@ -571,9 +580,11 @@ def misspec_experiment(
     """Convergence of the class fit to the population projection.
 
     The design is uniform on the class dictionary's domain.  A large oracle
-    sample pins down the population quantities: projection coefficients, the
-    population residual variance, and the moment matrix used both for the
-    distance metric and for the theoretical rate.  Cell ``(n, rep)`` uses the
+    sample pins down the population quantities: projection coefficients (for
+    an l1 class, the l1-constrained projection at the budget that
+    :meth:`ClassSpec.fit` uses, solved on the oracle moments like
+    :func:`fit_l1`), the population residual variance, and the moment
+    matrix used both for the distance metric and for the theoretical rate.  Cell ``(n, rep)`` uses the
     stream derived from ``(seed, n, rep)``; the oracle uses ``(seed,
     oracle_n, 0)``, so the cell with ``n == oracle_n``, ``rep == 0`` sees
     exactly the oracle sample.  Each design keeps the columns that
@@ -607,8 +618,10 @@ def misspec_experiment(
         raise UsageError(f"oracle_n={oracle_n} too small for {d} features (need >= {10 * d})")
     sigma_o = psi_o.T @ psi_o / oracle_n
     c_o = psi_o.T @ y_o / oracle_n
-    proj = population_projection(sigma_o, c_o)
-    beta_star = proj.coefficients
+    if class_spec.kind == L1:
+        beta_star = _l1_moment_fit(sigma_o, c_o, class_spec.total_budget(1), class_spec.intercept)[0]
+    else:
+        beta_star = population_projection(sigma_o, c_o).coefficients
     resid_o = y_o - psi_o @ beta_star
     pop_rv = float(resid_o @ resid_o) / oracle_n
     k0 = float(np.sqrt(np.mean(y_o**2)))

@@ -161,37 +161,21 @@ def grid_l1_ellipsoid_quadratic_d2(delta, sigma, budget, step=1e-4):
     return best
 
 
-def project_ellipsoid_bisect(v, sigma, iters=200):
-    """Projection of one vector onto {x : x' sigma x <= 1} by bisection on the multiplier."""
-    w, q = np.linalg.eigh(sigma)
-    z = q.T @ v
-    if float(np.sum(w * z * z)) <= 1.0:
-        return v.copy()
-    lo, hi = 0.0, 1.0
-    while np.sum(w * z * z / (1.0 + hi * w) ** 2) > 1.0:
-        hi *= 2.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if np.sum(w * z * z / (1.0 + mid * w) ** 2) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return q @ (z / (1.0 + hi * w))
+def scan_l1_ellipsoid_quadratic(delta, sigma, budget, n_dirs=20_000, seed=0):
+    """max |b' delta b| over the l1 ball of radius `budget` ∩ {b' sigma b <= 1} by random directions.
 
-
-def project_l1_bisect(v, radius, iters=200):
-    """Projection of one vector onto the l1 ball by bisection on the soft threshold."""
-    mag = np.abs(v)
-    if mag.sum() <= radius:
-        return v.copy()
-    lo, hi = 0.0, float(mag.max())
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(mag - mid, 0.0).sum() > radius:
-            lo = mid
-        else:
-            hi = mid
-    return np.sign(v) * np.maximum(mag - hi, 0.0)
+    Half the directions are dense Gaussian, half keep a random support of
+    random size; each is scaled to the feasible boundary, ``t = min(budget /
+    ||u||_1, 1 / sqrt(u' sigma u))``.
+    """
+    rng = np.random.default_rng(seed)
+    d = delta.shape[0]
+    u = rng.standard_normal((n_dirs, d))
+    half = n_dirs // 2
+    sizes = rng.integers(1, d + 1, half)
+    u[:half] *= np.argsort(rng.random((half, d)), axis=1) < sizes[:, None]
+    t = np.minimum(budget / np.abs(u).sum(axis=1), 1.0 / np.sqrt(np.einsum("ij,jk,ik->i", u, sigma, u)))
+    return float(np.max(t * t * np.abs(np.einsum("ij,jk,ik->i", u, delta, u))))
 
 
 def trapezoid_j_value(p, n, k_x, budget, points=200_001):

@@ -10,6 +10,7 @@ import pytest
 
 import semorder
 from semorder import cli
+from semorder.empproc import L1_MAX_DIM
 from semorder.errors import DegeneracyError
 from semorder.semgen import DataMatrix
 
@@ -336,11 +337,37 @@ def test_empnorm_rejects_oversized_p(tmp_path, capsys):
     assert code == 2 and "p <= n" in err
 
 
+def test_empnorm_caps_the_l1_dimension(tmp_path, capsys):
+    p = L1_MAX_DIM + 1
+    cfg = write_cfg(tmp_path, "c.json", {"n": 1000, "p": p})
+    code, _, err = run(["empnorm", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+    assert code == 2 and f"L1_MAX_DIM = {L1_MAX_DIM}" in err and f"d={p}" in err
+    assert f"{(3**p - 1) // 2} faces" in err
+
+
+def test_rates_benchmark_config_runs_and_stays_below_the_ellipsoid(tmp_path, capsys):
+    # the benchmark's rates-l1 config, which still passes "restarts": keys the
+    # CLI does not read are ignored
+    grid = [{"n": n, "p": 2, "N": 3, "M": 1.0} for n in (500, 1000, 2000)]
+    l1_cfg = {"case": "case3", "grid": grid, "reps": 2, "family": "trigonometric", "restarts": 8}
+    ell_cfg = {"case": "case4", "grid": [{k: v for k, v in c.items() if k != "M"} for c in grid], "reps": 2, "family": "trigonometric"}
+    cells = {}
+    for name, cfg in (("l1", l1_cfg), ("ellipsoid", ell_cfg)):
+        out = tmp_path / name
+        code, _, err = run(["rates", "--config", write_cfg(tmp_path, f"{name}.json", cfg), "--out", str(out), "--seed", "0"], capsys)
+        assert code == 0 and err == ""
+        cells[name] = json.loads((out / "rates.json").read_text(encoding="utf-8"))["cells"]
+    for cell, ell in zip(cells["l1"], cells["ellipsoid"], strict=True):
+        assert not cell["skipped"] and not ell["skipped"]
+        for v, b in zip(cell["values"], ell["values"], strict=True):
+            assert 0.0 < v <= b * (1.0 + 1e-9)
+
+
 @pytest.mark.parametrize(
     "command, cfg, key",
     [
         ("gap", {"sem": sine_chain_cfg(p=2), "class": SPLINE5, "oracle_n": "lots"}, "oracle_n"),
-        ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 3, "M": 1.0}], "reps": 1, "restarts": "x"}, "restarts"),
+        ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 3, "M": 1.0}], "reps": "x"}, "reps"),
         ("empnorm", {"n": 50, "p": 2, "noise_sd": math.inf}, "noise_sd"),
         ("empnorm", {"n": 50, "p": 2, "response_coefficients": [1.0, math.nan]}, "response_coefficients"),
         ("empnorm", {"n": 50, "p": 2, "response_coefficients": "x"}, "response_coefficients"),

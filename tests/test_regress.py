@@ -488,6 +488,15 @@ def test_misspec_cubic_truth_rate_and_ratio():
     assert max(ratios) / min(ratios) <= 4.0
 
 
+def test_misspec_l1_class_converges_to_the_l1_projection():
+    # budget 1 binds (the unconstrained projection has l1 norm 2.9), so the
+    # fits converge to the l1-constrained projection, not the unconstrained one
+    cls = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-1.0, 1.0)), kind="l1", budget=1.0, intercept=False)
+    rep = misspec_experiment(cubic_truth(), cls, n_grid=[256, 1024, 4096, 16384], reps=4, oracle_n=50_000, seed=0)
+    assert np.abs(rep.beta_star).sum() <= 1.0 * (1.0 + 1e-12)
+    assert rep.slope < -0.25
+
+
 def test_misspec_oracle_cell_collapses():
     # the cell that re-draws the oracle sample fits the projection exactly
     rep = misspec_experiment(cubic_truth(), trig_class(), n_grid=[4096], reps=1, oracle_n=4096, seed=19)
