@@ -2,8 +2,8 @@
 
 Each convention used throughout the package is written once, here:
 
-* symmetry (:func:`check_symmetric`): an absolute tolerance of 1e-10 on the
-  max elementwise asymmetry;
+* symmetry (:func:`check_symmetric`): finite entries, and an absolute
+  tolerance of 1e-10 on the max elementwise asymmetry;
 * positive semidefinite (:func:`check_psd`): the smallest eigenvalue is at
   least ``-1e-10 * max(trace, 1)``;
 * positive definite (:func:`whitener`): the smallest eigenvalue of
@@ -48,10 +48,12 @@ __all__ = [
 
 
 def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry within SYM_TOL and return the symmetrized matrix."""
+    """Validate finiteness and symmetry within SYM_TOL and return the symmetrized matrix."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise UsageError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise UsageError(f"{name} must be finite")
     gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if gap > SYM_TOL:
         raise UsageError(f"{name} is not symmetric (max asymmetry {gap:.3e})")

@@ -5,8 +5,8 @@ outputs plus a manifest into the output directory.  Outputs are deterministic
 functions of (config, seed); nothing in them depends on wall clock or thread
 count, so a rerun reproduces every file byte for byte.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical
-degeneracy or a failed linear-algebra routine that prevented completion.
+Exit codes: 0 success, 2 configuration or usage error or a size too large to
+allocate, 3 numerical degeneracy or a failed linear-algebra routine.
 """
 
 from __future__ import annotations
@@ -364,6 +364,9 @@ def main(argv=None) -> int:
         _write_json(out / "manifest.json", manifest)
     except (UsageError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory, reduce the sizes in the config ({exc})", file=sys.stderr)
         return 2
     except DegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)

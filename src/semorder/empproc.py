@@ -87,8 +87,6 @@ class MomentPair:
         s = check_symmetric(self.sigma, "sigma")
         if sh.shape != s.shape:
             raise UsageError(f"moment matrices disagree in shape: {sh.shape} vs {s.shape}")
-        if not (np.isfinite(sh).all() and np.isfinite(s).all()):
-            raise UsageError("moment matrices must be finite")
         check_psd(np.linalg.eigvalsh(s), "population matrix")
         object.__setattr__(self, "sigma_hat", sh)
         object.__setattr__(self, "sigma", s)
@@ -286,6 +284,8 @@ def inner_product_sup(
     c = np.asarray(c, dtype=np.float64)
     if c_hat.shape != c.shape or c_hat.ndim != 2:
         raise UsageError(f"cross-moment matrices must share a 2-d shape, got {c_hat.shape} vs {c.shape}")
+    if not (np.isfinite(c_hat).all() and np.isfinite(c).all()):
+        raise UsageError("cross-moment matrices must be finite")
     wf = _whiten(sigma_f, "first feature moment matrix")
     wg = _whiten(sigma_g, "second feature moment matrix")
     if wf.shape[0] != c_hat.shape[0] or wg.shape[0] != c_hat.shape[1]:

@@ -19,9 +19,9 @@ class DegeneracyError(RuntimeError):
 def as_number(raw, name: str, kind=float):
     """`raw` as an int (``kind=int``) or a finite float; a UsageError naming `name` otherwise.
 
-    An int must equal `raw` exactly: 2.5 is rejected, not truncated to 2.
-    Only real numbers are converted (numpy's included): a string such as
-    ``"2"`` and a boolean are rejected, not read as 2 and 1.
+    An int must equal `raw` exactly (2.5 is rejected, not truncated to 2) and
+    fit in int64.  Only real numbers are converted (numpy's included): a
+    string such as ``"2"`` and a boolean are rejected, not read as 2 and 1.
     """
     what = "an integer" if kind is int else "a finite number"
     if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
@@ -33,4 +33,6 @@ def as_number(raw, name: str, kind=float):
         raise UsageError(f"{name} must be {what}, got {raw!r}") from exc
     if not ok:
         raise UsageError(f"{name} must be {what}, got {raw!r}")
+    if kind is int and not -(2**63) <= v < 2**63:
+        raise UsageError(f"{name} must fit in a 64-bit integer, got {raw!r}")
     return v

@@ -4,11 +4,11 @@ A permutation pi is scored by ``sum_j log sigma_hat_j^2(pi)`` where the j-th
 term is the residual variance of the class regression of variable pi_j on all
 variables placed before it.  Because each term depends only on (variable,
 predecessor set), the global minimizer over all p! permutations is found with
-O(p 2^p) conditional fits by dynamic programming over subsets; a forward
-greedy search provides the cheap alternative.  Both read the floored
-variances and flags of the sigma table of one
-:class:`semorder.regress.ConditionalFits` engine per dataset and break ties
-lexicographically, so results are deterministic.
+p 2^(p-1) fits by the engine's subset DP (:meth:`ConditionalFits.best_order`),
+which also gives the best topological order; a forward greedy search provides
+the cheap alternative.  Both read the floored variances and flags of the
+sigma table of one :class:`semorder.regress.ConditionalFits` engine per
+dataset and break ties lexicographically, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -107,54 +107,20 @@ def _estimate_from_cache(fits: ConditionalFits, pi, method: str) -> OrderEstimat
 def _exact_from_cache(fits: ConditionalFits, before: list[int] | None = None) -> OrderEstimate:
     """Score minimizer over the orders in which each v follows the set bits of ``before[v]``.
 
-    ``before=None`` leaves every permutation allowed.  A mask that holds a
-    variable whose required predecessors lie outside it cannot be reached
-    from the empty set, so it keeps an infinite suffix and costs no fit.
+    ``before=None`` leaves every permutation allowed; see :meth:`ConditionalFits.best_order`.
     """
-    p = fits.p
-    if p > EXACT_GUARD:
-        raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={p}")
-    if before is None:
-        before = [0] * p
-    full = (1 << p) - 1
-    # need[m] = union of before[u] over the u in m; m is reachable iff need[m] lies in m
-    need = [0] * (1 << p)
-    for mask in range(1, 1 << p):
-        low = mask & -mask
-        need[mask] = need[mask ^ low] | before[low.bit_length() - 1]
-    # suffix[m] = optimal remaining score given the variables in m are placed,
-    # attained first (smallest v) by placing choice[m] next
-    suffix = np.full(1 << p, math.inf)
-    suffix[full] = 0.0
-    choice = [-1] * (1 << p)
-    for mask in range(full - 1, -1, -1):
-        if need[mask] & ~mask:
-            continue
-        best = math.inf
-        for v in range(p):
-            bit = 1 << v
-            if mask & bit or before[v] & ~mask:
-                continue
-            t = math.log(fits.sigma(v, mask)[0]) + suffix[mask | bit]
-            if t < best:
-                best, choice[mask] = t, v
-        suffix[mask] = best
-    pi = []
-    mask = 0
-    while mask != full:
-        pi.append(choice[mask])
-        mask |= 1 << choice[mask]
-    return _estimate_from_cache(fits, pi, "exact")
+    if fits.p > EXACT_GUARD:
+        raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={fits.p}")
+    return _estimate_from_cache(fits, fits.best_order(before or [0] * fits.p), "exact")
 
 
 def estimate_order_exact(data, class_spec: ClassSpec) -> OrderEstimate:
     """Global minimizer of the score over all permutations.
 
-    Dynamic programming over predecessor subsets (Silander & Myllymaki, UAI
-    2006); exact, deterministic, ties broken toward the lexicographically
-    smallest permutation.  The same DP, restricted to orders that place each
-    variable after its parents, gives the best topological order in
-    :func:`consistency_experiment`.  Guarded at p <= 18 by table memory.
+    :meth:`ConditionalFits.best_order`: exact, deterministic, ties broken
+    toward the lexicographically smallest permutation, p 2^(p-1) fits.  The
+    same DP, restricted to orders that place each variable after its parents,
+    gives the best topological order in :func:`consistency_experiment`.
     """
     return _exact_from_cache(_engine(data, class_spec))
 

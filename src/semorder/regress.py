@@ -11,8 +11,8 @@ Two estimators over the same additive design:
 :class:`ConditionalFits` fits one column of a data matrix on a set of the
 others by the rules of a :class:`ClassSpec`; every conditional fit in the
 package goes through it or through :meth:`ClassSpec.fit`.  It also owns the
-sigma table, with its variance floor and flags, that order search and the
-identifiability gap read.
+sigma table, with its variance floor and flags, and the one order search over
+it that order estimation and the identifiability gap call.
 
 :func:`misspec_experiment` measures convergence of the fitted coefficients to
 the population projection when the true regression function lies outside the
@@ -21,6 +21,7 @@ class.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -178,17 +179,15 @@ def fit_span(x: np.ndarray, y: np.ndarray) -> FitResult:
     )
 
 
-def _split_penalized(v: np.ndarray, intercept: bool) -> np.ndarray:
-    return v[1:] if intercept else v
-
-
 def kkt_residual(x: np.ndarray, y: np.ndarray, beta: np.ndarray, budget: float, intercept: bool = False) -> float:
     """Stationarity residual for the l1-constrained least-squares problem.
 
     For an interior point the residual is the sup-norm of the gradient (the
     intercept coordinate included either way).  On the boundary it measures
     how far the negative gradient is from a common multiplier ``lam =
-    max_j |grad_j|`` aligned with the sign pattern on the support.  A true
+    max_j |grad_j|`` aligned with the sign pattern on the support, ``|beta_j|
+    > 1e-10 budget``.  Interior means an empty support or an l1 norm below
+    ``budget (1 - 1e-9)``; at budget 0 only the intercept counts.  A true
     minimizer has residual 0; small residuals certify near-optimality.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -201,17 +200,15 @@ def kkt_residual(x: np.ndarray, y: np.ndarray, beta: np.ndarray, budget: float, 
 
 def _kkt_from_gradient(grad: np.ndarray, beta: np.ndarray, budget: float, intercept: bool) -> float:
     g_int = abs(float(grad[0])) if intercept and grad.shape[0] else 0.0
-    g_pen = _split_penalized(grad, intercept)
-    b_pen = _split_penalized(beta, intercept)
+    g_pen, b_pen = (grad[1:], beta[1:]) if intercept else (grad, beta)
     if g_pen.shape[0] == 0:
         return g_int
-    used = float(np.abs(b_pen).sum())
-    if used < budget - 1e-6:
-        return max(g_int, float(np.max(np.abs(g_pen))))
     lam = float(np.max(np.abs(g_pen)))
-    support = np.abs(b_pen) > 1e-10 * max(1.0, budget)
-    if not np.any(support):
-        return g_int
+    support = np.abs(b_pen) > 1e-10 * budget
+    if not np.any(support):  # at budget 0 the origin is the only feasible point
+        return g_int if budget == 0 else max(g_int, lam)
+    if float(np.abs(b_pen).sum()) < budget * (1.0 - 1e-9):
+        return max(g_int, lam)
     align = float(np.max(np.abs(-g_pen[support] * np.sign(b_pen[support]) - lam)))
     return max(g_int, align)
 
@@ -417,7 +414,7 @@ class ConditionalFits:
     * the sigma table: ``(residual variance, floored, degenerate)`` keyed by
       (variable, predecessor bitmask), each variance floored at
       ``max(1e-12 * mean square, tiny)`` of its column so that logs stay
-      finite, and its walk along an order (:meth:`along`).
+      finite, its walk along an order (:meth:`along`) and its search (:meth:`best_order`).
     """
 
     def __init__(self, data, class_spec: ClassSpec):
@@ -489,6 +486,32 @@ class ConditionalFits:
             mask |= 1 << v
         values, floored, degenerate = zip(*rows)
         return np.array(values), floored, degenerate
+
+    def best_order(self, before) -> tuple[int, ...]:
+        """The order of least ``sum log sigma`` in which each v follows the set bits of ``before[v]``.
+
+        Subset DP (Silander & Myllymaki, UAI 2006) top down from the empty set,
+        memoized by mask.  Ties go to the smallest next v, so the order is the
+        lexicographically smallest minimizer; a set that no allowed order
+        reaches is never visited, so it costs no fit.  `before` must be acyclic.
+        """
+        full = (1 << self.p) - 1
+        memo = {full: (0.0, -1)}
+        pi, mask = [], 0
+        while mask != full:
+            pi.append(self._completion(mask, before, memo)[1])
+            mask |= 1 << pi[-1]
+        return tuple(pi)
+
+    def _completion(self, mask: int, before, memo: dict) -> tuple[float, int]:
+        """``(least sum log sigma, next v)`` over the allowed completions of the placed set `mask`."""
+        if mask not in memo:
+            memo[mask] = min(
+                (math.log(self.sigma(v, mask)[0]) + self._completion(mask | 1 << v, before, memo)[0], v)
+                for v in range(self.p)
+                if not (mask >> v & 1 or before[v] & ~mask)
+            )
+        return memo[mask]
 
 
 def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple[int, ...], FitResult]:

@@ -416,35 +416,38 @@ def identifiability_gap(
     sigma_j(order))`` with both sides estimated by :func:`population_sigma`
     on one shared oracle sample.  The gap is the minimum over permutations
     that are not topological orders of the DAG; +inf when every permutation
-    is topological (nothing to separate).  Estimates share the oracle sample,
-    so the gap carries Monte-Carlo error of order oracle_n^-1/2.
+    is topological (nothing to separate).  A wrong permutation places some
+    edge's head first, so the gap is the least score of the exact order
+    search (:meth:`ConditionalFits.best_order`) run with one edge reversed,
+    once per edge.  The shared oracle sample leaves Monte-Carlo error of
+    order oracle_n^-1/2.
 
     With ``return_table=True`` returns a :class:`GapReport` carrying scores
-    for all permutations (topological ones included, for near-tie
-    inspection).
+    for all p! permutations (topological ones included, for near-tie
+    inspection).  Both forms are limited to p <= 8.
     """
     if spec.p > 8:
-        raise CapacityError(f"identifiability gap enumerates all p! permutations; p={spec.p} > 8")
+        raise CapacityError(f"identifiability gap is limited to p <= 8 (its table has p! rows), got p={spec.p}")
     fits = _oracle_fits(spec, class_spec, oracle_n, seed)
-    parents = _parent_masks(spec)
     base = fits.along(spec.order)[0]
     base_by_var = {v: base[i] for i, v in enumerate(spec.order)}
-    gap = float("inf")
-    rows = []
-    for pi in permutations(range(spec.p)):
-        topological = _respects(pi, parents)
-        if topological and not return_table:
-            continue
+
+    def score(pi) -> float:
         values = fits.along(pi)[0]
         # log sd ratio = half the log variance ratio, matched per variable
-        score = 0.0
+        total = 0.0
         for pos, v in enumerate(pi):
-            score += 0.5 * (math.log(values[pos]) - math.log(base_by_var[v]))
-        score /= spec.p
-        rows.append({"permutation": pi, "mean_log_sd_ratio": score, "topological": topological})
-        if not topological:
-            gap = min(gap, score)
+            total += 0.5 * (math.log(values[pos]) - math.log(base_by_var[v]))
+        return total / spec.p
+
+    reversed_edge = ([1 << j if v == k else 0 for v in range(spec.p)] for k, j in spec.edges)
+    gap = min((score(fits.best_order(before)) for before in reversed_edge), default=math.inf)
+    if not return_table:
+        return gap
+    parents = _parent_masks(spec)
+    rows = [
+        {"permutation": pi, "mean_log_sd_ratio": score(pi), "topological": _respects(pi, parents)}
+        for pi in permutations(range(spec.p))
+    ]
     rows.sort(key=lambda r: r["mean_log_sd_ratio"])
-    if return_table:
-        return GapReport(gap=gap, order=spec.order, rows=rows)
-    return gap
+    return GapReport(gap=gap, order=spec.order, rows=rows)

@@ -411,6 +411,17 @@ def test_bad_numeric_config_entry_is_usage_error(tmp_path, capsys, command, cfg,
     assert not (out / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("n, message", [(10**15, "out of memory"), (10**19, "64-bit")])
+def test_oversized_sample_is_usage_error(tmp_path, capsys, n, message):
+    # 10**15 rows lie beyond the address space, so the allocation fails at once
+    cfg = write_cfg(tmp_path, "c.json", {"sem": sine_chain_cfg(), "n": n})
+    out = tmp_path / "r"
+    code, _, err = run(["simulate", "--config", cfg, "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert not (out / "data.csv").exists()
+
+
 def test_degeneracy_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     def boom(cfg, seed, out, self_test):
         raise DegeneracyError("Lambda_min collapsed in a scripted failure")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semorder._linalg import gen_eigh, whitener
+from semorder._linalg import gen_eigh, pinv_solve_psd, whitener
 from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary, moment_matrix, moment_vector
 from semorder.empproc import (
     MomentPair,
@@ -24,6 +24,7 @@ from semorder.empproc import (
     z_sup_l1,
 )
 from semorder.errors import DegeneracyError, UsageError
+from semorder.regress import population_projection
 
 import oracles
 
@@ -204,6 +205,22 @@ def test_moment_pair_validation():
         MomentPair(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite population
     with pytest.raises(UsageError, match="finite"):
         MomentPair(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_moment_matrices_are_usage_errors(bad):
+    m = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(UsageError, match="finite"):
+        pinv_solve_psd(m, np.ones(2))
+    with pytest.raises(UsageError, match="finite"):
+        population_projection(m, np.ones(2))
+    with pytest.raises(UsageError, match="finite"):
+        lambda_min(m)
+    c = np.zeros((2, 1))
+    with pytest.raises(UsageError, match="finite"):
+        inner_product_sup(c, c, m, np.eye(1), 1.0, 1.0)
+    with pytest.raises(UsageError, match="finite"):
+        inner_product_sup(np.full((2, 1), bad), c, np.eye(2), np.eye(1), 1.0, 1.0)
 
 
 def test_inner_product_sup_zero_and_scalar():

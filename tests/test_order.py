@@ -224,6 +224,16 @@ def test_constrained_exact_matches_topological_enumeration():
     assert est.order == (1, 2, 0)
 
 
+def test_constrained_exact_fits_only_reachable_sets():
+    # a 12-variable chain has one topological order: the search fits one
+    # entry per position and visits none of the 4083 other placed sets
+    rng = np.random.default_rng(62)
+    fits = _engine(rng.standard_normal((100, 12)), trig_class())
+    est = _exact_from_cache(fits, _parent_masks(linear_chain(p=12)))
+    assert est.order == tuple(range(12))
+    assert len(fits._memo) == 12
+
+
 def test_greedy_never_beats_exact():
     rng = np.random.default_rng(48)
     cs = trig_class()

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +174,21 @@ def _span_dimension(class_spec, k):
     return int(class_spec.intercept) + k * dictionary.size
 
 
+def test_best_order_leaves_no_reference_cycle():
+    # the engine holds every basis block: a finished search must not keep it
+    # alive until the cycle collector runs
+    data = np.random.default_rng(3).standard_normal((60, 4))
+    fits = ConditionalFits(data, ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-1.0, 1.0))))
+    assert sorted(fits.best_order([0] * 4)) == [0, 1, 2, 3]
+    gone = weakref.ref(fits)
+    gc.disable()
+    try:
+        del fits
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 def test_engine_matches_svd_reference_on_full_design(monkeypatch):
     # The engine fits on reduced blocks; the reference is the explicit SVD of
     # the full class design.  Rank and both flags must agree everywhere, and
@@ -291,6 +308,18 @@ def test_fit_l1_kkt_certificates():
         assert res.kkt_residual <= 1e-8
         assert kkt_residual(x, y, res.coefficients, budget) <= 1e-8
         assert np.abs(res.coefficients).sum() <= budget + 1e-10
+
+
+def test_kkt_residual_scales_with_a_tiny_budget():
+    # the origin is interior at any positive budget, however small, so its
+    # residual is the whole gradient, not only the intercept term
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((50, 3))
+    y = rng.standard_normal(50)
+    grad = 2.0 * (x.T @ -y) / 50
+    for budget in (1e-7, 1e-5, 1e-300):
+        assert kkt_residual(x, y, np.zeros(3), budget) == float(np.max(np.abs(grad)))
+    assert kkt_residual(x, y, np.zeros(3), 0.0) == 0.0
 
 
 def test_fit_l1_budget_below_rounding_converges():
@@ -547,3 +576,4 @@ def test_class_spec_validation():
     cls = ClassSpec(d, kind="l1", budget=0.5)
     assert cls.total_budget(3) == 1.5
     assert ClassSpec.from_config(cls.to_config()) == cls
+

@@ -183,6 +183,59 @@ def test_identifiability_gap_builds_each_basis_block_once(monkeypatch):
     assert calls == [2_000] * spec.p
 
 
+def test_identifiability_gap_is_the_least_wrong_score_of_the_table():
+    rng = np.random.default_rng(61)
+    cs = ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-4.0, 4.0)))
+    sine = EdgeFunction.sine(2.0, 1.5)
+    shapes = [
+        {(j, j + 1): sine for j in range(p - 1)} for p in range(2, 7)  # chains
+    ] + [
+        {(0, 1): sine, (0, 2): sine, (0, 3): sine},  # fork
+        {(0, 3): sine, (1, 3): sine, (2, 3): sine},  # collider
+        {},
+    ]
+    specs = []
+    for edges in shapes:
+        p = 3 if not edges else 1 + max(j for e in edges for j in e)
+        specs.append(SemSpec(p=p, order=tuple(range(p)), edges=edges, noise_sd=(1.0,) + (0.3,) * (p - 1)))
+    specs += [oracles.random_dag(rng, 2, 7) for _ in range(4)]
+    for seed, spec in enumerate(specs):
+        rep = identifiability_gap(spec, cs, oracle_n=600, seed=seed, return_table=True)
+        wrong = [row for row in rep.rows if not row["topological"]]
+        if not wrong:
+            assert not spec.edges and rep.gap == math.inf
+            continue
+        assert abs(rep.gap - wrong[0]["mean_log_sd_ratio"]) <= 1e-12
+        # the search with one edge reversed finds the table's least wrong row
+        fits = semgen._oracle_fits(spec, cs, 600, seed)
+        orders = [fits.best_order([1 << j if v == k else 0 for v in range(spec.p)]) for k, j in spec.edges]
+        assert wrong[0]["permutation"] in orders
+
+
+def test_identifiability_gap_without_table_enumerates_nothing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the gap alone must not enumerate permutations")
+
+    calls = []
+    real = regress.fit_span
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(semgen, "permutations", forbidden)
+    monkeypatch.setattr(regress, "fit_span", counting)
+    order = (2, 0, 3, 1)
+    edges = {(k, j): EdgeFunction.sine(2.0, 1.5) for k, j in zip(order, order[1:])}
+    spec = SemSpec(p=4, order=order, edges=edges, noise_sd=(1.0, 0.3, 0.3, 0.3))
+    cs = spline_class(6, (-5.0, 5.0))
+    gap = identifiability_gap(spec, cs, oracle_n=2_000, seed=6)
+    # the one search per edge fits each of the p 2^(p-1) (variable, set) pairs once
+    assert len(calls) == 4 * 2**3
+    monkeypatch.undo()
+    assert gap == identifiability_gap(spec, cs, oracle_n=2_000, seed=6, return_table=True).gap
+
+
 def test_edge_function_kinds():
     x = np.linspace(-3.0, 3.0, 7)
     assert np.allclose(EdgeFunction.sine(2.0, 1.5)(x), 2.0 * np.sin(1.5 * x))
