@@ -17,7 +17,10 @@ Each convention used throughout the package is written once, here:
   the Cholesky factor ``L`` is used only when ``trace(x'x) ||L^-1||_F^2 <=
   1 / RANK_REL_TOL``: that proves ``cond(x) <= 1e5``, so ``gelsd`` would keep
   every singular value and both solvers give the same rank and, to rounding,
-  the same fit.
+  the same fit;
+* row compression (:func:`row_compress`): the R factor of a Householder QR,
+  folded over row blocks, in place of a tall matrix whose column space is
+  all that a fit reads.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ SYM_TOL = 1e-10
 PSD_REL_TOL = 1e-10
 PD_REL_TOL = 1e-12
 RANK_REL_TOL = 1e-10
+# entries of ``[r; rows]`` per QR in row_compress.  LAPACK's QR of a matrix
+# this narrow runs column by column through level-2 BLAS; a fold this small
+# stays in cache and is too small for OpenBLAS to spread over threads.  On a
+# 2-vCPU VM a 1000 x 64 matrix folds in 2.6 ms against 3.3 ms in one QR, and
+# one QR of that size took 0.35 to 0.47 s in 2 of 16 CLI runs (thread
+# hand-offs on a busy machine), against none of 48 runs with these folds
+FOLD_CELLS = 8192
 
 __all__ = [
     "check_symmetric",
@@ -40,10 +50,12 @@ __all__ = [
     "gen_eigh",
     "pinv_solve_psd",
     "least_squares",
+    "row_compress",
     "SYM_TOL",
     "PSD_REL_TOL",
     "PD_REL_TOL",
     "RANK_REL_TOL",
+    "FOLD_CELLS",
 ]
 
 
@@ -138,3 +150,24 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
         return beta, int(rank)
     return inv.T @ (inv @ (x.T @ y)), x.shape[1]
 
+
+def row_compress(blocks) -> np.ndarray:
+    """The R factor of a Householder QR of the row blocks `blocks`, stacked, a few rows at a time.
+
+    Rows are folded in by ``r <- qr([r; rows])`` (TSQR; Demmel, Grigori,
+    Hoemmen & Langou, SIAM J. Sci. Comput. 2012), so no more than one block
+    is ever held.  The stacked matrix ``a`` then satisfies ``||a b|| = ||r b||``
+    for every b, and so does every column subset of ``a`` with the same
+    columns of `r`; Householder QR is columnwise backward stable (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 19.4).  `r`
+    has ``min(rows, columns)`` rows.  Each fold stacks at most FOLD_CELLS
+    entries where the width allows (at least as many new rows as columns).
+    """
+    r = None
+    for block in blocks:
+        width = block.shape[1]
+        step = max(FOLD_CELLS // width - width, width)
+        for start in range(0, block.shape[0], step):
+            rows = block[start : start + step]
+            r = np.linalg.qr(rows if r is None else np.vstack([r, rows]), mode="r")
+    return r

@@ -218,12 +218,15 @@ def cmd_gap(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     replicates = _number(cfg, "replicates", int, 3)
     if replicates < 1:
         raise UsageError("replicates must be at least 1")
-    gaps, table = [], None
+    gaps, floored, table = [], [], None
     for r in range(replicates):
-        gap = identifiability_gap(spec, class_spec, oracle_n=oracle_n, seed=(seed, r), return_table=r == 0)
-        if r == 0:  # only the first replicate's table is written; the others return the gap alone
-            table, gap = gap.to_json()["table"], gap.gap
-        gaps.append(gap)
+        rep = identifiability_gap(
+            spec, class_spec, oracle_n=oracle_n, seed=(seed, r), return_table=r == 0, return_report=True
+        )
+        if r == 0:  # only the first replicate's table is written; the others report the gap alone
+            table = rep.to_json()["table"]
+        gaps.append(rep.gap)
+        floored.append(rep.floored)
     finite = [g for g in gaps if math.isfinite(g)]
     mean = float(np.mean(finite)) if len(finite) == len(gaps) else float("inf")
     se = float(np.std(finite, ddof=1) / math.sqrt(len(finite))) if len(finite) == len(gaps) and len(finite) >= 2 else None
@@ -233,6 +236,7 @@ def cmd_gap(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
             "gap_mean": mean,
             "gap_se": se,
             "gaps": gaps,
+            "gaps_floored": floored,
             "replicates": replicates,
             "oracle_n": oracle_n,
             "order": [v + 1 for v in spec.order],

@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, UsageError
-from .regress import ClassSpec, ConditionalFits
+from .errors import UsageError
+from .regress import EXACT_GUARD, ClassSpec, ConditionalFits
 from .semgen import SemSpec, _parent_masks, _validate_perm, in_pi0, sample
-
-EXACT_GUARD = 18
 
 __all__ = [
     "OrderEstimate",
@@ -109,8 +107,6 @@ def _exact_from_cache(fits: ConditionalFits, before: list[int] | None = None) ->
 
     ``before=None`` leaves every permutation allowed; see :meth:`ConditionalFits.best_order`.
     """
-    if fits.p > EXACT_GUARD:
-        raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={fits.p}")
     return _estimate_from_cache(fits, fits.best_order(before or [0] * fits.p), "exact")
 
 

@@ -23,19 +23,25 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import empproc
-from ._linalg import least_squares, pinv_solve_psd, whitener
+from ._linalg import least_squares, pinv_solve_psd, row_compress, whitener
 from ._rng import derived_rng
-from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix, stack_design
+from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix
 from .errors import CapacityError, DegeneracyError, UsageError, as_number
 
 SPAN = "span"
 L1 = "l1"
+
+# rows of the data that ConditionalFits folds into its QR at a time, which
+# bounds the working memory of the fold whatever the number of rows
+CHUNK_ROWS = 4096
+# the largest p the one subset DP (ConditionalFits.best_order) takes
+EXACT_GUARD = 18
 
 __all__ = [
     "ClassSpec",
@@ -85,7 +91,7 @@ class ClassSpec:
         if not len(columns):
             raise UsageError("a class design needs at least one input column")
         n = np.ravel(columns[0]).shape[0]
-        return _stack(self, self._parts(columns, n), n)
+        return _stack(self._constant(n), self._parts(columns, n))
 
     def total_budget(self, n_blocks: int) -> float:
         if self.kind != L1:
@@ -95,7 +101,10 @@ class ClassSpec:
     def fit(self, columns, y) -> "FitResult":
         """Fit the class regression of `y` on the given input columns, in that order (see :func:`_fit_blocks`)."""
         y = np.asarray(y, dtype=np.float64).ravel()
-        return _fit_blocks(self, self._parts(columns, y.shape[0]), y)
+        return _fit_blocks(self, self._parts(columns, y.shape[0]), y, self._constant(y.shape[0]))
+
+    def _constant(self, n: int) -> np.ndarray | None:
+        return np.ones((n, 1)) if self.intercept else None
 
     def _parts(self, columns, n: int) -> list[tuple[np.ndarray, np.ndarray, bool]]:
         blocks = [basis_matrix(self.dictionary, np.ravel(c)) for c in columns]
@@ -347,54 +356,76 @@ def population_projection(sigma: np.ndarray, c: np.ndarray) -> ProjectionResult:
     return ProjectionResult(coefficients=beta, degenerate=degenerate)
 
 
-def _design_block(class_spec: ClassSpec, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The columns that a class design keeps of the basis block `block`: the package's one rule.
+def _design_columns(class_spec: ClassSpec, reached: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """The basis columns that a class design keeps of one block: the package's one rule.
 
-    Returns the block as the design's first block and as a later one, and
-    whether it kept every basis function.  A span class drops the all-zero
-    columns (cells no observation reaches).  A partition-of-unity block (any
-    family but the trigonometric) sums to the constants, so it also drops its
-    last remaining column once the design's span has them: always with an
-    intercept, after the first block without one.  The span is unchanged; with
-    every cell reached the design has one column per dimension of the span,
-    ``k(N-1)+1`` for k such blocks, else ``intercept + kN``.  Fortran order
-    keeps the rounding of ``x'x`` independent of empty cells.  An l1 class
-    keeps every block whole, since dropping a column would change the l1 ball.
+    `reached` marks the basis functions that are nonzero at some observation.
+    Returns the indices kept when the block comes first in a design, the
+    width of its later form (a prefix of those), and whether it kept every
+    basis function.  A span class drops the all-zero columns (cells no
+    observation reaches).  A partition-of-unity block (any family but the
+    trigonometric) sums to the constants, so it also drops its last remaining
+    column once the design's span has them: always with an intercept, after
+    the first block without one.  The span is unchanged; with every cell
+    reached the design has one column per dimension of the span, ``k(N-1)+1``
+    for k such blocks, else ``intercept + kN``.  An l1 class keeps every block
+    whole, since dropping a column would change the l1 ball.
+    """
+    if class_spec.kind == L1:
+        return np.arange(reached.shape[0]), reached.shape[0], True
+    cols = np.flatnonzero(reached)
+    full = cols.size == reached.shape[0]
+    if class_spec.dictionary.family == TRIGONOMETRIC:
+        return cols, cols.size, full
+    return (cols[:-1] if class_spec.intercept else cols), cols.size - 1, full
+
+
+def _design_block(class_spec: ClassSpec, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The basis block `block` as a design's first block and as a later one, by :func:`_design_columns`.
+
+    The third entry tells whether it kept every basis function.  Fortran
+    order keeps the rounding of ``x'x`` independent of empty cells.
     """
     if class_spec.kind == L1:
         return block, block, True
-    keep = block.any(axis=0)
-    full = bool(keep.all())
+    cols, width, full = _design_columns(class_spec, block.any(axis=0))
     if class_spec.dictionary.family == TRIGONOMETRIC:
-        block = block if full else block[:, keep]
-        return block, block, full
-    block = np.asfortranarray(block[:, keep])
-    return (block[:, :-1] if class_spec.intercept else block), block[:, :-1], full
+        block = block if full else block[:, cols]
+    else:
+        block = np.asfortranarray(block[:, cols])
+    return block, block[:, :width], full
 
 
-def _stack(class_spec: ClassSpec, parts, n: int) -> np.ndarray:
-    """The design ``[1 | blocks...]`` on the :func:`_design_block` triples `parts`, in design order."""
-    return stack_design([part[i > 0] for i, part in enumerate(parts)], class_spec.intercept, n)
+def _stack(const: np.ndarray | None, parts) -> np.ndarray:
+    """The design ``[const | blocks...]`` on the :func:`_design_block` triples `parts`, in design order.
+
+    `const` is the intercept column, or None.  A design of one part is that
+    part itself, not a copy.
+    """
+    cols = ([] if const is None else [const]) + [part[i > 0] for i, part in enumerate(parts)]
+    return np.hstack(cols) if len(cols) > 1 else cols[0]
 
 
-def _fit_blocks(class_spec: ClassSpec, parts, y: np.ndarray) -> FitResult:
+def _fit_blocks(class_spec: ClassSpec, parts, y: np.ndarray, const: np.ndarray | None) -> FitResult:
     """Class regression of `y` on the :func:`_design_block` triples `parts`, in design order.
 
     The one place that picks a class fit's solver: an l1 class with k >= 1
-    blocks takes ``total_budget(k)``, every other fit is a span fit.  With
-    neither blocks nor intercept the residual is `y` itself, so the residual
-    variance is ``mean(y*y)``.  A span fit is ``degenerate`` only when its
-    rank is below the dimension of the class span: below the design's column
-    count, or a block lost an all-zero column.  l1 fits are never flagged.
+    blocks takes ``total_budget(k)``, every other fit is a span fit.  `const`
+    is the intercept column of the class, or None.  With neither blocks nor
+    intercept the residual is `y` itself, so the residual variance is
+    ``mean(y*y)``.  A span fit is ``degenerate`` only when its rank is below
+    the dimension of the class span: below the design's column count, or a
+    block lost an all-zero column.  l1 fits are never flagged.
     """
     n, k = y.shape[0], len(parts)
-    if k == 0 and not class_spec.intercept:
+    if k == 0 and const is None:
         return FitResult(np.zeros(0), float(np.mean(y * y)), SPAN, n_obs=n, rank=0)
-    design = _stack(class_spec, parts, n)
+    design = _stack(const, parts)
     if class_spec.kind == L1 and k:
         return fit_l1(design, y, class_spec.total_budget(k), intercept=class_spec.intercept)
     fit = fit_span(design, y)
-    return replace(fit, degenerate=fit.degenerate or not all(part[2] for part in parts))
+    fit.degenerate = fit.degenerate or not all(part[2] for part in parts)
+    return fit
 
 
 class ConditionalFits:
@@ -406,11 +437,17 @@ class ConditionalFits:
 
     * the data check: every column's mean square must be finite, else
       :class:`UsageError` naming the column;
-    * one basis block per column, built on first use and reduced by
-      :func:`_design_block`, the rule that :meth:`ClassSpec.fit` follows too;
     * the capacity rule ``|S| N + 1 <= n``, else :class:`CapacityError`;
-    * the design ``[1 | B_k ...]`` with blocks in ascending column order, and
-      the span/l1 dispatch and empty-design convention of :func:`_fit_blocks`;
+    * one compression of the data, made on first use: ``A = [1 | B_1 ... B_p
+      | X]``, each basis block in its first-block form by
+      :func:`_design_columns` (the rule that :meth:`ClassSpec.fit` follows
+      too), reduced to ``C``, the R factor of its QR scaled so that ``C'C / m
+      = A'A / n`` (:meth:`_compress`);
+    * the design ``[1 | B_k ...]`` with blocks in ascending column order, as
+      columns of ``C``, and the span/l1 dispatch and empty-design convention
+      of :func:`_fit_blocks`.  Every fit thus runs on the m <= 1 + pN + p
+      rows of ``C``; its residual variance and moment form equal those on
+      the n data rows in exact arithmetic, and ``n_obs`` is n;
     * the sigma table: ``(residual variance, floored, degenerate)`` keyed by
       (variable, predecessor bitmask), each variance floored at
       ``max(1e-12 * mean square, tiny)`` of its column so that logs stay
@@ -430,7 +467,9 @@ class ConditionalFits:
         self.n, self.p = values.shape
         self.class_spec = class_spec
         self._floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny).tolist()
-        self._blocks: dict[int, tuple[np.ndarray, np.ndarray, bool]] = {}
+        self._blocks: list[tuple[np.ndarray, np.ndarray, bool]] | None = None
+        self._const: np.ndarray | None = None
+        self._targets: np.ndarray | None = None
         self._memo: dict[tuple[int, int], tuple[float, bool, bool]] = {}
 
     def predictor_mask(self, v: int, s) -> int:
@@ -459,11 +498,45 @@ class ConditionalFits:
         need = len(cols) * self.class_spec.dictionary.size + 1
         if need > self.n:
             raise CapacityError(f"conditioning on {len(cols)} columns needs {need} rows, have {self.n}")
-        for k in cols:
-            if k not in self._blocks:
-                block = basis_matrix(self.class_spec.dictionary, self.values[:, k])
-                self._blocks[k] = _design_block(self.class_spec, block)
-        return _fit_blocks(self.class_spec, [self._blocks[k] for k in cols], self.values[:, v])
+        if self._blocks is None:
+            self._compress()
+        fit = _fit_blocks(self.class_spec, [self._blocks[k] for k in cols], self._targets[:, v], self._const)
+        fit.n_obs = self.n
+        return fit
+
+    def _compress(self) -> None:
+        """Reduce ``A = [1 | B_1 ... B_p | X]`` to the columns of ``C``.
+
+        :func:`_linalg.row_compress` folds the whole basis blocks in, CHUNK_ROWS
+        rows at a time, so no n-row design is ever held.  The columns that
+        :func:`_design_columns` keeps, known once every row is seen, are then
+        compressed once more to ``m`` rows, and scaled by ``sqrt(m / n)``:
+        ``||C_y - C_S b||^2 / m = ||A_y - A_S b||^2 / n`` for every b.
+        """
+        cs, n, p = self.class_spec, self.n, self.p
+        size, icpt = cs.dictionary.size, int(cs.intercept)
+        reached = np.zeros((p, size), dtype=bool)
+
+        def chunks():
+            for start in range(0, n, CHUNK_ROWS):
+                rows = self.values[start : start + CHUNK_ROWS]
+                blocks = [basis_matrix(cs.dictionary, rows[:, k]) for k in range(p)]
+                for k, block in enumerate(blocks):
+                    reached[k] |= block.any(axis=0)
+                yield np.hstack([np.ones((rows.shape[0], icpt))] + blocks + [rows])
+
+        r = row_compress(chunks())
+        keep, spans = [np.arange(icpt)], []
+        for k in range(p):
+            cols, width, full = _design_columns(cs, reached[k])
+            spans.append((sum(c.size for c in keep), cols.size, width, full))
+            keep.append(icpt + k * size + cols)
+        keep.append(icpt + p * size + np.arange(p))
+        r = row_compress([r[:, np.concatenate(keep)]])
+        c = r * math.sqrt(r.shape[0] / n)
+        self._const = c[:, :1] if icpt else None
+        self._blocks = [(c[:, at : at + first], c[:, at : at + later], full) for at, first, later, full in spans]
+        self._targets = c[:, c.shape[1] - p :]
 
     def sigma(self, v: int, mask: int) -> tuple[float, bool, bool]:
         """Memoized ``(floored residual variance, floored, degenerate)`` of :meth:`fit`."""
@@ -493,8 +566,11 @@ class ConditionalFits:
         Subset DP (Silander & Myllymaki, UAI 2006) top down from the empty set,
         memoized by mask.  Ties go to the smallest next v, so the order is the
         lexicographically smallest minimizer; a set that no allowed order
-        reaches is never visited, so it costs no fit.  `before` must be acyclic.
+        reaches is never visited, so it costs no fit.  `before` must be acyclic,
+        and p at most EXACT_GUARD, else :class:`CapacityError`.
         """
+        if self.p > EXACT_GUARD:
+            raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={self.p}")
         full = (1 << self.p) - 1
         memo = {full: (0.0, -1)}
         pi, mask = [], 0
@@ -517,9 +593,9 @@ class ConditionalFits:
 def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple[int, ...], FitResult]:
     """Fit the class regression of column `j` on each subset of other columns.
 
-    All fits come from one :class:`ConditionalFits` engine, so each column's
-    basis block is built once.  Each fit equals ``class_spec.fit`` on the
-    same columns in ascending order.  The coefficients of an l1 class on
+    All fits come from one :class:`ConditionalFits` engine, so the data is
+    compressed once.  Each fit equals ``class_spec.fit`` on the same columns
+    in ascending order, to rounding.  The coefficients of an l1 class on
     collinear blocks may not be unique; see :func:`fit_l1`.  Keys of the
     returned dict are sorted index tuples; the empty subset without an
     intercept gives the ``mean(y*y)`` fit.  Raises :class:`CapacityError` for

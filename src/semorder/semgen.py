@@ -22,7 +22,7 @@ import numpy as np
 from ._rng import derived_rng
 from .dictionary import Dictionary, basis_matrix
 from .errors import CapacityError, UsageError, as_number
-from .regress import ClassSpec, ConditionalFits
+from .regress import EXACT_GUARD, ClassSpec, ConditionalFits
 
 SAMPLE_BLOCK = 4096
 
@@ -382,21 +382,29 @@ def population_sigma(
 
 @dataclass
 class GapReport:
-    """Identifiability gap with the per-permutation score table behind it."""
+    """Identifiability gap with the per-permutation score table behind it.
+
+    ``floored`` tells whether the gap rests on a floored sigma term: one of
+    its wrong permutation or one of the generating order.  Each row carries
+    the same flag for its own permutation.
+    """
 
     gap: float
     order: tuple[int, ...]
     rows: list[dict] = field(default_factory=list)
+    floored: bool = False
 
     def to_json(self) -> dict:
         return {
             "gap": self.gap,
+            "floored": self.floored,
             "order": [v + 1 for v in self.order],
             "table": [
                 {
                     "permutation": [v + 1 for v in r["permutation"]],
                     "mean_log_sd_ratio": r["mean_log_sd_ratio"],
                     "topological": r["topological"],
+                    "floored": r["floored"],
                 }
                 for r in self.rows
             ],
@@ -409,6 +417,7 @@ def identifiability_gap(
     oracle_n: int = 200_000,
     seed: int = 0,
     return_table: bool = False,
+    return_report: bool = False,
 ):
     """Smallest mean log residual-sd ratio separating wrong orders from true ones.
 
@@ -424,30 +433,38 @@ def identifiability_gap(
 
     With ``return_table=True`` returns a :class:`GapReport` carrying scores
     for all p! permutations (topological ones included, for near-tie
-    inspection).  Both forms are limited to p <= 8.
+    inspection), limited to p <= 8; with ``return_report=True`` alone, a
+    :class:`GapReport` without rows, whose use is its ``floored`` flag.  The
+    gap alone runs up to the exact search's guard,
+    :data:`semorder.regress.EXACT_GUARD`.
     """
-    if spec.p > 8:
-        raise CapacityError(f"identifiability gap is limited to p <= 8 (its table has p! rows), got p={spec.p}")
+    if return_table and spec.p > 8:
+        raise CapacityError(f"the identifiability gap table is limited to p <= 8 (it has p! rows), got p={spec.p}")
+    if spec.p > EXACT_GUARD:
+        raise CapacityError(f"the identifiability gap is limited to p <= {EXACT_GUARD}, got p={spec.p}")
     fits = _oracle_fits(spec, class_spec, oracle_n, seed)
-    base = fits.along(spec.order)[0]
+    base, base_floored, _ = fits.along(spec.order)
     base_by_var = {v: base[i] for i, v in enumerate(spec.order)}
 
-    def score(pi) -> float:
-        values = fits.along(pi)[0]
+    def score(pi) -> tuple[float, bool]:
+        values, floored, _ = fits.along(pi)
         # log sd ratio = half the log variance ratio, matched per variable
         total = 0.0
         for pos, v in enumerate(pi):
             total += 0.5 * (math.log(values[pos]) - math.log(base_by_var[v]))
-        return total / spec.p
+        return total / spec.p, any(floored) or any(base_floored)
 
     reversed_edge = ([1 << j if v == k else 0 for v in range(spec.p)] for k, j in spec.edges)
-    gap = min((score(fits.best_order(before)) for before in reversed_edge), default=math.inf)
-    if not return_table:
+    gap, floored = min((score(fits.best_order(before)) for before in reversed_edge), default=(math.inf, False))
+    if not (return_table or return_report):
         return gap
-    parents = _parent_masks(spec)
-    rows = [
-        {"permutation": pi, "mean_log_sd_ratio": score(pi), "topological": _respects(pi, parents)}
-        for pi in permutations(range(spec.p))
-    ]
-    rows.sort(key=lambda r: r["mean_log_sd_ratio"])
-    return GapReport(gap=gap, order=spec.order, rows=rows)
+    rows = []
+    if return_table:
+        parents = _parent_masks(spec)
+        for pi in permutations(range(spec.p)):
+            value, row_floored = score(pi)
+            rows.append(
+                {"permutation": pi, "mean_log_sd_ratio": value, "topological": _respects(pi, parents), "floored": row_floored}
+            )
+        rows.sort(key=lambda r: r["mean_log_sd_ratio"])
+    return GapReport(gap=gap, order=spec.order, rows=rows, floored=floored)

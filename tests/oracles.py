@@ -206,12 +206,12 @@ def numeric_moment_vector(d, cells_per_interval=30_000):
     return basis_matrix(d, numeric_moment_grid(d, cells_per_interval)).mean(axis=0)
 
 
-def enumerate_order(data, class_spec):
-    """Best (score, permutation) by factorial enumeration with lexicographic tie-break.
+def direct_sigma(data, class_spec):
+    """The floored residual variance ``sigma(v, mask)`` of each conditional fit, on the full n-row design.
 
     Reproduces the conditional-fit assembly directly (same basis blocks, same
-    hstack order, same floor) so values are bit-identical to the estimator's.
-    Like the engine, each block loses its all-zero columns and, for a
+    hstack order, same floor), without the engine's compression.  Like the
+    engine, each block loses its all-zero columns and, for a
     partition-of-unity family, its last remaining column, except in the first
     block of a design without an intercept.
     """
@@ -230,10 +230,11 @@ def enumerate_order(data, class_spec):
     floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny)
     memo = {}
 
-    def sig(v, key):
-        hit = memo.get((v, key))
+    def sig(v, mask):
+        hit = memo.get((v, mask))
         if hit is None:
             y = values[:, v]
+            key = [k for k in range(p) if mask >> k & 1]
             parts = ([ones] if class_spec.intercept else []) + [
                 blocks[k][:, :-1] if reduce and i >= first else blocks[k] for i, k in enumerate(key)
             ]
@@ -242,21 +243,39 @@ def enumerate_order(data, class_spec):
                 rv = fit_span(design, y).residual_variance
             else:
                 rv = float(np.mean(y * y))
-            if rv < floor[v]:
-                rv = float(floor[v])
-            memo[(v, key)] = rv
-            hit = rv
+            hit = memo[(v, mask)] = max(rv, float(floor[v]))
         return hit
 
+    return sig
+
+
+def enumerate_sigmas(p, sigma):
+    """Best (score, permutation) of ``sum log sigma(v, mask)`` by factorial enumeration.
+
+    `mask` holds the variables placed before v; the lexicographically
+    smallest permutation wins ties, and each score is summed as the
+    estimator sums it.
+    """
     best_score, best_pi = math.inf, None
     for pi in itertools.permutations(range(p)):
-        sigmas = np.empty(p)
+        sigmas, mask = np.empty(p), 0
         for pos, v in enumerate(pi):
-            sigmas[pos] = sig(v, tuple(sorted(pi[:pos])))
+            sigmas[pos] = sigma(v, mask)
+            mask |= 1 << v
         s = float(np.sum(np.log(sigmas)))
         if s < best_score:
             best_score, best_pi = s, pi
     return best_score, best_pi
+
+
+def sigma_table_gap(p, sigma, reference):
+    """Largest relative difference of ``sigma`` from ``reference`` over every (v, mask) with v not in mask."""
+    return max(
+        abs(sigma(v, mask) - reference(v, mask)) / reference(v, mask)
+        for v in range(p)
+        for mask in range(1 << p)
+        if not mask >> v & 1
+    )
 
 
 def topological_filter(spec):

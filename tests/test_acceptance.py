@@ -24,7 +24,7 @@ from semorder.empproc import (
     z_sup_l1,
 )
 from semorder.order import consistency_experiment, estimate_order_exact
-from semorder.regress import ClassSpec, MisspecTruth, fit_l1, fit_span, misspec_experiment
+from semorder.regress import ClassSpec, ConditionalFits, MisspecTruth, fit_l1, fit_span, misspec_experiment
 from semorder.semgen import EdgeFunction, SemSpec, identifiability_gap
 
 import oracles
@@ -47,6 +47,7 @@ def test_01_exact_search_matches_enumeration():
     cs = trig_class()
     start = time.monotonic()
     mismatches = 0
+    worst = 0.0
     for i in range(100):
         p = 3 + i % 4
         data = rng.standard_normal((200, p)) * rng.uniform(0.5, 2.0, p)
@@ -55,13 +56,20 @@ def test_01_exact_search_matches_enumeration():
             mix = rng.standard_normal((p, p)) * 0.4 + np.eye(p)
             data = data @ mix
         est = estimate_order_exact(data, cs)
-        ref_score, ref_pi = oracles.enumerate_order(data, cs)
-        if est.score != ref_score or tuple(est.order) != ref_pi:
+        # bit for bit against enumeration over the engine's own sigma table
+        fits = ConditionalFits(data, cs)
+        table = lambda v, mask: fits.sigma(v, mask)[0]  # noqa: E731
+        ref_score, ref_pi = oracles.enumerate_sigmas(p, table)
+        # the same order as enumeration over independent full-design fits
+        direct = oracles.direct_sigma(data, cs)
+        if est.score != ref_score or tuple(est.order) != ref_pi or oracles.enumerate_sigmas(p, direct)[1] != ref_pi:
             mismatches += 1
+        worst = max(worst, oracles.sigma_table_gap(p, table, direct))
     elapsed = time.monotonic() - start
-    ok = mismatches == 0 and elapsed < 60.0
+    ok = mismatches == 0 and worst <= 1e-12 and elapsed < 60.0
     report(1, "exact search equals enumeration on 100 datasets", ok)
     assert mismatches == 0, f"{mismatches} of 100 datasets disagreed with enumeration"
+    assert worst <= 1e-12, f"sigma^2 differs from the full-design fit by {worst:.2e} relative"
     assert elapsed < 60.0, f"took {elapsed:.1f}s, limit 60s"
 
 

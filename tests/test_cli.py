@@ -304,6 +304,27 @@ def test_gap_sine_chain_is_positive(tmp_path, capsys):
     assert all(g > 0.1 for g in rep["gaps"])
 
 
+def test_gap_json_carries_floored_flags_and_reruns_byte_identical(tmp_path, capsys):
+    # x2 = x1 up to noise of sd 1e-9: every permutation's score rests on a floored fit
+    sem = {
+        "p": 2,
+        "order": [1, 2],
+        "edges": [{"from": 1, "to": 2, "kind": "linear", "params": [1.0]}],
+        "noise_sd": [1.0, 1e-9],
+    }
+    cls = {"dictionary": {"family": "cubic-b-spline", "size": 6, "domain": [-8.0, 8.0]}}
+    cfg = write_cfg(tmp_path, "c.json", {"sem": sem, "class": cls, "oracle_n": 2000, "replicates": 2})
+    outputs = []
+    for name in ("a", "b"):
+        code, _, _ = run(["gap", "--config", cfg, "--out", str(tmp_path / name), "--seed", "4"], capsys)
+        assert code == 0
+        outputs.append((tmp_path / name / "gap.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    rep = json.loads(outputs[0])
+    assert rep["gaps_floored"] == [True, True]
+    assert [row["floored"] for row in rep["table"]] == [True, True]
+
+
 def test_empnorm_self_test_zeroes_all_suprema(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {"n": 200, "p": 3, "budget": 1.0})
     out = tmp_path / "r"

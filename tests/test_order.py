@@ -148,9 +148,15 @@ def test_exact_matches_enumeration_bit_for_bit():
             p = int(rng.integers(3, 5))
             data = rng.standard_normal((150, p))
             est = estimate_order_exact(data, cs)
-            ref_score, ref_pi = oracles.enumerate_order(data, cs)
-            assert est.score == ref_score  # exact float equality, no tolerance
+            fits = ConditionalFits(data, cs)
+            table = lambda v, mask: fits.sigma(v, mask)[0]  # noqa: E731
+            ref_score, ref_pi = oracles.enumerate_sigmas(p, table)
+            assert est.score == ref_score  # exact float equality over the engine's own table
             assert tuple(est.order) == ref_pi
+            # the engine's compressed fits against the full n-row designs
+            direct = oracles.direct_sigma(data, cs)
+            assert oracles.enumerate_sigmas(p, direct)[1] == ref_pi
+            assert oracles.sigma_table_gap(p, table, direct) <= 1e-12
 
 
 def test_exact_search_with_l1_class_matches_enumeration():

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import semorder
+from semorder import regress
 from semorder._linalg import RANK_REL_TOL, least_squares
 from semorder.dictionary import (
     CUBIC_B_SPLINE,
@@ -157,13 +159,13 @@ def test_least_squares_certifies_only_well_conditioned_designs(monkeypatch):
 
 def test_least_squares_solvers_live_in_linalg():
     # every least-squares solve and Cholesky factorization goes through the
-    # one certified policy in _linalg
+    # one certified policy in _linalg, and every QR through its row compression
     package = Path(semorder.__file__).parent
     for path in sorted(package.glob("*.py")):
         if path.name == "_linalg.py":
             continue
         text = path.read_text(encoding="utf-8")
-        for name in ("np.linalg.lstsq", "np.linalg.cholesky"):
+        for name in ("np.linalg.lstsq", "np.linalg.cholesky", "np.linalg.qr"):
             assert name not in text, f"{path.name} calls {name}"
 
 
@@ -232,6 +234,121 @@ def test_engine_matches_svd_reference_on_full_design(monkeypatch):
                         assert abs(fit.residual_variance - ref) <= 1e-12 * ref
     # every fit, with or without an intercept: 8 classes * 28 fits
     assert certified == 8 * 28
+
+
+def _check_against_full_design(values, class_spec, calls):
+    """Every sigma-table entry of the engine against the explicit SVD fit of the full n-row class design.
+
+    Rank, floored and degenerate must agree exactly.  Returns the largest
+    relative sigma^2 difference over the fits that took the certified
+    Cholesky path (`calls`, from :func:`_counting_lstsq`, did not move) and
+    over the others, floored fits left out.
+    """
+    n, p = values.shape
+    fits = ConditionalFits(values, class_spec)
+    worst = [0.0, 0.0]
+    for v in range(p):
+        y = values[:, v]
+        floor = max(1e-12 * float(np.mean(y * y)), np.finfo(np.float64).tiny)
+        for mask in range(1 << p):
+            cols = [k for k in range(p) if mask >> k & 1]
+            if mask >> v & 1 or len(cols) * class_spec.dictionary.size + 1 > n:
+                continue
+            before = calls[0]
+            fit = fits.fit(v, mask)
+            certified = calls[0] == before
+            rv, floored, degenerate = fits.sigma(v, mask)
+            assert fit.n_obs == n
+            if not cols and not class_spec.intercept:
+                ref, rank = float(np.mean(y * y)), 0
+            else:
+                x = design_matrix(class_spec.dictionary, [values[:, k] for k in cols], class_spec.intercept, n)
+                beta, rank = oracles.svd_lstsq(x, y)
+                resid = y - x @ beta
+                ref = float(resid @ resid) / n
+            assert fit.rank == rank
+            assert degenerate == (rank < _span_dimension(class_spec, len(cols)))
+            assert floored == (ref < floor)
+            if not floored:
+                worst[not certified] = max(worst[not certified], abs(fit.residual_variance - ref) / ref)
+    return worst
+
+
+def test_compressed_engine_matches_full_design_at_its_edges(monkeypatch):
+    # ConditionalFits fits on the R factor of a QR of the data, folded in
+    # chunks; a 64-row chunk makes n=300 a ragged multiple and n=20 a single
+    # chunk with fewer rows than the compressed matrix has columns (29).
+    # sigma^2 within 1e-12 relative (observed 3.9e-13) wherever the certificate
+    # proves cond <= 1e5.  The n=20 spline designs that fail it (cond 6e5 to
+    # 3e6) reach 5.9e-11, since the compression perturbs the problem itself by
+    # rounding times cond: the bound there is 1e-9
+    calls = _counting_lstsq(monkeypatch)
+    monkeypatch.setattr(regress, "CHUNK_ROWS", 64)
+    chain = SemSpec(
+        p=4, order=(0, 1, 2, 3),
+        edges={(j, j + 1): EdgeFunction("sine", (2.0, 1.5)) for j in range(3)},
+        noise_sd=(1.0, 0.3, 0.3, 0.3),
+    )
+    values = sample(chain, 300, seed=5).values
+    flat = values.copy()
+    flat[:, 2] = 0.25  # a constant column: every fit of it is floored, every block of it is degenerate
+    # the chain stays inside (-3.5, 3.5), so 10 cells on (-5, 5) leave the outer ones empty
+    assert not np.any(np.abs(values) >= 3.5)
+    classes = [
+        ClassSpec(Dictionary(kind, size, (-5.0, 5.0)), intercept=icpt)
+        for kind, size in [(CUBIC_B_SPLINE, 6), (PIECEWISE_CONSTANT, 10), (TRIGONOMETRIC, 3)]
+        for icpt in (True, False)
+    ]
+    worst = [0.0, 0.0]
+    for class_spec in classes:
+        for data in (values, flat, values[:20]):
+            worst = np.maximum(worst, _check_against_full_design(data, class_spec, calls))
+    assert worst[0] <= 1e-12 and worst[1] <= 1e-9
+
+
+def test_compressed_engine_l1_fits_are_kkt_points_of_the_full_design(monkeypatch):
+    monkeypatch.setattr(regress, "CHUNK_ROWS", 64)
+    chain = SemSpec(
+        p=3, order=(0, 1, 2),
+        edges={(0, 1): EdgeFunction("sine", (2.0, 1.5)), (1, 2): EdgeFunction("sine", (2.0, 1.5))},
+        noise_sd=(1.0, 0.3, 0.3),
+    )
+    values = sample(chain, 1000, seed=18).values
+    for icpt in (True, False):
+        cs = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)), kind="l1", budget=1.0, intercept=icpt)
+        fits = ConditionalFits(values, cs)
+        for v in range(3):
+            for mask in range(1, 8):
+                if mask >> v & 1:
+                    continue
+                cols = [values[:, k] for k in range(3) if mask >> k & 1]
+                fit = fits.fit(v, mask)
+                direct = cs.fit(cols, values[:, v])
+                assert fit.converged and fit.kkt_residual <= 1e-12
+                assert fit.n_obs == 1000
+                budget = cs.total_budget(len(cols))
+                assert kkt_residual(cs.design(cols), values[:, v], fit.coefficients, budget, icpt) <= 1e-12
+                assert abs(fit.residual_variance - direct.residual_variance) <= 1e-12 * direct.residual_variance
+
+
+def test_sigma_table_never_holds_an_n_row_design():
+    # n = 200,000 rows, p = 4, spline K = 6: A = [1 | B_1..B_4 | X] has 29
+    # columns, 46.4 MB as one array; the engine folds it in chunks
+    n, p = 200_000, 4
+    values = np.random.default_rng(19).standard_normal((n, p))
+    fits = ConditionalFits(values, ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0))))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        for v in range(p):
+            for mask in range(1 << p):
+                if not mask >> v & 1:
+                    fits.sigma(v, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fits._memo) == p * 2 ** (p - 1)
+    assert peak < n * (1 + p * 6 + p) * 8 / 4
 
 
 def test_sigma_table_builds_without_lstsq(monkeypatch):
@@ -434,8 +551,11 @@ def trig_class(size=3, domain=(-1.0, 1.0), intercept=True):
 
 
 def test_fit_over_subsets_matches_individual_fits():
-    # ClassSpec.fit keeps the engine's columns, so the two agree bit for bit,
-    # empty cells (the outer ones of N=10 on (-5, 5)) and no intercept included
+    # ClassSpec.fit keeps the engine's columns on the full n-row design, the
+    # engine fits them on its compressed rows: the two agree to rounding, empty
+    # cells (the outer ones of N=10 on (-5, 5)) and no intercept included.
+    # Observed: sigma^2 within 8.8e-16 relative, coefficients within 1.7e-14
+    # of the largest one; rank, flags and n_obs exactly
     rng = np.random.default_rng(11)
     data = DataMatrix(rng.standard_normal((200, 3)))
     dictionaries = [
@@ -451,9 +571,11 @@ def test_fit_over_subsets_matches_individual_fits():
             assert set(out) == {(), (0,), (1,), (0, 1)}
             for key, res in out.items():
                 direct = cls.fit([data.values[:, k] for k in key], data.values[:, 2])
-                assert res.residual_variance == direct.residual_variance
-                assert np.array_equal(res.coefficients, direct.coefficients)
-                assert (res.rank, res.degenerate) == (direct.rank, direct.degenerate)
+                assert abs(res.residual_variance - direct.residual_variance) <= 1e-12 * direct.residual_variance
+                assert res.coefficients.shape == direct.coefficients.shape
+                scale = float(np.max(np.abs(direct.coefficients), initial=0.0))
+                assert np.all(np.abs(res.coefficients - direct.coefficients) <= 1e-12 * scale)
+                assert (res.rank, res.degenerate, res.n_obs) == (direct.rank, direct.degenerate, direct.n_obs)
 
 
 def test_fit_over_subsets_empty_is_intercept_only():

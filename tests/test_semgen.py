@@ -149,9 +149,10 @@ def test_identifiability_gap_sentinels():
     # no edges: every permutation is topological, so no wrong one exists
     free = SemSpec(p=2, order=(0, 1), edges={}, noise_sd=(1.0, 1.0))
     assert identifiability_gap(free, spline_class(), oracle_n=1000, seed=0) == math.inf
+    # the p! table keeps its p <= 8 cap; the gap alone does not (see the p=12 test)
     big = SemSpec(p=9, order=tuple(range(9)), edges={}, noise_sd=(1.0,) * 9)
     with pytest.raises(CapacityError):
-        identifiability_gap(big, spline_class(), oracle_n=1000, seed=0)
+        identifiability_gap(big, spline_class(), oracle_n=1000, seed=0, return_table=True)
 
 
 def test_identifiability_gap_table():
@@ -234,6 +235,45 @@ def test_identifiability_gap_without_table_enumerates_nothing(monkeypatch):
     assert len(calls) == 4 * 2**3
     monkeypatch.undo()
     assert gap == identifiability_gap(spec, cs, oracle_n=2_000, seed=6, return_table=True).gap
+
+
+def test_identifiability_gap_runs_at_p12_without_its_table():
+    p = 12
+    edges = {(j, j + 1): EdgeFunction.sine(2.0, 1.5) for j in range(p - 1)}
+    spec = SemSpec(p=p, order=tuple(range(p)), edges=edges, noise_sd=(1.0,) + (0.3,) * (p - 1))
+    cs = ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-5.0, 5.0)))
+    gap = identifiability_gap(spec, cs, oracle_n=400, seed=3)
+    # a wrong order that swaps the first edge bounds the gap from above
+    fits = semgen._oracle_fits(spec, cs, 400, 3)
+    base = fits.along(spec.order)[0]
+    swapped = (1, 0) + tuple(range(2, p))
+    values = fits.along(swapped)[0]
+    by_var = dict(zip(spec.order, base))
+    bound = sum(0.5 * (math.log(values[i]) - math.log(by_var[v])) for i, v in enumerate(swapped)) / p
+    assert 0.0 < gap <= bound
+    # the table keeps its cap, and the gap stops at the exact search's guard,
+    # both before any sampling
+    with pytest.raises(CapacityError, match="p <= 8"):
+        identifiability_gap(spec, cs, oracle_n=400, seed=3, return_table=True)
+    wide = SemSpec(p=19, order=tuple(range(19)), edges={}, noise_sd=(1.0,) * 19)
+    with pytest.raises(CapacityError, match=f"p <= {regress.EXACT_GUARD}"):
+        identifiability_gap(wide, cs, oracle_n=10**9, seed=3)
+
+
+def test_identifiability_gap_carries_floored_flags():
+    # x2 = x1 up to noise of sd 1e-9: the spline span holds the line, so the
+    # fit of either variable on the other reaches the variance floor
+    cs = spline_class(6, (-8.0, 8.0))
+    tied = SemSpec(p=2, order=(0, 1), edges={(0, 1): EdgeFunction.linear(1.0)}, noise_sd=(1.0, 1e-9))
+    rep = identifiability_gap(tied, cs, oracle_n=2_000, seed=5, return_table=True)
+    assert rep.floored
+    assert [row["floored"] for row in rep.rows] == [True, True]
+    assert identifiability_gap(tied, cs, oracle_n=2_000, seed=5, return_report=True).floored
+    sine = SemSpec(p=2, order=(0, 1), edges={(0, 1): EdgeFunction.sine(2.0, 1.0)}, noise_sd=(1.0, 0.3))
+    rep = identifiability_gap(sine, cs, oracle_n=2_000, seed=5, return_table=True)
+    assert not rep.floored and not any(row["floored"] for row in rep.rows)
+    assert rep.to_json()["floored"] is False
+    assert [row["floored"] for row in rep.to_json()["table"]] == [False, False]
 
 
 def test_edge_function_kinds():
