@@ -17,7 +17,12 @@ Each convention used throughout the package is written once, here:
   the Cholesky factor ``L`` is used only when ``trace(x'x) ||L^-1||_F^2 <=
   1 / RANK_REL_TOL``: that proves ``cond(x) <= 1e5``, so ``gelsd`` would keep
   every singular value and both solvers give the same rank and, to rounding,
-  the same fit;
+  the same fit.  The policy runs in two steps: :func:`factorize` forms
+  ``x'x``, ``L^-1`` and the certificate once per design, and every target
+  fitted on that design shares the one :class:`Factor`, certified or not;
+  :func:`least_squares` then solves once per right-hand side.  The sigma
+  table's exact search over p variables thus costs ``2^p - 1``
+  factorizations and ``p 2^(p-1)`` solves;
 * row compression (:func:`row_compress`): the R factor of a Householder QR,
   folded over row blocks, in place of a tall matrix whose column space is
   all that a fit reads.
@@ -26,6 +31,7 @@ Each convention used throughout the package is written once, here:
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +55,8 @@ __all__ = [
     "whitener",
     "gen_eigh",
     "pinv_solve_psd",
+    "Factor",
+    "factorize",
     "least_squares",
     "row_compress",
     "SYM_TOL",
@@ -128,15 +136,23 @@ def pinv_solve_psd(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
     return beta, degenerate
 
 
-def least_squares(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
-    """Least-squares coefficients of `y` on the columns of `x`, and the numerical rank of `x`.
+class Factor(NamedTuple):
+    """The factor step of :func:`least_squares` on one design `x`.
 
-    The Cholesky factor ``L`` of ``g = x'x`` is accepted only under the
-    certificate ``trace(g) ||L^-1||_F^2 <= 1 / RANK_REL_TOL``.  Its left side
-    is at least ``cond(x)^2``, so a certified `x` has full column rank under
-    the rank rule and is solved from ``g``.  Any other `x` (singular `g`, a
-    failed or NaN certificate) goes to ``np.linalg.lstsq`` with ``rcond =
-    RANK_REL_TOL``, which returns the minimum-norm solution.
+    ``inv`` is ``L^-1`` for the Cholesky factor ``L`` of ``x'x`` when the
+    certificate holds, else None: every right-hand side then goes to ``gelsd``.
+    """
+
+    inv: np.ndarray | None
+
+
+def factorize(x: np.ndarray) -> Factor:
+    """The certified Cholesky factor of ``g = x'x``, once for every right-hand side fitted on `x`.
+
+    ``L`` is accepted only under the certificate ``trace(g) ||L^-1||_F^2 <= 1 /
+    RANK_REL_TOL``.  Its left side is at least ``cond(x)^2``, so a certified
+    `x` has full column rank under the rank rule.  A singular `g` or a failed
+    or NaN certificate gives ``Factor(None)``.
     """
     g = x.T @ x
     try:
@@ -145,7 +161,19 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
             bound = float(np.trace(g)) * float(np.sum(inv * inv))
     except np.linalg.LinAlgError:
         bound = math.nan
-    if not (bound <= 1.0 / RANK_REL_TOL):
+    return Factor(inv if bound <= 1.0 / RANK_REL_TOL else None)
+
+
+def least_squares(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> tuple[np.ndarray, int]:
+    """Least-squares coefficients of `y` on the columns of `x`, and the numerical rank of `x`.
+
+    `factor` is :func:`factorize` of the same `x`, computed here when not
+    given; either way the result is the same, bit for bit.  A certified `x`
+    is solved from ``L^-1``.  Any other goes to ``np.linalg.lstsq`` with
+    ``rcond = RANK_REL_TOL``, which returns the minimum-norm solution.
+    """
+    inv = (factorize(x) if factor is None else factor).inv
+    if inv is None:
         beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)
         return beta, int(rank)
     return inv.T @ (inv @ (x.T @ y)), x.shape[1]

@@ -210,15 +210,7 @@ def design_matrix(d: Dictionary, columns, intercept: bool = True, n_rows: int | 
         raise UsageError("empty column list needs n_rows (or an intercept alone has no height)")
     if not columns and not intercept:
         raise UsageError("design with no columns and no intercept is empty")
-    return stack_design([basis_matrix(d, c) for c in columns], intercept, n)
-
-
-def stack_design(blocks, intercept: bool, n: int) -> np.ndarray:
-    """``[1 | blocks...]`` with `n` rows, blocks in the order given.
-
-    A design of one part is that part itself, not a copy.
-    """
-    parts = ([np.ones((n, 1))] if intercept else []) + list(blocks)
+    parts = ([np.ones((n, 1))] if intercept else []) + [basis_matrix(d, c) for c in columns]
     return np.hstack(parts) if len(parts) > 1 else parts[0]
 
 

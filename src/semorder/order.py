@@ -127,10 +127,9 @@ def _greedy_from_cache(fits: ConditionalFits) -> OrderEstimate:
     mask = 0
     for _ in range(p):
         best_v, best_t = -1, math.inf
-        for v in range(p):
-            if mask & (1 << v):
-                continue
-            t = math.log(fits.sigma(v, mask)[0])
+        unplaced = [v for v in range(p) if not mask >> v & 1]
+        for v, (rv, _, _) in zip(unplaced, fits._row(mask, unplaced)):
+            t = math.log(rv)
             if t < best_t:
                 best_v, best_t = v, t
         pi.append(best_v)

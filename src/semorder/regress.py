@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import empproc
-from ._linalg import least_squares, pinv_solve_psd, row_compress, whitener
+from ._linalg import Factor, factorize, least_squares, pinv_solve_psd, row_compress, whitener
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix
 from .errors import CapacityError, DegeneracyError, UsageError, as_number
@@ -101,7 +101,7 @@ class ClassSpec:
     def fit(self, columns, y) -> "FitResult":
         """Fit the class regression of `y` on the given input columns, in that order (see :func:`_fit_blocks`)."""
         y = np.asarray(y, dtype=np.float64).ravel()
-        return _fit_blocks(self, self._parts(columns, y.shape[0]), y, self._constant(y.shape[0]))
+        return _fit_blocks(self, self._parts(columns, y.shape[0]), [y], self._constant(y.shape[0]))[0]
 
     def _constant(self, n: int) -> np.ndarray | None:
         return np.ones((n, 1)) if self.intercept else None
@@ -159,11 +159,13 @@ class ProjectionResult:
     degenerate: bool = False
 
 
-def fit_span(x: np.ndarray, y: np.ndarray) -> FitResult:
+def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitResult:
     """Ordinary least squares; minimum-norm coefficients if rank-deficient.
 
     Solved by :func:`semorder._linalg.least_squares`: a certified Cholesky
-    solve when `x` is well conditioned, else LAPACK's ``gelsd``.  The residual
+    solve when `x` is well conditioned, else LAPACK's ``gelsd``.  `factor`,
+    :func:`semorder._linalg.factorize` of the same `x`, lets several targets
+    share one factorization; the fit is the same without it.  The residual
     variance is the mean squared residual ``y - x beta`` (no
     degrees-of-freedom correction).  ``rank`` is the numerical rank of `x`,
     the number of singular values above ``RANK_REL_TOL`` times the largest;
@@ -175,7 +177,7 @@ def fit_span(x: np.ndarray, y: np.ndarray) -> FitResult:
         raise UsageError(f"incompatible shapes {x.shape} and {y.shape}")
     if x.shape[0] < 1:
         raise UsageError("need at least one observation")
-    beta, rank = least_squares(x, y)
+    beta, rank = least_squares(x, y, factor)
     resid = y - x @ beta
     rv = float(resid @ resid) / x.shape[0]
     return FitResult(
@@ -406,26 +408,30 @@ def _stack(const: np.ndarray | None, parts) -> np.ndarray:
     return np.hstack(cols) if len(cols) > 1 else cols[0]
 
 
-def _fit_blocks(class_spec: ClassSpec, parts, y: np.ndarray, const: np.ndarray | None) -> FitResult:
-    """Class regression of `y` on the :func:`_design_block` triples `parts`, in design order.
+def _fit_blocks(class_spec: ClassSpec, parts, ys, const: np.ndarray | None) -> list[FitResult]:
+    """Class regressions of each of `ys` on the :func:`_design_block` triples `parts`, in design order.
 
     The one place that picks a class fit's solver: an l1 class with k >= 1
-    blocks takes ``total_budget(k)``, every other fit is a span fit.  `const`
-    is the intercept column of the class, or None.  With neither blocks nor
+    blocks takes ``total_budget(k)``, every other fit is a span fit, on one
+    design that :func:`factorize` factors once for all of `ys`.  `const` is
+    the intercept column of the class, or None.  With neither blocks nor
     intercept the residual is `y` itself, so the residual variance is
     ``mean(y*y)``.  A span fit is ``degenerate`` only when its rank is below
     the dimension of the class span: below the design's column count, or a
     block lost an all-zero column.  l1 fits are never flagged.
     """
-    n, k = y.shape[0], len(parts)
+    k = len(parts)
     if k == 0 and const is None:
-        return FitResult(np.zeros(0), float(np.mean(y * y)), SPAN, n_obs=n, rank=0)
+        return [FitResult(np.zeros(0), float(np.mean(y * y)), SPAN, n_obs=y.shape[0], rank=0) for y in ys]
     design = _stack(const, parts)
     if class_spec.kind == L1 and k:
-        return fit_l1(design, y, class_spec.total_budget(k), intercept=class_spec.intercept)
-    fit = fit_span(design, y)
-    fit.degenerate = fit.degenerate or not all(part[2] for part in parts)
-    return fit
+        budget = class_spec.total_budget(k)
+        return [fit_l1(design, y, budget, intercept=class_spec.intercept) for y in ys]
+    factor, lost = factorize(design), not all(part[2] for part in parts)
+    fits = [fit_span(design, y, factor) for y in ys]
+    for fit in fits:
+        fit.degenerate = fit.degenerate or lost
+    return fits
 
 
 class ConditionalFits:
@@ -451,7 +457,9 @@ class ConditionalFits:
     * the sigma table: ``(residual variance, floored, degenerate)`` keyed by
       (variable, predecessor bitmask), each variance floored at
       ``max(1e-12 * mean square, tiny)`` of its column so that logs stay
-      finite, its walk along an order (:meth:`along`) and its search (:meth:`best_order`).
+      finite, its walk along an order (:meth:`along`) and its search
+      (:meth:`best_order`).  The table fills by rows (:meth:`_row`): the
+      targets of one predictor set share its design and one factorization.
     """
 
     def __init__(self, data, class_spec: ClassSpec):
@@ -494,15 +502,32 @@ class ConditionalFits:
 
     def fit(self, v: int, mask: int) -> FitResult:
         """Fit column `v` on the columns whose bits are set in `mask` (not memoized)."""
+        return self._fits(mask, [v])[0]
+
+    def _fits(self, mask: int, targets) -> list[FitResult]:
+        """Fit each column of `targets` on the set `mask`, through one :func:`_fit_blocks` design.
+
+        :class:`UsageError` unless `mask` names columns only and every target
+        is a column outside it.
+        """
+        if not 0 <= mask < 1 << self.p:
+            raise UsageError(f"predictor mask {mask:#b} names a column beyond the {self.p} columns")
+        for v in targets:
+            if not 0 <= v < self.p:
+                raise UsageError(f"target column {v} out of range for {self.p} columns")
+            if mask >> v & 1:
+                raise UsageError(f"target column {v} cannot be conditioned on itself")
         cols = [k for k in range(self.p) if mask & (1 << k)]
         need = len(cols) * self.class_spec.dictionary.size + 1
         if need > self.n:
             raise CapacityError(f"conditioning on {len(cols)} columns needs {need} rows, have {self.n}")
         if self._blocks is None:
             self._compress()
-        fit = _fit_blocks(self.class_spec, [self._blocks[k] for k in cols], self._targets[:, v], self._const)
-        fit.n_obs = self.n
-        return fit
+        ys = [self._targets[:, v] for v in targets]
+        fits = _fit_blocks(self.class_spec, [self._blocks[k] for k in cols], ys, self._const)
+        for fit in fits:
+            fit.n_obs = self.n
+        return fits
 
     def _compress(self) -> None:
         """Reduce ``A = [1 | B_1 ... B_p | X]`` to the columns of ``C``.
@@ -539,14 +564,27 @@ class ConditionalFits:
         self._targets = c[:, c.shape[1] - p :]
 
     def sigma(self, v: int, mask: int) -> tuple[float, bool, bool]:
-        """Memoized ``(floored residual variance, floored, degenerate)`` of :meth:`fit`."""
-        hit = self._memo.get((v, mask))
-        if hit is None:
-            fit = self.fit(v, mask)
-            floored = fit.residual_variance < self._floor[v]
-            rv = self._floor[v] if floored else fit.residual_variance
-            hit = self._memo[(v, mask)] = (rv, floored, fit.degenerate)
-        return hit
+        """Memoized ``(floored residual variance, floored, degenerate)`` of :meth:`fit`.
+
+        :class:`UsageError` for a target that is not a column, a mask that
+        names a column beyond them, or a target inside its own mask.
+        """
+        return self._row(mask, [v])[0]
+
+    def _row(self, mask: int, targets) -> list[tuple[float, bool, bool]]:
+        """:meth:`sigma` of each column of `targets` on the set `mask`.
+
+        The targets not yet in the table are fitted together by :meth:`_fits`,
+        so the design of `mask` is built, checked and factored once.  A bad
+        request never enters the table, so it always reaches that check.
+        """
+        missing = [v for v in targets if (v, mask) not in self._memo]
+        if missing:
+            for v, fit in zip(missing, self._fits(mask, missing)):
+                floored = fit.residual_variance < self._floor[v]
+                rv = self._floor[v] if floored else fit.residual_variance
+                self._memo[(v, mask)] = (rv, floored, fit.degenerate)
+        return [self._memo[(v, mask)] for v in targets]
 
     def along(self, pi) -> tuple[np.ndarray, tuple[bool, ...], tuple[bool, ...]]:
         """:meth:`sigma` at each position of the order `pi`, on the variables placed before it.
@@ -582,10 +620,10 @@ class ConditionalFits:
     def _completion(self, mask: int, before, memo: dict) -> tuple[float, int]:
         """``(least sum log sigma, next v)`` over the allowed completions of the placed set `mask`."""
         if mask not in memo:
+            allowed = [v for v in range(self.p) if not (mask >> v & 1 or before[v] & ~mask)]
             memo[mask] = min(
-                (math.log(self.sigma(v, mask)[0]) + self._completion(mask | 1 << v, before, memo)[0], v)
-                for v in range(self.p)
-                if not (mask >> v & 1 or before[v] & ~mask)
+                (math.log(rv) + self._completion(mask | 1 << v, before, memo)[0], v)
+                for v, (rv, _, _) in zip(allowed, self._row(mask, allowed))
             )
         return memo[mask]
 

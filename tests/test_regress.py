@@ -8,7 +8,7 @@ import pytest
 
 import semorder
 from semorder import regress
-from semorder._linalg import RANK_REL_TOL, least_squares
+from semorder._linalg import RANK_REL_TOL, factorize, least_squares
 from semorder.dictionary import (
     CUBIC_B_SPLINE,
     PIECEWISE_CONSTANT,
@@ -127,21 +127,39 @@ def test_fit_span_matches_svd_reference():
     assert count == 6 * 28 + 2 * 9
 
 
-def _counting_lstsq(monkeypatch):
-    """Patch ``np.linalg.lstsq`` to count its calls; returns the one-entry counter."""
+def _counting(monkeypatch, module, name):
+    """Patch ``module.name`` to count its calls; returns the one-entry counter."""
     calls = [0]
-    lstsq = np.linalg.lstsq
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return lstsq(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _counting_lstsq(monkeypatch):
+    """Patch ``np.linalg.lstsq`` to count its calls; returns the one-entry counter."""
+    return _counting(monkeypatch, np.linalg, "lstsq")
 
 
 def test_least_squares_certifies_only_well_conditioned_designs(monkeypatch):
     calls = _counting_lstsq(monkeypatch)
+
+    def same_with_factor(x, y, beta, rank):
+        # a factor of the same x gives the same solve, bit for bit; the factor
+        # step itself never calls lstsq, a refused factor's solve calls it once
+        before = calls[0]
+        factor = factorize(x)
+        assert calls[0] == before
+        shared = least_squares(x, y, factor)
+        assert np.array_equal(shared[0], beta) and shared[1] == rank
+        assert calls[0] == before + (factor.inv is None)
+        calls[0] = before
+        return factor
+
     rng = np.random.default_rng(16)
     x = rng.standard_normal((80, 5))
     y = x @ rng.standard_normal(5) + 0.1 * rng.standard_normal(80)
@@ -149,12 +167,17 @@ def test_least_squares_certifies_only_well_conditioned_designs(monkeypatch):
     ref, _, ref_rank, _ = np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)
     assert calls[0] == 1 and rank == ref_rank == 5  # the reference's own call
     assert np.max(np.abs(beta - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert same_with_factor(x, y, beta, rank).inv is not None
     # full rank, but cond(x) is about 1e7 > 1e5: the certificate fails
     x[:, 4] = x[:, 3] + 1e-7 * rng.standard_normal(80)
-    assert least_squares(x, y)[1] == 5 and calls[0] == 2
+    beta, rank = least_squares(x, y)
+    assert rank == 5 and calls[0] == 2
+    assert same_with_factor(x, y, beta, rank).inv is None
     # rank-deficient: the Cholesky factorization itself fails or is refused
     x[:, 4] = x[:, 3]
-    assert least_squares(x, y)[1] == 4 and calls[0] == 3
+    beta, rank = least_squares(x, y)
+    assert rank == 4 and calls[0] == 3
+    assert same_with_factor(x, y, beta, rank).inv is None
 
 
 def test_least_squares_solvers_live_in_linalg():
@@ -368,6 +391,92 @@ def test_sigma_table_builds_without_lstsq(monkeypatch):
             if not mask >> v & 1:
                 fits.sigma(v, mask)
     assert len(fits._memo) == 5 * 2 ** 4
+
+
+def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
+    # The row fill factors each predictor set once and shares the factor;
+    # every entry must equal fit_span on the same engine design without a
+    # factor, bit for bit, flags included.  x5 repeats x4, so the
+    # piecewise-constant designs holding both are rank-deficient and take
+    # the gelsd path; its 10 cells on (-5, 5) leave the outer ones empty.
+    calls = _counting_lstsq(monkeypatch)
+    chain = SemSpec(
+        p=4, order=(0, 1, 2, 3),
+        edges={(j, j + 1): EdgeFunction("sine", (2.0, 1.5)) for j in range(3)},
+        noise_sd=(1.0, 0.3, 0.3, 0.3),
+    )
+    chained = sample(chain, 300, seed=5).values
+    values = np.column_stack([chained, chained[:, 3]])
+    assert not np.any(np.abs(values) >= 3.5)
+    classes = [
+        ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0))),
+        ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)), intercept=False),
+        ClassSpec(Dictionary(PIECEWISE_CONSTANT, 10, (-5.0, 5.0))),
+        ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-5.0, 5.0))),
+    ]
+    p = values.shape[1]
+    fallback = 0
+    for class_spec in classes:
+        fits = ConditionalFits(values, class_spec)
+        fits.best_order([0] * p)
+        assert len(fits._memo) == p * 2 ** (p - 1)
+        got, ref = [], []
+        for (v, mask), entry in sorted(fits._memo.items()):
+            parts = [fits._blocks[k] for k in range(p) if mask >> k & 1]
+            y = fits._targets[:, v]
+            if parts or class_spec.intercept:
+                before = calls[0]
+                fit = fit_span(regress._stack(fits._const, parts), y)
+                fallback += calls[0] > before
+                rv, degenerate = fit.residual_variance, fit.degenerate or not all(part[2] for part in parts)
+            else:
+                rv, degenerate = float(np.mean(y * y)), False
+            floor = fits._floor[v]
+            got.append(entry)
+            ref.append((max(rv, floor), rv < floor, degenerate))
+        got, ref = np.array(got), np.array(ref)
+        for col in range(3):
+            assert np.array_equal(got[:, col], ref[:, col])
+        if class_spec.dictionary.family == PIECEWISE_CONSTANT:
+            assert got[:, 2].any()
+    assert fallback > 0
+
+
+def test_sigma_table_factors_each_predictor_set_once(monkeypatch):
+    factors = _counting(monkeypatch, regress, "factorize")
+    solves = _counting(monkeypatch, regress, "fit_span")
+    p = 5
+    values = np.random.default_rng(23).standard_normal((200, p))
+    cs = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0)))
+    # exact search: one factorization per predictor set short of all p,
+    # one solve per (variable, set) entry
+    ConditionalFits(values, cs).best_order([0] * p)
+    assert (factors[0], solves[0]) == (2**p - 1, p * 2 ** (p - 1))
+    # greedy: one factorization per step, one solve per unplaced variable
+    factors[0] = solves[0] = 0
+    fits = ConditionalFits(values, cs)
+    semorder.order._greedy_from_cache(fits)
+    assert (factors[0], solves[0]) == (p, p * (p + 1) // 2)
+    # a chain has one allowed order: one factorization and one solve per position
+    factors[0] = solves[0] = 0
+    fits = ConditionalFits(values, cs)
+    assert fits.best_order([0] + [1 << (v - 1) for v in range(1, p)]) == tuple(range(p))
+    assert (factors[0], solves[0], len(fits._memo)) == (p, p, p)
+
+
+def test_sigma_rejects_a_bad_target_or_mask():
+    values = np.random.default_rng(24).standard_normal((50, 3))
+    fits = ConditionalFits(values, ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-4.0, 4.0))))
+    with pytest.raises(UsageError, match="conditioned on itself"):
+        fits.sigma(0, 0b1)
+    with pytest.raises(UsageError, match="out of range"):
+        fits.sigma(5, 0)
+    with pytest.raises(UsageError, match="beyond the 3 columns"):
+        fits.sigma(0, 1 << 7)
+    with pytest.raises(UsageError, match="beyond the 3 columns"):
+        fits.sigma(0, -1)
+    assert not fits._memo
+    fits.sigma(0, 0b110)
 
 
 def test_fit_span_empty_rejected():

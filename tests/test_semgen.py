@@ -220,9 +220,9 @@ def test_identifiability_gap_without_table_enumerates_nothing(monkeypatch):
     calls = []
     real = regress.fit_span
 
-    def counting(x, y):
+    def counting(x, y, factor=None):
         calls.append(1)
-        return real(x, y)
+        return real(x, y, factor)
 
     monkeypatch.setattr(semgen, "permutations", forbidden)
     monkeypatch.setattr(regress, "fit_span", counting)
