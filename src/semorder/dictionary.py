@@ -121,60 +121,108 @@ class Dictionary:
 def basis_matrix(d: Dictionary, x) -> np.ndarray:
     """Evaluate all basis functions at points `x`.
 
-    Returns an array of shape ``(len(x), d.size)``; inputs are clamped to the
-    domain first.
+    A scalar or 1-d `x` of ``n`` points gives an array of shape
+    ``(n, d.size)``.  A 2-d `x` of shape ``(n, p)`` gives ``(n, p * d.size)``:
+    column k's block sits in columns ``k * d.size .. (k + 1) * d.size - 1`` and
+    equals ``basis_matrix(d, x[:, k])`` bit for bit.  Inputs are clamped to
+    the domain first, so +-inf map to its ends; :class:`UsageError` for NaN
+    or for more than 2 dimensions.
     """
-    x = np.atleast_1d(d.clamp(x))
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim > 2:
+        raise UsageError(f"basis points must be a scalar, 1-d or 2-d array, got shape {x.shape}")
+    if np.isnan(x).any():
+        raise UsageError("basis points must not be NaN")
+    x = d.clamp(x if x.ndim == 2 else x.reshape(-1, 1))
     a, b = d.domain
-    n_pts, size = x.shape[0], d.size
+    (n_pts, p), size = x.shape, d.size
     if d.family == PIECEWISE_CONSTANT:
         h = (b - a) / size
         idx = np.clip(np.floor((x - a) / h).astype(np.int64), 0, size - 1)
-        out = np.zeros((n_pts, size))
-        out[np.arange(n_pts), idx] = 1.0
+        out = np.zeros((n_pts, p * size))
+        out.reshape(-1)[np.arange(0, n_pts * p * size, size) + idx.reshape(-1)] = 1.0
         return out
     if d.family == CUBIC_B_SPLINE:
         return _cubic_bspline(x, d.knots())
     # trigonometric
     t = (x - a) / (b - a)
     r = np.arange(1, size + 1)
-    return np.cos(np.pi * np.outer(t, r))
+    return np.cos(np.pi * (t[:, :, None] * r)).reshape(n_pts, p * size)
 
 
 def _cubic_bspline(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """All ``len(t) - 4`` cubic B-splines on knots `t` at points `x` in ``[t[3], t[-4]]``.
+    """All ``m = len(t) - 4`` cubic B-splines on knots `t` at the points of a 2-d `x` in ``[t[3], t[-4]]``.
 
-    De Boor's recursion, vectorized over points, in FITPACK's operation order
-    (``fpbspl``), so the values match the reference implementation bit for
-    bit.  Each point has 4 nonzero values, in columns ``ell - 3 .. ell`` of
-    its knot interval ``ell``; the right end belongs to the last interval.
-    Clamped knots with distinct breakpoints keep every divisor positive.
+    Returns shape ``(n, p * m)``, one block of `m` columns per column of `x`.
+    De Boor's recursion with the operations of FITPACK's ``fpbspl`` on the
+    same operands, so the values match the reference implementation bit for
+    bit.  At level j, for i = 1..j, ``w = h[i] / (t[ell + i] - t[ell + i - j])``;
+    ``w * (t[ell + i] - x)`` is added to the new value i and
+    ``w * (x - t[ell + i - j])`` starts the new value i + 1.  The three levels
+    are unrolled: each knot gap ``t[ell + i] - x`` and ``x - t[ell + o]`` is
+    formed once per point, and the six divisors come from a per-interval
+    table (level 1 divides 1 by its divisor, so the table holds that
+    reciprocal).  A point's knot interval ``ell`` is 3 plus the number of
+    interior breakpoints at or below it, so the right end belongs to the last
+    interval; its 4 nonzero values go to columns ``ell - 3 .. ell`` of its
+    block.  Clamped knots with distinct breakpoints keep every divisor
+    positive.
     """
+    n, p = x.shape
     m = t.size - 4
-    ell = np.clip(np.searchsorted(t, x, side="right") - 1, 3, m - 1)
-    h = [np.ones_like(x)]
-    for j in range(1, 4):
-        hh, h = h, [np.zeros_like(x)]
-        for i in range(1, j + 1):
-            xb, xa = t[ell + i], t[ell + i - j]
-            w = hh[i - 1] / (xb - xa)
-            h[i - 1] = h[i - 1] + w * (xb - x)
-            h.append(w * (x - xa))
-    out = np.zeros((x.shape[0], m))
-    np.put_along_axis(out, ell[:, None] + np.arange(-3, 1), np.stack(h, axis=1), axis=1)
+    first = np.zeros(x.shape, dtype=np.intp)  # ell - 3
+    for knot in t[4:m]:
+        first += x >= knot
+    ell = np.arange(3, m)
+    knots = t[ell + np.array([[1], [2], [3], [0], [-1], [-2]])]
+    # t[ell + i] - t[ell + i - j] for (j, i) = (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)
+    div = knots[[0, 0, 1, 0, 1, 2]] - knots[[3, 4, 3, 5, 4, 3]]
+    div[0] = 1.0 / div[0]
+    # every gathered array is a fresh copy, so the recursion reuses them in place
+    r1, r2, r3, l0, l1, l2, w, d21, d22, d31, d32, d33 = (np.take(row, first) for row in np.vstack([knots, div]))
+    for r in (r1, r2, r3):  # t[ell + 1] - x, t[ell + 2] - x, t[ell + 3] - x
+        np.subtract(r, x, out=r)
+    for left in (l0, l1, l2):  # x - t[ell], x - t[ell - 1], x - t[ell - 2]
+        np.subtract(x, left, out=left)
+    # level 1
+    a1 = w * l0
+    a0 = np.multiply(w, r1, out=w)
+    # level 2
+    w = np.divide(a0, d21, out=d21)
+    b0 = np.multiply(w, r1, out=a0)
+    b1 = np.multiply(w, l1, out=w)
+    w = np.divide(a1, d22, out=d22)
+    b1 += np.multiply(w, r2, out=a1)
+    b2 = np.multiply(w, l0, out=w)
+    # level 3; a1 is free scratch from here
+    w = np.divide(b0, d31, out=d31)
+    c0 = np.multiply(w, r1, out=b0)
+    c1 = np.multiply(w, l2, out=w)
+    w = np.divide(b1, d32, out=d32)
+    c1 += np.multiply(w, r2, out=a1)
+    c2 = np.multiply(w, l1, out=w)
+    w = np.divide(b2, d33, out=d33)
+    c2 += np.multiply(w, r3, out=a1)
+    c3 = np.multiply(w, l0, out=w)
+    out = np.zeros((n, p * m))
+    flat = out.reshape(-1)
+    at = np.arange(0, n * p * m, m) + first.reshape(-1)
+    for c in (c0, c1, c2, c3):
+        flat[at] = c.reshape(-1)
+        at += 1
     return out
 
 
 def eval_basis(d: Dictionary, r: int, x):
     """Evaluate the r-th basis function (1-based index) at `x`.
 
-    Returns a scalar for scalar `x`, else an array matching `x`.
+    Returns a float for scalar `x`, else an array of `x`'s shape.
     """
     if int(r) != r or not (1 <= r <= d.size):
         raise UsageError(f"basis index must be in 1..{d.size}, got {r!r}")
-    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
-    vals = basis_matrix(d, x)[:, int(r) - 1]
-    return float(vals[0]) if scalar else vals
+    x = np.asarray(x, dtype=np.float64)
+    vals = basis_matrix(d, x.reshape(-1))[:, int(r) - 1].reshape(x.shape)
+    return float(vals) if x.ndim == 0 else vals
 
 
 def design_matrix(d: Dictionary, columns, intercept: bool = True, n_rows: int | None = None) -> np.ndarray:
@@ -210,7 +258,9 @@ def design_matrix(d: Dictionary, columns, intercept: bool = True, n_rows: int | 
         raise UsageError("empty column list needs n_rows (or an intercept alone has no height)")
     if not columns and not intercept:
         raise UsageError("design with no columns and no intercept is empty")
-    parts = ([np.ones((n, 1))] if intercept else []) + [basis_matrix(d, c) for c in columns]
+    parts = [np.ones((n, 1))] if intercept else []
+    if columns:
+        parts.append(basis_matrix(d, np.column_stack(columns)))
     return np.hstack(parts) if len(parts) > 1 else parts[0]
 
 

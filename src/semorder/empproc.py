@@ -672,7 +672,7 @@ def rate_experiment(
                 rng = derived_rng(seed, ci, rep)
                 x = rng.uniform(a, b, (n, p))
                 if additive:
-                    feats = np.hstack([basis_matrix(dct, x[:, k]) for k in range(p)])
+                    feats = basis_matrix(dct, x)
                 else:
                     feats = x
                 sigma_hat = sigma if self_test else feats.T @ feats / n

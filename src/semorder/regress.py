@@ -107,10 +107,14 @@ class ClassSpec:
         return np.ones((n, 1)) if self.intercept else None
 
     def _parts(self, columns, n: int) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-        blocks = [basis_matrix(self.dictionary, np.ravel(c)) for c in columns]
-        if any(b.shape[0] != n for b in blocks):
+        columns = [np.ravel(c) for c in columns]
+        if any(c.shape[0] != n for c in columns):
             raise UsageError(f"input columns must all have {n} rows")
-        return [_design_block(self, b) for b in blocks]
+        if not columns:
+            return []
+        basis = basis_matrix(self.dictionary, np.column_stack(columns))
+        # own copies of the column views, so each block keeps a 1-d call's memory layout
+        return [_design_block(self, np.ascontiguousarray(b)) for b in np.hsplit(basis, len(columns))]
 
     def to_config(self) -> dict:
         cfg = {"dictionary": self.dictionary.to_config(), "kind": self.kind, "intercept": self.intercept}
@@ -545,10 +549,9 @@ class ConditionalFits:
         def chunks():
             for start in range(0, n, CHUNK_ROWS):
                 rows = self.values[start : start + CHUNK_ROWS]
-                blocks = [basis_matrix(cs.dictionary, rows[:, k]) for k in range(p)]
-                for k, block in enumerate(blocks):
-                    reached[k] |= block.any(axis=0)
-                yield np.hstack([np.ones((rows.shape[0], icpt))] + blocks + [rows])
+                basis = basis_matrix(cs.dictionary, rows)
+                reached[:] |= basis.any(axis=0).reshape(p, size)
+                yield np.hstack([np.ones((rows.shape[0], icpt)), basis, rows])
 
         r = row_compress(chunks())
         keep, spans = [np.arange(icpt)], []

@@ -188,6 +188,48 @@ def trapezoid_j_value(p, n, k_x, budget, points=200_001):
     return float(_trapezoid(np.sqrt(ent), u) * budget * k_x + budget * k_x)
 
 
+def fpbspl(t, k, x, ell):
+    """The k + 1 B-splines of degree k on knots `t` that are nonzero at `x`, where ``t[ell] <= x <= t[ell + 1]``.
+
+    A scalar transcription of FITPACK's ``fpbspl`` (Dierckx, *Curve and
+    Surface Fitting with Splines*, 1993), 0-based: de Boor's recursion on
+    Python floats, in the Fortran routine's loop and operation order.
+    """
+    t = [float(v) for v in t]
+    h, hh = [1.0] + [0.0] * k, [0.0] * k
+    for j in range(1, k + 1):
+        for i in range(j):
+            hh[i] = h[i]
+        h[0] = 0.0
+        for i in range(1, j + 1):
+            li = ell + i
+            lj = li - j
+            if t[li] == t[lj]:
+                h[i] = 0.0
+                continue
+            f = hh[i - 1] / (t[li] - t[lj])
+            h[i - 1] = h[i - 1] + f * (t[li] - x)
+            h[i] = f * (x - t[lj])
+    return h
+
+
+def cubic_spline_basis(t, x):
+    """Every cubic B-spline on the clamped knots `t` at each point of the 1-d `x` in ``[t[3], t[-4]]``, by :func:`fpbspl`.
+
+    A point's interval is the last ``ell`` in ``3 .. len(t) - 5`` with
+    ``t[ell] <= x``, so the right end belongs to the last interval.
+    """
+    m = len(t) - 4
+    out = np.zeros((len(x), m))
+    for row, xv in zip(out, x):
+        xv = float(xv)
+        ell = 3
+        while ell < m - 1 and t[ell + 1] <= xv:
+            ell += 1
+        row[ell - 3 : ell + 1] = fpbspl(t, 3, xv, ell)
+    return out
+
+
 def numeric_moment_grid(d, cells_per_interval=30_000):
     """Midpoint-rule grid aligned with the basis partition (exact for indicators)."""
     a, b = d.domain

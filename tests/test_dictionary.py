@@ -59,6 +59,66 @@ def test_spline_basis_equals_scipy_bit_for_bit(size, domain):
     assert np.array_equal(ours, ref)
 
 
+def _probe_points(d, n_random, seed):
+    """Random points of the domain, each breakpoint of the family and one ulp either side, and points that clamp."""
+    a, b = d.domain
+    breaks = d.knots() if d.family == CUBIC_B_SPLINE else np.linspace(a, b, d.size + 1)
+    return np.concatenate([
+        np.random.default_rng(seed).uniform(a, b, n_random),
+        breaks,
+        np.nextafter(breaks, -np.inf),
+        np.nextafter(breaks, np.inf),
+        [a - 1.0, b + 1.0, -np.inf, np.inf],
+    ])
+
+
+@pytest.mark.parametrize("domain", [(-5.0, 5.0), (0.0, 1.0), (-1.0, 3.7), (1e-3, 2e-3)])
+@pytest.mark.parametrize("size", [4, 5, 6, 9, 17])
+def test_spline_basis_equals_fpbspl_transcription_bit_for_bit(size, domain):
+    d = Dictionary(CUBIC_B_SPLINE, size, domain)
+    x = d.clamp(_probe_points(d, 300, size))
+    ref = oracles.cubic_spline_basis(d.knots(), x)
+    assert np.array_equal(basis_matrix(d, x), ref)
+    assert np.array_equal(basis_matrix(d, np.stack([x, x[::-1]], axis=1)), np.hstack([ref, ref[::-1]]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("size", [4, 7])
+def test_2d_basis_matrix_equals_per_column_hstack(family, size):
+    d = Dictionary(family, size, (-1.0, 3.7))
+    x = _probe_points(d, 200, size)
+    cols = np.stack([x, np.random.default_rng(size).permutation(x), x[::-1]], axis=1)
+    two = basis_matrix(d, cols)
+    assert two.shape == (x.size, 3 * size)
+    assert np.array_equal(two, np.hstack([basis_matrix(d, cols[:, k]) for k in range(3)]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_basis_shapes_of_2d_and_nd_points(family):
+    d = Dictionary(family, 5, (0.0, 1.0))
+    x = np.linspace(0.0, 1.0, 10).reshape(5, 2)
+    assert basis_matrix(d, x).shape == (5, 10)
+    assert basis_matrix(d, x[:0]).shape == (0, 10)
+    assert eval_basis(d, 2, x).shape == (5, 2)
+    grid = np.linspace(0.0, 1.0, 24).reshape(2, 3, 4)
+    vals = eval_basis(d, 2, grid)
+    assert vals.shape == grid.shape
+    assert np.array_equal(vals.ravel(), basis_matrix(d, grid.ravel())[:, 1])
+    with pytest.raises(UsageError):
+        basis_matrix(d, grid)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_nan_points_rejected_and_infinities_clamped(family):
+    d = Dictionary(family, 5, (-1.0, 2.0))
+    for x in (np.nan, [0.5, np.nan], [[0.5, 0.1], [np.nan, 0.2]]):
+        with pytest.raises(UsageError):
+            basis_matrix(d, x)
+    with pytest.raises(UsageError):
+        eval_basis(d, 1, np.nan)
+    assert np.array_equal(basis_matrix(d, [-np.inf, np.inf]), basis_matrix(d, [-1.0, 2.0]))
+
+
 def test_spline_partition_of_unity_on_grid():
     d = Dictionary(CUBIC_B_SPLINE, 8, (-2.0, 3.0))
     x = np.linspace(-2.0, 3.0, 1001)

@@ -180,8 +180,8 @@ def test_identifiability_gap_builds_each_basis_block_once(monkeypatch):
     edges = {(j, j + 1): EdgeFunction.sine(2.0, 1.5) for j in range(3)}
     spec = SemSpec(p=4, order=(0, 1, 2, 3), edges=edges, noise_sd=(1.0, 0.3, 0.3, 0.3))
     identifiability_gap(spec, spline_class(6, (-5.0, 5.0)), oracle_n=2_000, seed=6, return_table=True)
-    # one block per column of the oracle sample, shared by all 24 permutations
-    assert calls == [2_000] * spec.p
+    # one 2-d call for every column of the oracle sample, shared by all 24 permutations
+    assert calls == [spec.p * 2_000]
 
 
 def test_identifiability_gap_is_the_least_wrong_score_of_the_table():
