@@ -24,7 +24,7 @@ def main() -> None:
     rng = derived_rng(3)
     x = rng.uniform(-1.0, 1.0, (n, p))
     sigma = np.eye(p) / 3.0
-    mp = MomentPair(x.T @ x / n, sigma, n=n, p=p, k_x=1.0)
+    mp = MomentPair(x.T @ x / n, sigma)
     z_ell = z_sup_ellipsoid(mp)
     z_l1 = z_sup_l1(mp, budget=1.0)
     print(f"design: n={n}, p={p}, uniform on (-1, 1)")

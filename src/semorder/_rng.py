@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import UsageError
+
 __all__ = ["derived_rng", "as_entropy"]
 
 
 def as_entropy(seed) -> tuple[int, ...]:
-    """Normalize a seed (int or tuple of ints) to an entropy tuple."""
-    if isinstance(seed, (tuple, list)):
-        out = tuple(int(s) for s in seed)
-        if not out:
-            raise ValueError("seed tuple must be non-empty")
-        return out
-    return (int(seed),)
+    """Normalize a seed (int or tuple of ints) to an entropy tuple; UsageError if empty or negative."""
+    out = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    if not out or min(out) < 0:
+        raise UsageError(f"seed must be one or more non-negative integers, got {seed!r}")
+    return out
 
 
 def derived_rng(seed, *path: int) -> np.random.Generator:

@@ -2,8 +2,9 @@
 
 Each subcommand reads a JSON config, runs one experiment, and writes its
 outputs plus a manifest into the output directory.  Outputs are deterministic
-functions of (config, seed); nothing in them depends on wall clock or thread
-count, so a rerun reproduces every file byte for byte.
+functions of (config, seed).  The manifest also records ``--threads``, the
+machine's CPU count unless given, on which nothing else depends, so a rerun
+on one machine reproduces every file byte for byte.
 
 Exit codes: 0 success, 2 configuration or usage error or a size too large to
 allocate, 3 numerical degeneracy or a failed linear-algebra routine.
@@ -86,7 +87,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
@@ -133,10 +134,7 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
 def cmd_order(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     class_spec = ClassSpec.from_config(_need(cfg, "class"))
     if "data" in cfg:
-        path = str(cfg["data"])
-        if not os.path.exists(path):
-            raise UsageError(f"data file {path} does not exist")
-        data = DataMatrix.from_csv(path)
+        data = DataMatrix.from_csv(str(cfg["data"]))
     elif "sem" in cfg:
         spec = SemSpec.from_json(cfg["sem"])
         data = sample(spec, _positive_int(cfg, "n"), seed)
@@ -220,9 +218,7 @@ def cmd_gap(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
         raise UsageError("replicates must be at least 1")
     gaps, floored, table = [], [], None
     for r in range(replicates):
-        rep = identifiability_gap(
-            spec, class_spec, oracle_n=oracle_n, seed=(seed, r), return_table=r == 0, return_report=True
-        )
+        rep = identifiability_gap(spec, class_spec, oracle_n=oracle_n, seed=(seed, r), return_table=r == 0)
         if r == 0:  # only the first replicate's table is written; the others report the gap alone
             table = rep.to_json()["table"]
         gaps.append(rep.gap)
@@ -263,7 +259,7 @@ def cmd_empnorm(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     y = x @ w + noise_sd * rng.standard_normal(n)
     sigma = np.eye(p) / 3.0
     sigma_hat = sigma if self_test else x.T @ x / n
-    mp = MomentPair(sigma_hat, sigma, n=n, p=p, k_x=1.0)
+    mp = MomentPair(sigma_hat, sigma)
     z_ell = z_sup_ellipsoid(mp)
     z_l1 = z_sup_l1(mp, budget)
     d_f = (p + 1) // 2
@@ -353,7 +349,10 @@ def main(argv=None) -> int:
             raise UsageError(f"--threads must be positive, got {args.threads}")
         cfg = _load_config(args.config)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory {out}: {exc}") from exc
         outputs = _COMMANDS[args.command](cfg, args.seed, out, self_test)
         manifest = {
             "command": args.command,

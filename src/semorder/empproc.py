@@ -71,16 +71,13 @@ __all__ = [
 class MomentPair:
     """Empirical and population second-moment matrices of one feature map.
 
-    Optional metadata records the sample size, coordinate count, per-block
-    basis size, and the uniform envelope bound of the features.
+    Both must be finite, square, symmetric and of one shape, and Sigma must
+    be positive semidefinite; both are stored symmetrized.  :attr:`dim` is
+    their order.
     """
 
     sigma_hat: np.ndarray
     sigma: np.ndarray
-    n: int | None = None
-    p: int | None = None
-    n_basis: int | None = None
-    k_x: float | None = None
 
     def __post_init__(self):
         sh = check_symmetric(self.sigma_hat, "sigma_hat")
@@ -471,10 +468,11 @@ def check_incoherence(blocks) -> float:
     return float(gen_eigh(a, _whiten(b, "block sum"))[0][-1])
 
 
-def check_eigenvalue_cond(diag_blocks, n_basis: int | None = None) -> float:
+def check_eigenvalue_cond(diag_blocks) -> float:
     """Smallest valid per-block eigenvalue constant ``c0 = max_k 1/(N lam_min_k)``.
 
-    Returns the +inf sentinel when any block is singular.
+    N is the common size of the blocks.  Returns the +inf sentinel when any
+    block is singular.
     """
     blocks = [check_symmetric(np.asarray(b, dtype=np.float64), f"block {k}") for k, b in enumerate(diag_blocks)]
     if not blocks:
@@ -483,16 +481,12 @@ def check_eigenvalue_cond(diag_blocks, n_basis: int | None = None) -> float:
     for k, b in enumerate(blocks):
         if b.shape[0] != nb:
             raise UsageError(f"block {k} has size {b.shape[0]}, expected {nb}")
-    if n_basis is None:
-        n_basis = nb
-    elif n_basis != nb:
-        raise UsageError(f"stated N={n_basis} does not match block size {nb}")
     worst = 0.0
     for b in blocks:
         lam = float(np.linalg.eigvalsh(b)[0])
         if lam <= 0.0:
             return float("inf")
-        worst = max(worst, 1.0 / (n_basis * lam))
+        worst = max(worst, 1.0 / (nb * lam))
     return worst
 
 
@@ -676,7 +670,7 @@ def rate_experiment(
                 else:
                     feats = x
                 sigma_hat = sigma if self_test else feats.T @ feats / n
-                mp = MomentPair(sigma_hat, sigma, n=n, p=p, n_basis=cell.get("N"), k_x=1.0)
+                mp = MomentPair(sigma_hat, sigma)
                 if budgeted:
                     vals[rep] = z_sup_l1(mp, cell["M"])
                 else:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number check that raises them."""
+"""Exception types shared across the package, and the number checks that raise them."""
 
 import math
 import numbers
@@ -36,3 +36,11 @@ def as_number(raw, name: str, kind=float):
     if kind is int and not -(2**63) <= v < 2**63:
         raise UsageError(f"{name} must fit in a 64-bit integer, got {raw!r}")
     return v
+
+
+def as_sizes(raw, name: str) -> list[int]:
+    """`raw` as a nonempty list of positive ints, each entry read by :func:`as_number`."""
+    sizes = [as_number(v, f"{name} entry", int) for v in raw] if isinstance(raw, (list, tuple)) else []
+    if not sizes or min(sizes) < 1:
+        raise UsageError(f"{name} must be a nonempty list of positive integers, got {raw!r}")
+    return sizes

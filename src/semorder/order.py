@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, as_sizes
 from .regress import EXACT_GUARD, ClassSpec, ConditionalFits
 from .semgen import SemSpec, _parent_masks, _validate_perm, in_pi0, sample
 
@@ -194,9 +194,7 @@ def consistency_experiment(
         raise UsageError(f"method must be 'exact' or 'greedy', got {method!r}")
     if reps < 1:
         raise UsageError("reps must be at least 1")
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or any(n < 1 for n in n_grid):
-        raise UsageError(f"n_grid must contain positive integers, got {n_grid!r}")
+    n_grid = as_sizes(n_grid, "n_grid")
     parents = _parent_masks(spec)
     report = ConsistencyReport(method=method, seed=int(seed), reps=int(reps))
     for n in n_grid:

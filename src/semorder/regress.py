@@ -32,7 +32,7 @@ from . import empproc
 from ._linalg import Factor, factorize, least_squares, pinv_solve_psd, row_compress, whitener
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix
-from .errors import CapacityError, DegeneracyError, UsageError, as_number
+from .errors import CapacityError, DegeneracyError, UsageError, as_number, as_sizes
 
 SPAN = "span"
 L1 = "l1"
@@ -141,16 +141,17 @@ class ClassSpec:
 
 @dataclass
 class FitResult:
-    """Outcome of one least-squares fit."""
+    """Outcome of one least-squares fit on ``n_obs`` observations.
+
+    Span fits set ``rank`` and ``degenerate`` (a rank below the class span's
+    dimension); l1 fits set ``converged`` and ``kkt_residual``.
+    """
 
     coefficients: np.ndarray
     residual_variance: float
-    kind: str
     degenerate: bool = False
     converged: bool = True
     kkt_residual: float | None = None
-    budget: float | None = None
-    intercept: bool = False
     n_obs: int = 0
     rank: int | None = None
 
@@ -187,7 +188,6 @@ def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitR
     return FitResult(
         coefficients=beta,
         residual_variance=rv,
-        kind=SPAN,
         degenerate=rank < x.shape[1],
         n_obs=x.shape[0],
         rank=rank,
@@ -263,7 +263,7 @@ def fit_l1(
         raise UsageError(f"budget must be nonnegative, got {budget!r}")
     n, d = x.shape
     if d == 0:
-        return FitResult(np.zeros(0), float(y @ y) / n, L1, kkt_residual=0.0, budget=budget, n_obs=n)
+        return FitResult(np.zeros(0), float(y @ y) / n, kkt_residual=0.0, n_obs=n)
 
     a = x.T @ x / n
     b = x.T @ y / n
@@ -277,11 +277,8 @@ def fit_l1(
     return FitResult(
         coefficients=beta,
         residual_variance=float(resid @ resid) / n,
-        kind=L1,
         converged=bool(converged),
         kkt_residual=float(residual),
-        budget=float(budget),
-        intercept=intercept,
         n_obs=n,
     )
 
@@ -426,7 +423,7 @@ def _fit_blocks(class_spec: ClassSpec, parts, ys, const: np.ndarray | None) -> l
     """
     k = len(parts)
     if k == 0 and const is None:
-        return [FitResult(np.zeros(0), float(np.mean(y * y)), SPAN, n_obs=y.shape[0], rank=0) for y in ys]
+        return [FitResult(np.zeros(0), float(np.mean(y * y)), n_obs=y.shape[0], rank=0) for y in ys]
     design = _stack(const, parts)
     if class_spec.kind == L1 and k:
         budget = class_spec.total_budget(k)
@@ -739,9 +736,7 @@ def misspec_experiment(
     0.9 quantile plus the ratio of the mean distance to the plug-in rate from
     :func:`semorder.empproc.delta_n`.
     """
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or any(n < 1 for n in n_grid):
-        raise UsageError(f"n_grid must contain positive integers, got {n_grid!r}")
+    n_grid = as_sizes(n_grid, "n_grid")
     if reps < 1:
         raise UsageError("reps must be at least 1")
     a, b = class_spec.dictionary.domain

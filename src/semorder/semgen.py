@@ -13,6 +13,7 @@ the oracle sample, with the estimator's variance floor.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -108,7 +109,7 @@ class EdgeFunction:
             return np.tanh(self.params[0] * x)
         if self.kind == "linear":
             return self.params[0] * x
-        return basis_matrix(self.dictionary, x) @ np.asarray(self.coefficients)
+        return (basis_matrix(self.dictionary, x.reshape(-1)) @ np.asarray(self.coefficients)).reshape(x.shape)
 
     def to_config(self) -> dict:
         if self.kind == "dictionary-combination":
@@ -219,10 +220,9 @@ class SemSpec:
 
 @dataclass
 class DataMatrix:
-    """An n x p matrix of observations with optional generation metadata."""
+    """An n x p matrix of finite observations, one column per variable."""
 
     values: np.ndarray
-    seed: int | tuple | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -252,27 +252,30 @@ class DataMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "DataMatrix":
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        """Read a UTF-8 CSV with header x1..xp; :class:`UsageError` naming `path` on any fault."""
+        try:
+            with open(path, "r", newline="", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read data file {path}: {exc}") from exc
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise UsageError(f"{path}: empty file") from None
+        expected = [f"x{j + 1}" for j in range(len(header))]
+        if header != expected:
+            raise UsageError(f"{path}: header must be x1..x{len(header)}, got {header!r}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise UsageError(f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}")
             try:
-                header = next(reader)
-            except StopIteration:
-                raise UsageError(f"{path}: empty file") from None
-            expected = [f"x{j + 1}" for j in range(len(header))]
-            if header != expected:
-                raise UsageError(f"{path}: header must be x1..x{len(header)}, got {header!r}")
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise UsageError(
-                        f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}"
-                    )
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise UsageError(f"{path}: non-numeric cell ({exc})") from exc
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise UsageError(f"{path}: non-numeric cell ({exc})") from exc
         if not rows:
             raise UsageError(f"{path}: no data rows")
         try:
@@ -307,7 +310,7 @@ def sample(spec: SemSpec, n: int, seed) -> DataMatrix:
         for k, fn in sorted(by_target.get(j, []), key=lambda t: t[0]):
             col = col + fn(x[:, k])
         x[:, j] = col
-    return DataMatrix(values=x, seed=seed)
+    return DataMatrix(values=x)
 
 
 def _validate_perm(pi, p: int) -> tuple[int, ...]:
@@ -382,11 +385,11 @@ def population_sigma(
 
 @dataclass
 class GapReport:
-    """Identifiability gap with the per-permutation score table behind it.
+    """Identifiability gap, with the per-permutation score table when one was asked for.
 
     ``floored`` tells whether the gap rests on a floored sigma term: one of
-    its wrong permutation or one of the generating order.  Each row carries
-    the same flag for its own permutation.
+    its wrong permutation or one of the generating order.  ``rows`` is empty
+    without the table; each row carries the same flag for its own permutation.
     """
 
     gap: float
@@ -417,8 +420,7 @@ def identifiability_gap(
     oracle_n: int = 200_000,
     seed: int = 0,
     return_table: bool = False,
-    return_report: bool = False,
-):
+) -> GapReport:
     """Smallest mean log residual-sd ratio separating wrong orders from true ones.
 
     For each permutation pi the score is ``(1/p) sum_j log(sigma_j(pi) /
@@ -431,11 +433,11 @@ def identifiability_gap(
     once per edge.  The shared oracle sample leaves Monte-Carlo error of
     order oracle_n^-1/2.
 
-    With ``return_table=True`` returns a :class:`GapReport` carrying scores
-    for all p! permutations (topological ones included, for near-tie
-    inspection), limited to p <= 8; with ``return_report=True`` alone, a
-    :class:`GapReport` without rows, whose use is its ``floored`` flag.  The
-    gap alone runs up to the exact search's guard,
+    Returns a :class:`GapReport`: the gap, the generating order and whether
+    the gap rests on a floored sigma term.  Its ``rows`` are empty unless
+    ``return_table=True``, which scores all p! permutations (topological
+    ones included, for near-tie inspection) and is limited to p <= 8.
+    Without the table the gap runs up to the exact search's guard,
     :data:`semorder.regress.EXACT_GUARD`.
     """
     if return_table and spec.p > 8:
@@ -456,8 +458,6 @@ def identifiability_gap(
 
     reversed_edge = ([1 << j if v == k else 0 for v in range(spec.p)] for k, j in spec.edges)
     gap, floored = min((score(fits.best_order(before)) for before in reversed_edge), default=(math.inf, False))
-    if not (return_table or return_report):
-        return gap
     rows = []
     if return_table:
         parents = _parent_masks(spec)

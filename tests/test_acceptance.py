@@ -159,7 +159,7 @@ def test_06_identifiability_gap_separates_model_families():
     )
     cs_wide = spline_class(6, (-12.0, 12.0))
     gaps = [
-        identifiability_gap(linear, cs_wide, oracle_n=200_000, seed=(77, r))
+        identifiability_gap(linear, cs_wide, oracle_n=200_000, seed=(77, r)).gap
         for r in range(8)
     ]
     lin_mean = float(np.mean(gaps))
@@ -171,7 +171,7 @@ def test_06_identifiability_gap_separates_model_families():
         noise_sd=(1.0, 0.3),
     )
     sine_gaps = [
-        identifiability_gap(sine, spline_class(6, (-5.0, 5.0)), oracle_n=200_000, seed=(78, r))
+        identifiability_gap(sine, spline_class(6, (-5.0, 5.0)), oracle_n=200_000, seed=(78, r)).gap
         for r in range(4)
     ]
     sine_mean = float(np.mean(sine_gaps))
@@ -189,7 +189,7 @@ def test_07_symmetrization_inequality_holds():
     def sampler(rng):
         return rng.standard_normal((200, 2)) @ chol.T
 
-    out = rademacher_diagnostic(sampler, MomentPair(cov, cov, n=200, p=2), reps=200, seed=11)
+    out = rademacher_diagnostic(sampler, MomentPair(cov, cov), reps=200, seed=11)
     combined = math.sqrt(out.z_se**2 + 4.0 * out.z_eps_se**2)
     bound = 2.0 * out.z_eps_mean + 3.0 * combined
     ok = out.z_mean <= bound

@@ -17,6 +17,7 @@ from semorder.semgen import DataMatrix
 
 SPLINE5 = {"dictionary": {"family": "cubic-b-spline", "size": 6, "domain": [-5.0, 5.0]}}
 TRIG3 = {"dictionary": {"family": "trigonometric", "size": 3, "domain": [-1.0, 1.0]}}
+MISSPEC = {"truth": {"kind": "cubic", "params": [1.0], "noise_sd": 0.3}, "class": TRIG3, "reps": 1, "oracle_n": 2000}
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -91,6 +92,33 @@ def test_missing_required_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["order", "--out", str(tmp_path / "r")])
     assert exc.value.code == 2
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {"sem": sine_chain_cfg(), "n": 50})
+    code, _, err = run(["simulate", "--config", cfg, "--out", str(tmp_path / "r"), "--seed", "-1"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "seed" in err and "-1" in err
+    assert not (tmp_path / "r" / "data.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["data_is_a_directory", "data_not_utf8", "config_not_utf8", "out_is_a_file", "data_missing"])
+def test_unreadable_path_is_usage_error(tmp_path, capsys, case):
+    good = tmp_path / "good.csv"
+    DataMatrix(np.ones((5, 2))).to_csv(good)
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("x1,x2\n1.0,2.0\n\u00e9,1.0\n".encode("latin-1"))
+    data = {"data_is_a_directory": tmp_path, "data_not_utf8": latin1, "data_missing": tmp_path / "nope.csv"}.get(case, good)
+    config = Path(write_cfg(tmp_path, "c.json", {"data": str(data), "class": TRIG3}))
+    if case == "config_not_utf8":
+        config.write_bytes('{"data": "caf\u00e9.csv"}'.encode("latin-1"))
+    out = tmp_path / "r"
+    if case == "out_is_a_file":
+        out.write_text("", encoding="utf-8")
+    named = {"config_not_utf8": config, "out_is_a_file": out}.get(case, data)
+    code, _, err = run(["order", "--config", str(config), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and str(named) in err and "Traceback" not in err
 
 
 def test_threads_must_be_positive(tmp_path, capsys):
@@ -421,6 +449,9 @@ def test_rates_benchmark_config_runs_and_stays_below_the_ellipsoid(tmp_path, cap
         ("simulate", {"sem": {**sine_chain_cfg(p=2), "noise_sd": [1.0, True]}, "n": 50}, "noise_sd"),
         ("rates", {"case": "case3", "grid": [{"n": "50", "p": 2, "N": 3, "M": 1.0}], "reps": 1}, "'n'"),
         ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {**SPLINE5, "kind": "l1", "budget": True}}, "budget"),
+        ("misspec", {**MISSPEC, "n_grid": 5}, "n_grid"),
+        ("misspec", {**MISSPEC, "n_grid": ["a"]}, "n_grid"),
+        ("misspec", {**MISSPEC, "n_grid": [100.7, 200]}, "n_grid"),
     ],
 )
 def test_bad_numeric_config_entry_is_usage_error(tmp_path, capsys, command, cfg, key):

@@ -298,7 +298,7 @@ def test_rademacher_diagnostic_gaussian_inequality():
     def sampler(rng):
         return rng.standard_normal((200, 2)) @ chol.T
 
-    out = rademacher_diagnostic(sampler, MomentPair(cov, cov, n=200, p=2), reps=200, seed=9)
+    out = rademacher_diagnostic(sampler, MomentPair(cov, cov), reps=200, seed=9)
     combined = math.sqrt(out.z_se**2 + 4.0 * out.z_eps_se**2)
     assert out.z_mean <= 2.0 * out.z_eps_mean + 3.0 * combined
 

@@ -337,6 +337,12 @@ def test_consistency_tiny_sample_completes():
     assert 0.0 <= rep.rows[0]["frequency"] <= 1.0
 
 
+@pytest.mark.parametrize("n_grid", [5, ["a"], [100.7, 200], []])
+def test_consistency_rejects_a_bad_n_grid(n_grid):
+    with pytest.raises(UsageError, match="n_grid"):
+        consistency_experiment(linear_chain(p=2), trig_class(), n_grid, reps=1, seed=0)
+
+
 def test_consistency_report_shape():
     spec = sine_chain(p=3)
     cs = ClassSpec(Dictionary(CUBIC_B_SPLINE, 5, (-5.0, 5.0)))

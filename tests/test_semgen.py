@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from semorder import dictionary, regress, semgen
+from semorder._rng import derived_rng
 from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary
 from semorder.errors import CapacityError, UsageError
 from semorder.regress import ClassSpec
@@ -129,7 +130,7 @@ def test_population_sigma_takes_the_estimator_floor():
 def test_identifiability_gap_linear_chain_near_zero():
     spec = SemSpec(p=2, order=(0, 1), edges={(0, 1): EdgeFunction.linear(1.0)}, noise_sd=(1.0, 1.0))
     gaps = [
-        identifiability_gap(spec, spline_class(6, (-12.0, 12.0)), oracle_n=50_000, seed=(21, r))
+        identifiability_gap(spec, spline_class(6, (-12.0, 12.0)), oracle_n=50_000, seed=(21, r)).gap
         for r in range(4)
     ]
     mean = float(np.mean(gaps))
@@ -139,16 +140,16 @@ def test_identifiability_gap_linear_chain_near_zero():
 
 def test_identifiability_gap_sine_chain_positive():
     spec = SemSpec(p=2, order=(0, 1), edges={(0, 1): EdgeFunction.sine(2.0, 1.0)}, noise_sd=(1.0, 0.3))
-    gap = identifiability_gap(spec, spline_class(6, (-5.0, 5.0)), oracle_n=50_000, seed=6)
+    gap = identifiability_gap(spec, spline_class(6, (-5.0, 5.0)), oracle_n=50_000, seed=6).gap
     assert gap > 0.1
 
 
 def test_identifiability_gap_sentinels():
     solo = SemSpec(p=1, order=(0,), edges={}, noise_sd=(1.0,))
-    assert identifiability_gap(solo, spline_class(), oracle_n=1000, seed=0) == math.inf
+    assert identifiability_gap(solo, spline_class(), oracle_n=1000, seed=0).gap == math.inf
     # no edges: every permutation is topological, so no wrong one exists
     free = SemSpec(p=2, order=(0, 1), edges={}, noise_sd=(1.0, 1.0))
-    assert identifiability_gap(free, spline_class(), oracle_n=1000, seed=0) == math.inf
+    assert identifiability_gap(free, spline_class(), oracle_n=1000, seed=0).gap == math.inf
     # the p! table keeps its p <= 8 cap; the gap alone does not (see the p=12 test)
     big = SemSpec(p=9, order=tuple(range(9)), edges={}, noise_sd=(1.0,) * 9)
     with pytest.raises(CapacityError):
@@ -230,11 +231,12 @@ def test_identifiability_gap_without_table_enumerates_nothing(monkeypatch):
     edges = {(k, j): EdgeFunction.sine(2.0, 1.5) for k, j in zip(order, order[1:])}
     spec = SemSpec(p=4, order=order, edges=edges, noise_sd=(1.0, 0.3, 0.3, 0.3))
     cs = spline_class(6, (-5.0, 5.0))
-    gap = identifiability_gap(spec, cs, oracle_n=2_000, seed=6)
+    rep = identifiability_gap(spec, cs, oracle_n=2_000, seed=6)
     # the one search per edge fits each of the p 2^(p-1) (variable, set) pairs once
     assert len(calls) == 4 * 2**3
+    assert rep.rows == [] and rep.to_json()["table"] == []
     monkeypatch.undo()
-    assert gap == identifiability_gap(spec, cs, oracle_n=2_000, seed=6, return_table=True).gap
+    assert rep.gap == identifiability_gap(spec, cs, oracle_n=2_000, seed=6, return_table=True).gap
 
 
 def test_identifiability_gap_runs_at_p12_without_its_table():
@@ -242,7 +244,7 @@ def test_identifiability_gap_runs_at_p12_without_its_table():
     edges = {(j, j + 1): EdgeFunction.sine(2.0, 1.5) for j in range(p - 1)}
     spec = SemSpec(p=p, order=tuple(range(p)), edges=edges, noise_sd=(1.0,) + (0.3,) * (p - 1))
     cs = ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-5.0, 5.0)))
-    gap = identifiability_gap(spec, cs, oracle_n=400, seed=3)
+    gap = identifiability_gap(spec, cs, oracle_n=400, seed=3).gap
     # a wrong order that swaps the first edge bounds the gap from above
     fits = semgen._oracle_fits(spec, cs, 400, 3)
     base = fits.along(spec.order)[0]
@@ -268,7 +270,7 @@ def test_identifiability_gap_carries_floored_flags():
     rep = identifiability_gap(tied, cs, oracle_n=2_000, seed=5, return_table=True)
     assert rep.floored
     assert [row["floored"] for row in rep.rows] == [True, True]
-    assert identifiability_gap(tied, cs, oracle_n=2_000, seed=5, return_report=True).floored
+    assert identifiability_gap(tied, cs, oracle_n=2_000, seed=5).floored
     sine = SemSpec(p=2, order=(0, 1), edges={(0, 1): EdgeFunction.sine(2.0, 1.0)}, noise_sd=(1.0, 0.3))
     rep = identifiability_gap(sine, cs, oracle_n=2_000, seed=5, return_table=True)
     assert not rep.floored and not any(row["floored"] for row in rep.rows)
@@ -282,6 +284,34 @@ def test_edge_function_kinds():
     assert np.allclose(EdgeFunction.cubic(0.5)(x), 0.5 * x**3)
     assert np.allclose(EdgeFunction.tanh(2.0)(x), np.tanh(2.0 * x))
     assert np.allclose(EdgeFunction.linear(-1.25)(x), -1.25 * x)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        EdgeFunction.sine(2.0, 1.5),
+        EdgeFunction.cubic(0.5),
+        EdgeFunction.tanh(2.0),
+        EdgeFunction.linear(-1.25),
+        EdgeFunction.dictionary_combination(Dictionary(CUBIC_B_SPLINE, 6, (-3.0, 3.0)), [0.5, -1.0, 0.25, 2.0, -0.75, 1.5]),
+        EdgeFunction.dictionary_combination(Dictionary(TRIGONOMETRIC, 3, (-2.0, 2.0)), [0.5, -1.0, 0.25]),
+    ],
+    ids=lambda fn: fn.kind,
+)
+def test_edge_function_keeps_the_shape_of_x(fn):
+    def one(v):
+        return fn(np.array([v]))[0]
+
+    assert np.shape(fn(0.3)) == () and fn(0.3) == one(0.3)
+    x = np.array([[0.3, -1.7], [2.4, 0.05]])
+    got = fn(x)
+    assert got.shape == (2, 2)
+    # a combination sums its basis terms in a matrix product, whose rounding
+    # may differ by the number of points
+    scale = np.abs(fn.coefficients).sum() if fn.coefficients else 0.0
+    for idx in np.ndindex(x.shape):
+        assert abs(got[idx] - one(x[idx])) <= 4 * np.finfo(float).eps * scale
+    assert np.array_equal(got, fn(x.ravel()).reshape(x.shape))
 
 
 def test_edge_function_dictionary_combination_bound():
@@ -339,6 +369,15 @@ def test_data_matrix_csv_round_trip(tmp_path):
     assert "\r" not in text
     back = DataMatrix.from_csv(path)
     assert np.array_equal(back.values, data.values)
+
+
+def test_negative_seed_is_usage_error():
+    for seed in (-1, (3, -1), [0, -2]):
+        with pytest.raises(UsageError, match="seed"):
+            derived_rng(seed)
+    spec = SemSpec(p=1, order=(0,), edges={}, noise_sd=(1.0,))
+    with pytest.raises(UsageError, match="seed"):
+        sample(spec, 10, -1)
 
 
 def test_data_matrix_rejects_bad_header(tmp_path):
