@@ -10,14 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, as_number
 
 __all__ = ["derived_rng", "as_entropy"]
 
 
 def as_entropy(seed) -> tuple[int, ...]:
-    """Normalize a seed (int or tuple of ints) to an entropy tuple; UsageError if empty or negative."""
-    out = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    """Normalize a seed (int or tuple of ints) to an entropy tuple.
+
+    Each entry is read by :func:`errors.as_number` as an int, so 2.5, True
+    and "2" are rejected, not read as 2, 1 and 2.  UsageError also for an
+    empty seed or a negative entry.
+    """
+    entries = seed if isinstance(seed, (tuple, list)) else (seed,)
+    out = tuple(as_number(s, "seed", int) for s in entries)
     if not out or min(out) < 0:
         raise UsageError(f"seed must be one or more non-negative integers, got {seed!r}")
     return out

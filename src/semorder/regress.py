@@ -9,10 +9,10 @@ Two estimators over the same additive design:
   the result with an explicit KKT residual.
 
 :class:`ConditionalFits` fits one column of a data matrix on a set of the
-others by the rules of a :class:`ClassSpec`; every conditional fit in the
-package goes through it or through :meth:`ClassSpec.fit`.  It also owns the
-sigma table, with its variance floor and flags, and the one order search over
-it that order estimation and the identifiability gap call.
+others by the rules of a :class:`ClassSpec`; every class fit in the package
+goes through it.  It also owns the sigma table, with its variance floor and
+flags, and the one order search over it that order estimation and the
+identifiability gap call.
 
 :func:`misspec_experiment` measures convergence of the fitted coefficients to
 the population projection when the true regression function lies outside the
@@ -86,35 +86,10 @@ class ClassSpec:
         elif self.budget is not None:
             raise UsageError("span class takes no budget")
 
-    def design(self, columns) -> np.ndarray:
-        """The design that :meth:`fit` solves on the given input columns, in that order."""
-        if not len(columns):
-            raise UsageError("a class design needs at least one input column")
-        n = np.ravel(columns[0]).shape[0]
-        return _stack(self._constant(n), self._parts(columns, n))
-
     def total_budget(self, n_blocks: int) -> float:
         if self.kind != L1:
             raise UsageError("total_budget is only defined for l1 classes")
         return self.budget * n_blocks
-
-    def fit(self, columns, y) -> "FitResult":
-        """Fit the class regression of `y` on the given input columns, in that order (see :func:`_fit_blocks`)."""
-        y = np.asarray(y, dtype=np.float64).ravel()
-        return _fit_blocks(self, self._parts(columns, y.shape[0]), [y], self._constant(y.shape[0]))[0]
-
-    def _constant(self, n: int) -> np.ndarray | None:
-        return np.ones((n, 1)) if self.intercept else None
-
-    def _parts(self, columns, n: int) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-        columns = [np.ravel(c) for c in columns]
-        if any(c.shape[0] != n for c in columns):
-            raise UsageError(f"input columns must all have {n} rows")
-        if not columns:
-            return []
-        basis = basis_matrix(self.dictionary, np.column_stack(columns))
-        # own copies of the column views, so each block keeps a 1-d call's memory layout
-        return [_design_block(self, np.ascontiguousarray(b)) for b in np.hsplit(basis, len(columns))]
 
     def to_config(self) -> dict:
         cfg = {"dictionary": self.dictionary.to_config(), "kind": self.kind, "intercept": self.intercept}
@@ -383,58 +358,6 @@ def _design_columns(class_spec: ClassSpec, reached: np.ndarray) -> tuple[np.ndar
     return (cols[:-1] if class_spec.intercept else cols), cols.size - 1, full
 
 
-def _design_block(class_spec: ClassSpec, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The basis block `block` as a design's first block and as a later one, by :func:`_design_columns`.
-
-    The third entry tells whether it kept every basis function.  Fortran
-    order keeps the rounding of ``x'x`` independent of empty cells.
-    """
-    if class_spec.kind == L1:
-        return block, block, True
-    cols, width, full = _design_columns(class_spec, block.any(axis=0))
-    if class_spec.dictionary.family == TRIGONOMETRIC:
-        block = block if full else block[:, cols]
-    else:
-        block = np.asfortranarray(block[:, cols])
-    return block, block[:, :width], full
-
-
-def _stack(const: np.ndarray | None, parts) -> np.ndarray:
-    """The design ``[const | blocks...]`` on the :func:`_design_block` triples `parts`, in design order.
-
-    `const` is the intercept column, or None.  A design of one part is that
-    part itself, not a copy.
-    """
-    cols = ([] if const is None else [const]) + [part[i > 0] for i, part in enumerate(parts)]
-    return np.hstack(cols) if len(cols) > 1 else cols[0]
-
-
-def _fit_blocks(class_spec: ClassSpec, parts, ys, const: np.ndarray | None) -> list[FitResult]:
-    """Class regressions of each of `ys` on the :func:`_design_block` triples `parts`, in design order.
-
-    The one place that picks a class fit's solver: an l1 class with k >= 1
-    blocks takes ``total_budget(k)``, every other fit is a span fit, on one
-    design that :func:`factorize` factors once for all of `ys`.  `const` is
-    the intercept column of the class, or None.  With neither blocks nor
-    intercept the residual is `y` itself, so the residual variance is
-    ``mean(y*y)``.  A span fit is ``degenerate`` only when its rank is below
-    the dimension of the class span: below the design's column count, or a
-    block lost an all-zero column.  l1 fits are never flagged.
-    """
-    k = len(parts)
-    if k == 0 and const is None:
-        return [FitResult(np.zeros(0), float(np.mean(y * y)), n_obs=y.shape[0], rank=0) for y in ys]
-    design = _stack(const, parts)
-    if class_spec.kind == L1 and k:
-        budget = class_spec.total_budget(k)
-        return [fit_l1(design, y, budget, intercept=class_spec.intercept) for y in ys]
-    factor, lost = factorize(design), not all(part[2] for part in parts)
-    fits = [fit_span(design, y, factor) for y in ys]
-    for fit in fits:
-        fit.degenerate = fit.degenerate or lost
-    return fits
-
-
 class ConditionalFits:
     """Class regressions of the columns of one data matrix on sets of the others.
 
@@ -447,14 +370,14 @@ class ConditionalFits:
     * the capacity rule ``|S| N + 1 <= n``, else :class:`CapacityError`;
     * one compression of the data, made on first use: ``A = [1 | B_1 ... B_p
       | X]``, each basis block in its first-block form by
-      :func:`_design_columns` (the rule that :meth:`ClassSpec.fit` follows
-      too), reduced to ``C``, the R factor of its QR scaled so that ``C'C / m
-      = A'A / n`` (:meth:`_compress`);
+      :func:`_design_columns`, reduced to ``C``, the R factor of its QR scaled
+      so that ``C'C / m = A'A / n`` (:meth:`_compress`);
     * the design ``[1 | B_k ...]`` with blocks in ascending column order, as
-      columns of ``C``, and the span/l1 dispatch and empty-design convention
-      of :func:`_fit_blocks`.  Every fit thus runs on the m <= 1 + pN + p
-      rows of ``C``; its residual variance and moment form equal those on
-      the n data rows in exact arithmetic, and ``n_obs`` is n;
+      columns of ``C`` (:meth:`_design`), and the span/l1 dispatch and
+      empty-design convention of :meth:`_fits`.  Every fit thus runs on the
+      m <= 1 + pN + p rows of ``C``; its residual variance and moment form
+      equal those on the n data rows in exact arithmetic, and ``n_obs`` is
+      n;
     * the sigma table: ``(residual variance, floored, degenerate)`` keyed by
       (variable, predecessor bitmask), each variance floored at
       ``max(1e-12 * mean square, tiny)`` of its column so that logs stay
@@ -506,10 +429,17 @@ class ConditionalFits:
         return self._fits(mask, [v])[0]
 
     def _fits(self, mask: int, targets) -> list[FitResult]:
-        """Fit each column of `targets` on the set `mask`, through one :func:`_fit_blocks` design.
+        """Fit each column of `targets` on the set `mask`, all on the one design of :meth:`_design`.
 
-        :class:`UsageError` unless `mask` names columns only and every target
-        is a column outside it.
+        The one place that picks a class fit's solver: an l1 class with k >= 1
+        blocks takes ``total_budget(k)``, every other fit is a span fit, on a
+        design that :func:`factorize` factors once for all of `targets`.  With
+        neither blocks nor intercept the residual is the target itself, so the
+        residual variance is its mean square.  A span fit is ``degenerate``
+        only when its rank is below the dimension of the class span: below the
+        design's column count, or a block lost an all-zero column.  l1 fits
+        are never flagged.  :class:`UsageError` unless `mask` names columns
+        only and every target is a column outside it.
         """
         if not 0 <= mask < 1 << self.p:
             raise UsageError(f"predictor mask {mask:#b} names a column beyond the {self.p} columns")
@@ -518,17 +448,41 @@ class ConditionalFits:
                 raise UsageError(f"target column {v} out of range for {self.p} columns")
             if mask >> v & 1:
                 raise UsageError(f"target column {v} cannot be conditioned on itself")
-        cols = [k for k in range(self.p) if mask & (1 << k)]
-        need = len(cols) * self.class_spec.dictionary.size + 1
+        cs, k = self.class_spec, mask.bit_count()
+        need = k * cs.dictionary.size + 1
         if need > self.n:
-            raise CapacityError(f"conditioning on {len(cols)} columns needs {need} rows, have {self.n}")
-        if self._blocks is None:
-            self._compress()
+            raise CapacityError(f"conditioning on {k} columns needs {need} rows, have {self.n}")
+        design, lost = self._design(mask)
         ys = [self._targets[:, v] for v in targets]
-        fits = _fit_blocks(self.class_spec, [self._blocks[k] for k in cols], ys, self._const)
+        if design is None:
+            return [FitResult(np.zeros(0), float(np.mean(y * y)), n_obs=self.n, rank=0) for y in ys]
+        if cs.kind == L1 and k:
+            fits = [fit_l1(design, y, cs.total_budget(k), intercept=cs.intercept) for y in ys]
+        else:
+            factor = factorize(design)
+            fits = [fit_span(design, y, factor) for y in ys]
+            for fit in fits:
+                fit.degenerate = fit.degenerate or lost
         for fit in fits:
             fit.n_obs = self.n
         return fits
+
+    def _design(self, mask: int) -> tuple[np.ndarray | None, bool]:
+        """The class design of the columns in `mask` as columns of ``C``, and whether a block lost a column.
+
+        ``[1 | B_k ...]``: the intercept if the class has one, then each block
+        in ascending column order, the first in its first-block form and the
+        others in their later form.  None when the design has no column (no
+        block and no intercept).  A design of one part is a view of ``C``,
+        not a copy.
+        """
+        if self._blocks is None:
+            self._compress()
+        blocks = [self._blocks[k] for k in range(self.p) if mask >> k & 1]
+        parts = ([] if self._const is None else [self._const]) + [b[i > 0] for i, b in enumerate(blocks)]
+        if not parts:
+            return None, False
+        return (np.hstack(parts) if len(parts) > 1 else parts[0]), not all(b[2] for b in blocks)
 
     def _compress(self) -> None:
         """Reduce ``A = [1 | B_1 ... B_p | X]`` to the columns of ``C``.
@@ -632,8 +586,9 @@ def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple
     """Fit the class regression of column `j` on each subset of other columns.
 
     All fits come from one :class:`ConditionalFits` engine, so the data is
-    compressed once.  Each fit equals ``class_spec.fit`` on the same columns
-    in ascending order, to rounding.  The coefficients of an l1 class on
+    compressed once.  Each fit equals, to rounding, the fit on the full
+    n-row class design of the same columns in ascending order, with the
+    columns of :func:`_design_columns`.  The coefficients of an l1 class on
     collinear blocks may not be unique; see :func:`fit_l1`.  Keys of the
     returned dict are sorted index tuples; the empty subset without an
     intercept gives the ``mean(y*y)`` fit.  Raises :class:`CapacityError` for
@@ -716,19 +671,23 @@ def misspec_experiment(
 ) -> MisspecReport:
     """Convergence of the class fit to the population projection.
 
-    The design is uniform on the class dictionary's domain.  A large oracle
-    sample pins down the population quantities: projection coefficients (for
-    an l1 class, the l1-constrained projection at the budget that
-    :meth:`ClassSpec.fit` uses, solved on the oracle moments like
-    :func:`fit_l1`), the population residual variance, and the moment
-    matrix used both for the distance metric and for the theoretical rate.  Cell ``(n, rep)`` uses the
-    stream derived from ``(seed, n, rep)``; the oracle uses ``(seed,
-    oracle_n, 0)``, so the cell with ``n == oracle_n``, ``rep == 0`` sees
-    exactly the oracle sample.  Each design keeps the columns that
-    :meth:`ClassSpec.fit` keeps, so ``n_features`` is the span's dimension.
-    :class:`DegeneracyError` is raised when Sigma fails the positive definite
-    rule of :func:`whitener`, naming ``Lambda_min``, and when a cell's fit is
-    degenerate or lacks a column that the oracle keeps.
+    The design is uniform on the class dictionary's domain.  Every sample,
+    ``[x, y]``, goes through one :class:`ConditionalFits`, and each cell's
+    fit is that engine's fit of y on x.  A large oracle sample pins down the
+    population quantities on its engine's compressed design ``D`` of x and
+    its target ``C_y``, both of ``m`` rows: the moment matrix ``Sigma = D'D /
+    m``, used both for the distance metric and for the theoretical rate, the
+    projection coefficients b* (for an l1 class, the l1-constrained
+    projection at the budget of a one-block fit, solved on the moments like
+    :func:`fit_l1`) and the population residual variance ``||C_y - D b*||^2
+    / m``.  Cell ``(n, rep)`` uses the stream derived from ``(seed, n,
+    rep)``; the oracle uses ``(seed, oracle_n, 0)``, so the cell with ``n ==
+    oracle_n``, ``rep == 0`` sees exactly the oracle sample.  Each design
+    keeps the columns of :func:`_design_columns`, so ``n_features`` is the
+    span's dimension.  :class:`DegeneracyError` is raised when Sigma fails
+    the positive definite rule of :func:`whitener`, naming ``Lambda_min``,
+    and when a cell's sample is below the engine's capacity rule, or its fit
+    is degenerate or lacks a column that the oracle keeps.
 
     Per cell the report records the Sigma-weighted coefficient distance
     ``sqrt((b - b*)' Sigma (b - b*))`` and the gap between empirical and
@@ -741,25 +700,26 @@ def misspec_experiment(
         raise UsageError("reps must be at least 1")
     a, b = class_spec.dictionary.domain
 
-    def draw(rng, n):
+    def sample_fits(n, rep):
+        rng = derived_rng(seed, n, rep)
         x = rng.uniform(a, b, n)
         y = np.asarray(truth.mean(x), dtype=np.float64) + truth.noise_sd * rng.standard_normal(n)
-        return x, y
+        return ConditionalFits(np.column_stack([x, y]), class_spec)
 
-    x_o, y_o = draw(derived_rng(seed, oracle_n, 0), oracle_n)
-    psi_o = class_spec.design([x_o])
-    d = psi_o.shape[1]
+    oracle = sample_fits(oracle_n, 0)
+    psi, _ = oracle._design(0b1)
+    c_y, (m, d) = oracle._targets[:, 1], psi.shape
     if oracle_n < 10 * d:
         raise UsageError(f"oracle_n={oracle_n} too small for {d} features (need >= {10 * d})")
-    sigma_o = psi_o.T @ psi_o / oracle_n
-    c_o = psi_o.T @ y_o / oracle_n
+    sigma_o = psi.T @ psi / m
+    c_o = psi.T @ c_y / m
     if class_spec.kind == L1:
         beta_star = _l1_moment_fit(sigma_o, c_o, class_spec.total_budget(1), class_spec.intercept)[0]
     else:
         beta_star = population_projection(sigma_o, c_o).coefficients
-    resid_o = y_o - psi_o @ beta_star
-    pop_rv = float(resid_o @ resid_o) / oracle_n
-    k0 = float(np.sqrt(np.mean(y_o**2)))
+    resid_o = c_y - psi @ beta_star
+    pop_rv = float(resid_o @ resid_o) / m
+    k0 = math.sqrt(float(c_y @ c_y) / m)
     lam_min = empproc.lambda_min(sigma_o)
     whitener(*np.linalg.eigh(sigma_o), name="oracle moment matrix Sigma_o")
 
@@ -779,10 +739,13 @@ def misspec_experiment(
         dists = np.empty(reps)
         vgaps = np.empty(reps)
         for rep in range(reps):
-            x, y = draw(derived_rng(seed, n, rep), n)
-            fit = class_spec.fit([x], y)
+            undetermined = f"the n={n} sample of rep {rep} does not determine the {d} coefficients"
+            try:
+                fit = sample_fits(n, rep).fit(1, 0b1)
+            except CapacityError as exc:
+                raise DegeneracyError(f"{undetermined}: {exc}") from exc
             if fit.degenerate or fit.coefficients.shape != beta_star.shape:
-                raise DegeneracyError(f"the n={n} sample of rep {rep} does not determine the {d} coefficients")
+                raise DegeneracyError(undetermined)
             db = fit.coefficients - beta_star
             dists[rep] = float(np.sqrt(max(db @ (sigma_o @ db), 0.0)))
             vgaps[rep] = abs(fit.residual_variance - pop_rv)

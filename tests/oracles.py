@@ -248,26 +248,40 @@ def numeric_moment_vector(d, cells_per_interval=30_000):
     return basis_matrix(d, numeric_moment_grid(d, cells_per_interval)).mean(axis=0)
 
 
+def direct_design(values, class_spec, key):
+    """The full n-row class design ``[1 | B_k ...]`` of the columns `key` of `values`, in that order.
+
+    Reproduces the package's column rule directly, without the engine's
+    compression.  A span class drops each block's all-zero columns and, for a
+    partition-of-unity family, its last remaining column, except in the first
+    block of a design without an intercept; an l1 class keeps every block
+    whole.  With neither blocks nor intercept the design has no column.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    span = class_spec.kind == "span"
+    reduce = span and class_spec.dictionary.family != "trigonometric"
+    first = 0 if class_spec.intercept else 1
+    parts = [np.ones((values.shape[0], 1))] if class_spec.intercept else []
+    for i, k in enumerate(key):
+        block = basis_matrix(class_spec.dictionary, values[:, k])
+        keep = [r for r in range(block.shape[1]) if not span or np.any(block[:, r] != 0.0)]
+        block = block[:, keep] if reduce or len(keep) < block.shape[1] else block
+        parts.append(block[:, :-1] if reduce and i >= first else block)
+    if not parts:
+        return np.zeros((values.shape[0], 0))
+    return np.hstack(parts) if len(parts) > 1 else parts[0]
+
+
 def direct_sigma(data, class_spec):
     """The floored residual variance ``sigma(v, mask)`` of each conditional fit, on the full n-row design.
 
-    Reproduces the conditional-fit assembly directly (same basis blocks, same
-    hstack order, same floor), without the engine's compression.  Like the
-    engine, each block loses its all-zero columns and, for a
-    partition-of-unity family, its last remaining column, except in the first
-    block of a design without an intercept.
+    Each fit is :func:`fit_span` on :func:`direct_design` of the columns in
+    `mask`, in ascending order, with the engine's floor; the design without
+    a column gives ``mean(y*y)``.
     """
     assert class_spec.kind == "span"
     values = np.asarray(getattr(data, "values", data), dtype=np.float64)
-    n, p = values.shape
-    reduce = class_spec.dictionary.family != "trigonometric"
-    first = 0 if class_spec.intercept else 1
-    blocks = []
-    for k in range(p):
-        block = basis_matrix(class_spec.dictionary, values[:, k])
-        keep = [r for r in range(block.shape[1]) if np.any(block[:, r] != 0.0)]
-        blocks.append(block[:, keep] if reduce or len(keep) < block.shape[1] else block)
-    ones = np.ones((n, 1))
+    p = values.shape[1]
     ms = np.mean(values * values, axis=0)
     floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny)
     memo = {}
@@ -276,15 +290,8 @@ def direct_sigma(data, class_spec):
         hit = memo.get((v, mask))
         if hit is None:
             y = values[:, v]
-            key = [k for k in range(p) if mask >> k & 1]
-            parts = ([ones] if class_spec.intercept else []) + [
-                blocks[k][:, :-1] if reduce and i >= first else blocks[k] for i, k in enumerate(key)
-            ]
-            if parts:
-                design = np.hstack(parts) if len(parts) > 1 else parts[0]
-                rv = fit_span(design, y).residual_variance
-            else:
-                rv = float(np.mean(y * y))
+            design = direct_design(values, class_spec, [k for k in range(p) if mask >> k & 1])
+            rv = fit_span(design, y).residual_variance if design.shape[1] else float(np.mean(y * y))
             hit = memo[(v, mask)] = max(rv, float(floor[v]))
         return hit
 

@@ -295,6 +295,23 @@ def test_misspec_l1_partition_of_unity_with_intercept_is_degenerate(tmp_path, ca
     assert "Lambda_min" in err
 
 
+def test_misspec_sample_below_capacity_is_degenerate(tmp_path, capsys):
+    # 4 points cannot determine 6 cells: the engine's capacity error is a
+    # degeneracy of the sample (exit 3), not bad input (exit 2)
+    dictionary = {"family": "piecewise-constant", "size": 6, "domain": [-1.0, 1.0]}
+    cfg = {
+        "truth": {"kind": "cubic", "params": [1.0], "noise_sd": 0.3},
+        "class": {"dictionary": dictionary, "intercept": False},
+        "n_grid": [4],
+        "reps": 1,
+        "oracle_n": 2000,
+    }
+    out = tmp_path / "r"
+    code, _, err = run(["misspec", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(out)], capsys)
+    assert code == 3
+    assert "n=4" in err
+
+
 def test_gap_linear_chain_is_zero_within_tolerance(tmp_path, capsys):
     sem = {
         "p": 2,

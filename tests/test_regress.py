@@ -344,13 +344,13 @@ def test_compressed_engine_l1_fits_are_kkt_points_of_the_full_design(monkeypatch
             for mask in range(1, 8):
                 if mask >> v & 1:
                     continue
-                cols = [values[:, k] for k in range(3) if mask >> k & 1]
+                design = oracles.direct_design(values, cs, [k for k in range(3) if mask >> k & 1])
+                budget = cs.total_budget(mask.bit_count())
                 fit = fits.fit(v, mask)
-                direct = cs.fit(cols, values[:, v])
+                direct = fit_l1(design, values[:, v], budget, intercept=icpt)
                 assert fit.converged and fit.kkt_residual <= 1e-12
                 assert fit.n_obs == 1000
-                budget = cs.total_budget(len(cols))
-                assert kkt_residual(cs.design(cols), values[:, v], fit.coefficients, budget, icpt) <= 1e-12
+                assert kkt_residual(design, values[:, v], fit.coefficients, budget, icpt) <= 1e-12
                 assert abs(fit.residual_variance - direct.residual_variance) <= 1e-12 * direct.residual_variance
 
 
@@ -422,13 +422,13 @@ def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
         assert len(fits._memo) == p * 2 ** (p - 1)
         got, ref = [], []
         for (v, mask), entry in sorted(fits._memo.items()):
-            parts = [fits._blocks[k] for k in range(p) if mask >> k & 1]
+            design, lost = fits._design(mask)
             y = fits._targets[:, v]
-            if parts or class_spec.intercept:
+            if design is not None:
                 before = calls[0]
-                fit = fit_span(regress._stack(fits._const, parts), y)
+                fit = fit_span(design, y)
                 fallback += calls[0] > before
-                rv, degenerate = fit.residual_variance, fit.degenerate or not all(part[2] for part in parts)
+                rv, degenerate = fit.residual_variance, fit.degenerate or lost
             else:
                 rv, degenerate = float(np.mean(y * y)), False
             floor = fits._floor[v]
@@ -660,8 +660,8 @@ def trig_class(size=3, domain=(-1.0, 1.0), intercept=True):
 
 
 def test_fit_over_subsets_matches_individual_fits():
-    # ClassSpec.fit keeps the engine's columns on the full n-row design, the
-    # engine fits them on its compressed rows: the two agree to rounding, empty
+    # fit_span on the full n-row design of the engine's columns against the
+    # engine's fit on its compressed rows: the two agree to rounding, empty
     # cells (the outer ones of N=10 on (-5, 5)) and no intercept included.
     # Observed: sigma^2 within 8.8e-16 relative, coefficients within 1.7e-14
     # of the largest one; rank, flags and n_obs exactly
@@ -679,12 +679,13 @@ def test_fit_over_subsets_matches_individual_fits():
             out = fit_over_subsets(data, 2, cls, [(), (0,), (1,), (0, 1)])
             assert set(out) == {(), (0,), (1,), (0, 1)}
             for key, res in out.items():
-                direct = cls.fit([data.values[:, k] for k in key], data.values[:, 2])
+                direct = fit_span(oracles.direct_design(data.values, cls, key), data.values[:, 2])
+                degenerate = direct.rank < _span_dimension(cls, len(key))
                 assert abs(res.residual_variance - direct.residual_variance) <= 1e-12 * direct.residual_variance
                 assert res.coefficients.shape == direct.coefficients.shape
                 scale = float(np.max(np.abs(direct.coefficients), initial=0.0))
                 assert np.all(np.abs(res.coefficients - direct.coefficients) <= 1e-12 * scale)
-                assert (res.rank, res.degenerate, res.n_obs) == (direct.rank, direct.degenerate, direct.n_obs)
+                assert (res.rank, res.degenerate, res.n_obs) == (direct.rank, degenerate, direct.n_obs)
 
 
 def test_fit_over_subsets_empty_is_intercept_only():
@@ -770,6 +771,23 @@ def test_misspec_refuses_a_sample_that_misses_a_cell():
         misspec_experiment(cubic_truth(), cls, n_grid=[4], reps=1, oracle_n=2000, seed=0)
 
 
+def test_misspec_never_holds_an_n_row_design():
+    # the oracle sample goes through one ConditionalFits, which folds its
+    # basis in chunks: the peak stays below 12 floats per oracle row
+    # (observed 7.2 MB; holding the full 200,000 x 7 design with its basis
+    # and products peaked at 40.8 MB)
+    oracle_n = 200_000
+    cls = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-1.0, 1.0)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        misspec_experiment(cubic_truth(), cls, n_grid=[256], reps=2, oracle_n=oracle_n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < oracle_n * 8 * 12
+
+
 def test_misspec_report_shape():
     rep = misspec_experiment(cubic_truth(), trig_class(), n_grid=[256, 512], reps=3, oracle_n=20_000, seed=20)
     assert {"mean_dist", "q90", "mean_variance_gap", "q90_variance_gap", "delta_n", "ratio_to_delta_n"} <= set(rep.cells[0])
@@ -788,7 +806,7 @@ def test_projection_moment_convergence():
     def beta_of(n):
         x = rng.uniform(-1.0, 1.0, n)
         y = x**3 + 0.3 * rng.standard_normal(n)
-        psi = cls.design([x])
+        psi = oracles.direct_design(x[:, None], cls, [0])
         return population_projection(psi.T @ psi / n, psi.T @ y / n).coefficients
 
     n = 20_000

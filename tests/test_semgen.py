@@ -380,6 +380,18 @@ def test_negative_seed_is_usage_error():
         sample(spec, 10, -1)
 
 
+def test_non_integer_seed_is_usage_error():
+    # 2.5 used to draw seed 2's stream and True seed 1's
+    for seed in (2.5, True, (1, 2.5)):
+        with pytest.raises(UsageError, match="seed"):
+            derived_rng(seed)
+    spec = SemSpec(p=1, order=(0,), edges={}, noise_sd=(1.0,))
+    with pytest.raises(UsageError, match="seed"):
+        sample(spec, 10, (1, 2.5))
+    assert derived_rng(np.int64(3)).random() == derived_rng(3).random()
+    assert np.array_equal(sample(spec, 10, (np.int32(1), 2)).values, sample(spec, 10, (1, 2)).values)
+
+
 def test_data_matrix_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
