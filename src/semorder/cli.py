@@ -38,7 +38,7 @@ from .empproc import (
     z_sup_ellipsoid,
     z_sup_l1,
 )
-from .errors import CapacityError, DegeneracyError, UsageError, as_number
+from .errors import CapacityError, DegeneracyError, UsageError, as_count, as_number
 from .order import EXACT_GUARD, estimate_order_exact, estimate_order_greedy
 from .regress import ClassSpec, MisspecTruth, misspec_experiment
 from .semgen import DataMatrix, EdgeFunction, SemSpec, identifiability_gap, sample
@@ -102,10 +102,10 @@ def _need(cfg: dict, key: str):
     return cfg[key]
 
 
-def _number(cfg: dict, key: str, kind=float, default=None):
-    """Config entry `key` as an int or a finite float; `default` if absent, required if None."""
+def _number(cfg: dict, key: str, default=None) -> float:
+    """Config entry `key` as a finite float; `default` if absent, required if None."""
     raw = _need(cfg, key) if default is None else cfg.get(key, default)
-    return as_number(raw, f"config entry {key!r}", kind)
+    return as_number(raw, f"config entry {key!r}")
 
 
 def _numbers(cfg: dict, key: str, count: int, default) -> list[float]:
@@ -116,11 +116,10 @@ def _numbers(cfg: dict, key: str, count: int, default) -> list[float]:
     return [as_number(v, f"config entry {key!r}") for v in raw]
 
 
-def _positive_int(cfg: dict, key: str) -> int:
-    v = _number(cfg, key, int)
-    if v < 1:
-        raise UsageError(f"config entry {key!r} must be positive, got {v}")
-    return v
+def _positive_int(cfg: dict, key: str, default=None) -> int:
+    """Config entry `key` as an int of at least 1; `default` if absent, required if None."""
+    raw = _need(cfg, key) if default is None else cfg.get(key, default)
+    return as_count(raw, f"config entry {key!r}")
 
 
 def cmd_simulate(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
@@ -200,7 +199,7 @@ def cmd_misspec(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
         class_spec=ClassSpec.from_config(_need(cfg, "class")),
         n_grid=_need(cfg, "n_grid"),
         reps=_positive_int(cfg, "reps"),
-        oracle_n=_number(cfg, "oracle_n", int, 200_000),
+        oracle_n=_positive_int(cfg, "oracle_n", 200_000),
         seed=seed,
     )
     _write_json(out / "misspec.json", report.to_json())
@@ -212,10 +211,8 @@ def cmd_misspec(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
 def cmd_gap(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     spec = SemSpec.from_json(_need(cfg, "sem"))
     class_spec = ClassSpec.from_config(_need(cfg, "class"))
-    oracle_n = _number(cfg, "oracle_n", int, 200_000)
-    replicates = _number(cfg, "replicates", int, 3)
-    if replicates < 1:
-        raise UsageError("replicates must be at least 1")
+    oracle_n = _positive_int(cfg, "oracle_n", 200_000)
+    replicates = _positive_int(cfg, "replicates", 3)
     gaps, floored, table = [], [], None
     for r in range(replicates):
         rep = identifiability_gap(spec, class_spec, oracle_n=oracle_n, seed=(seed, r), return_table=r == 0)
@@ -247,11 +244,11 @@ def cmd_empnorm(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
     p = _positive_int(cfg, "p")
     if p > n:
         raise UsageError(f"need p <= n, got p={p}, n={n}")
-    budget = _number(cfg, "budget", float, 1.0)
+    budget = _number(cfg, "budget", 1.0)
     if not (budget > 0):
         raise UsageError("budget must be positive")
-    u = _number(cfg, "u", float, 1.0)
-    noise_sd = _number(cfg, "noise_sd", float, 1.0)
+    u = _number(cfg, "u", 1.0)
+    noise_sd = _number(cfg, "noise_sd", 1.0)
     w = np.array(_numbers(cfg, "response_coefficients", p, [1.0] * p))
 
     rng = derived_rng(seed)

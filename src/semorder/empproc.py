@@ -38,7 +38,7 @@ from .dictionary import (
     moment_matrix,
     moment_vector,
 )
-from .errors import CapacityError, DegeneracyError, UsageError, as_number
+from .errors import CapacityError, DegeneracyError, UsageError, as_count, as_number
 
 RATE_CASES = ("case3", "case4", "l1_theorem", "l3_theorem")
 EPS = np.finfo(np.float64).eps
@@ -340,6 +340,7 @@ def rademacher_diagnostic(data, mp: MomentPair, reps: int = 200, seed: int = 0) 
     a callable ``rng -> (n, d) array`` drawing a fresh design each
     replication.  Theory predicts ``E Z <= 2 E Z_eps``.
     """
+    reps = as_number(reps, "reps", int)
     if reps < 30:
         raise UsageError(f"need reps >= 30 for stable standard errors, got {reps}")
     white = _whiten(mp.sigma)
@@ -633,8 +634,7 @@ def rate_experiment(
     """
     if case not in RATE_CASES:
         raise UsageError(f"case must be one of {RATE_CASES}, got {case!r}")
-    if reps < 1:
-        raise UsageError("reps must be at least 1")
+    reps = as_count(reps, "reps")
     cells = [_normalize_cell(case, c, i) for i, c in enumerate(grid)]
     if not cells:
         raise UsageError("grid must contain at least one cell")
@@ -642,7 +642,7 @@ def rate_experiment(
     budgeted = case in ("case3", "l1_theorem")
     report = RateReport(
         case=case,
-        reps=int(reps),
+        reps=reps,
         seed=int(seed),
         family=family if additive else None,
         domain=tuple(domain) if additive else (-1.0, 1.0),

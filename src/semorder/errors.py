@@ -38,6 +38,14 @@ def as_number(raw, name: str, kind=float):
     return v
 
 
+def as_count(raw, name: str) -> int:
+    """`raw` read by :func:`as_number` as an int of at least 1; a UsageError naming `name` otherwise."""
+    v = as_number(raw, name, int)
+    if v < 1:
+        raise UsageError(f"{name} must be at least 1, got {v}")
+    return v
+
+
 def as_sizes(raw, name: str) -> list[int]:
     """`raw` as a nonempty list of positive ints, each entry read by :func:`as_number`."""
     sizes = [as_number(v, f"{name} entry", int) for v in raw] if isinstance(raw, (list, tuple)) else []

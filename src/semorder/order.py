@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError, as_sizes
+from .errors import UsageError, as_count, as_sizes
 from .regress import EXACT_GUARD, ClassSpec, ConditionalFits
 from .semgen import SemSpec, _parent_masks, _validate_perm, in_pi0, sample
 
@@ -192,11 +192,10 @@ def consistency_experiment(
     """
     if method not in ("exact", "greedy"):
         raise UsageError(f"method must be 'exact' or 'greedy', got {method!r}")
-    if reps < 1:
-        raise UsageError("reps must be at least 1")
+    reps = as_count(reps, "reps")
     n_grid = as_sizes(n_grid, "n_grid")
     parents = _parent_masks(spec)
-    report = ConsistencyReport(method=method, seed=int(seed), reps=int(reps))
+    report = ConsistencyReport(method=method, seed=int(seed), reps=reps)
     for n in n_grid:
         hits = 0
         gaps = np.empty(reps)

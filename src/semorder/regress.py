@@ -16,7 +16,8 @@ identifiability gap call.
 
 :func:`misspec_experiment` measures convergence of the fitted coefficients to
 the population projection when the true regression function lies outside the
-class.
+class.  That projection is the class fit on a large oracle sample, from the
+same engine, so the experiment has no solver of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import empproc
 from ._linalg import Factor, factorize, least_squares, pinv_solve_psd, row_compress, whitener
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix
-from .errors import CapacityError, DegeneracyError, UsageError, as_number, as_sizes
+from .errors import CapacityError, DegeneracyError, UsageError, as_count, as_number, as_sizes
 
 SPAN = "span"
 L1 = "l1"
@@ -46,13 +47,11 @@ EXACT_GUARD = 18
 __all__ = [
     "ClassSpec",
     "FitResult",
-    "ProjectionResult",
     "MisspecTruth",
     "MisspecReport",
     "fit_span",
     "fit_l1",
     "kkt_residual",
-    "population_projection",
     "fit_over_subsets",
     "misspec_experiment",
     "SPAN",
@@ -129,14 +128,6 @@ class FitResult:
     kkt_residual: float | None = None
     n_obs: int = 0
     rank: int | None = None
-
-
-@dataclass
-class ProjectionResult:
-    """Population least-squares projection coefficients."""
-
-    coefficients: np.ndarray
-    degenerate: bool = False
 
 
 def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitResult:
@@ -242,7 +233,13 @@ def fit_l1(
 
     a = x.T @ x / n
     b = x.T @ y / n
-    beta, steps, done = _l1_moment_fit(a, b, budget, intercept, max_iter)
+    if intercept:  # a zero column 0 gets coefficient 0
+        pivot, col = a[0, 0] or 1.0, a[1:, 0]
+        a_pen, b_pen = a[1:, 1:] - np.outer(col, col) / pivot, b[1:] - col * (b[0] / pivot)
+        v, steps, done = _lasso_path(a_pen, b_pen, budget, max_iter)
+        beta = np.concatenate([[(b[0] - col @ v) / pivot], v])
+    else:
+        beta, steps, done = _lasso_path(a, b, budget, max_iter)
     residual = _kkt_from_gradient(2.0 * (a @ beta - b), beta, budget, intercept)
     converged = done and residual <= tol
     if not converged:
@@ -256,21 +253,6 @@ def fit_l1(
         kkt_residual=float(residual),
         n_obs=n,
     )
-
-
-def _l1_moment_fit(a: np.ndarray, b: np.ndarray, budget: float, intercept: bool, max_steps: int = 50000):
-    """Minimize ``beta'a beta - 2 b'beta`` under an l1 budget on the penalized coordinates.
-
-    The moment form of :func:`fit_l1`.  With an intercept, one Schur
-    complement on column 0 removes it before :func:`_lasso_path`; a zero
-    column 0 gets coefficient 0.  Returns ``(beta, steps, finished)``.
-    """
-    if not intercept:
-        return _lasso_path(a, b, budget, max_steps)
-    pivot, col = a[0, 0] or 1.0, a[1:, 0]
-    a_pen, b_pen = a[1:, 1:] - np.outer(col, col) / pivot, b[1:] - col * (b[0] / pivot)
-    v, steps, done = _lasso_path(a_pen, b_pen, budget, max_steps)
-    return np.concatenate([[(b[0] - col @ v) / pivot], v]), steps, done
 
 
 def _lasso_path(a: np.ndarray, b: np.ndarray, budget: float, max_steps: int) -> tuple[np.ndarray, int, bool]:
@@ -322,16 +304,6 @@ def _lasso_path(a: np.ndarray, b: np.ndarray, budget: float, max_steps: int) -> 
             sign[j] = 1.0 if up[j] <= down[j] else -1.0
         c = b - a @ v
     return v, max_steps, False
-
-
-def population_projection(sigma: np.ndarray, c: np.ndarray) -> ProjectionResult:
-    """Coefficients of the population projection ``argmin_b b'Sigma b - 2 c'b``.
-
-    `sigma` must be symmetric positive semidefinite; a singular system is
-    solved in the minimum-norm sense and flagged.
-    """
-    beta, degenerate = pinv_solve_psd(sigma, np.asarray(c, dtype=np.float64).ravel())
-    return ProjectionResult(coefficients=beta, degenerate=degenerate)
 
 
 def _design_columns(class_spec: ClassSpec, reached: np.ndarray) -> tuple[np.ndarray, int, bool]:
@@ -674,20 +646,21 @@ def misspec_experiment(
     The design is uniform on the class dictionary's domain.  Every sample,
     ``[x, y]``, goes through one :class:`ConditionalFits`, and each cell's
     fit is that engine's fit of y on x.  A large oracle sample pins down the
-    population quantities on its engine's compressed design ``D`` of x and
-    its target ``C_y``, both of ``m`` rows: the moment matrix ``Sigma = D'D /
-    m``, used both for the distance metric and for the theoretical rate, the
-    projection coefficients b* (for an l1 class, the l1-constrained
-    projection at the budget of a one-block fit, solved on the moments like
-    :func:`fit_l1`) and the population residual variance ``||C_y - D b*||^2
-    / m``.  Cell ``(n, rep)`` uses the stream derived from ``(seed, n,
-    rep)``; the oracle uses ``(seed, oracle_n, 0)``, so the cell with ``n ==
-    oracle_n``, ``rep == 0`` sees exactly the oracle sample.  Each design
-    keeps the columns of :func:`_design_columns`, so ``n_features`` is the
-    span's dimension.  :class:`DegeneracyError` is raised when Sigma fails
-    the positive definite rule of :func:`whitener`, naming ``Lambda_min``,
-    and when a cell's sample is below the engine's capacity rule, or its fit
-    is degenerate or lacks a column that the oracle keeps.
+    population quantities, and its target is the same computation: the
+    projection coefficients b* and the population residual variance are the
+    oracle engine's own fit of y on x (for an l1 class, the l1-constrained
+    fit at the budget of one block).  The moment matrix ``Sigma = D'D / m``
+    of the oracle's compressed design ``D`` of x, ``m`` rows, serves both
+    the distance metric and the theoretical rate.  Cell ``(n, rep)`` uses
+    the stream derived from ``(seed, n, rep)``; the oracle uses ``(seed,
+    oracle_n, 0)``, so the cell with ``n == oracle_n``, ``rep == 0`` repeats
+    the oracle fit exactly.  Each design keeps the columns of
+    :func:`_design_columns`, so ``n_features`` is the span's dimension.
+    `reps` and `oracle_n` must be positive integers (:class:`UsageError`).
+    :class:`DegeneracyError` is raised when Sigma fails the positive definite
+    rule of :func:`whitener`, naming ``Lambda_min``, before any fit, and when
+    a cell's sample is below the engine's capacity rule, or its fit is
+    degenerate or lacks a column that the oracle keeps.
 
     Per cell the report records the Sigma-weighted coefficient distance
     ``sqrt((b - b*)' Sigma (b - b*))`` and the gap between empirical and
@@ -696,8 +669,8 @@ def misspec_experiment(
     :func:`semorder.empproc.delta_n`.
     """
     n_grid = as_sizes(n_grid, "n_grid")
-    if reps < 1:
-        raise UsageError("reps must be at least 1")
+    reps = as_count(reps, "reps")
+    oracle_n = as_count(oracle_n, "oracle_n")
     a, b = class_spec.dictionary.domain
 
     def sample_fits(n, rep):
@@ -708,28 +681,23 @@ def misspec_experiment(
 
     oracle = sample_fits(oracle_n, 0)
     psi, _ = oracle._design(0b1)
-    c_y, (m, d) = oracle._targets[:, 1], psi.shape
+    m, d = psi.shape
     if oracle_n < 10 * d:
         raise UsageError(f"oracle_n={oracle_n} too small for {d} features (need >= {10 * d})")
     sigma_o = psi.T @ psi / m
-    c_o = psi.T @ c_y / m
-    if class_spec.kind == L1:
-        beta_star = _l1_moment_fit(sigma_o, c_o, class_spec.total_budget(1), class_spec.intercept)[0]
-    else:
-        beta_star = population_projection(sigma_o, c_o).coefficients
-    resid_o = c_y - psi @ beta_star
-    pop_rv = float(resid_o @ resid_o) / m
+    whitener(*np.linalg.eigh(sigma_o), name="oracle moment matrix Sigma_o")
+    star = oracle.fit(1, 0b1)
+    c_y = oracle._targets[:, 1]
     k0 = math.sqrt(float(c_y @ c_y) / m)
     lam_min = empproc.lambda_min(sigma_o)
-    whitener(*np.linalg.eigh(sigma_o), name="oracle moment matrix Sigma_o")
 
     report = MisspecReport(
         truth_label=truth.label,
         class_config=class_spec.to_config(),
-        oracle_n=int(oracle_n),
+        oracle_n=oracle_n,
         seed=int(seed),
-        beta_star=beta_star,
-        population_residual_variance=pop_rv,
+        beta_star=star.coefficients,
+        population_residual_variance=star.residual_variance,
         k0=k0,
         lambda_min=lam_min,
         n_features=d,
@@ -744,11 +712,11 @@ def misspec_experiment(
                 fit = sample_fits(n, rep).fit(1, 0b1)
             except CapacityError as exc:
                 raise DegeneracyError(f"{undetermined}: {exc}") from exc
-            if fit.degenerate or fit.coefficients.shape != beta_star.shape:
+            if fit.degenerate or fit.coefficients.shape != star.coefficients.shape:
                 raise DegeneracyError(undetermined)
-            db = fit.coefficients - beta_star
+            db = fit.coefficients - star.coefficients
             dists[rep] = float(np.sqrt(max(db @ (sigma_o @ db), 0.0)))
-            vgaps[rep] = abs(fit.residual_variance - pop_rv)
+            vgaps[rep] = abs(fit.residual_variance - star.residual_variance)
             report.records.append(
                 {"n": n, "rep": rep, "coef_distance": dists[rep], "variance_gap": vgaps[rep]}
             )

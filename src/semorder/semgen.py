@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import derived_rng
 from .dictionary import Dictionary, basis_matrix
-from .errors import CapacityError, UsageError, as_number
+from .errors import CapacityError, UsageError, as_count, as_number
 from .regress import EXACT_GUARD, ClassSpec, ConditionalFits
 
 SAMPLE_BLOCK = 4096
@@ -294,8 +294,7 @@ def sample(spec: SemSpec, n: int, seed) -> DataMatrix:
     (spec, n, seed) regardless of scheduling and blocks could be filled in
     parallel.
     """
-    if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
+    n = as_count(n, "n")
     p = spec.p
     eps = np.empty((n, p))
     for b, start in enumerate(range(0, n, SAMPLE_BLOCK)):
@@ -354,6 +353,7 @@ class PopulationSigmas:
 
 def _oracle_fits(spec: SemSpec, class_spec: ClassSpec, oracle_n: int, seed) -> ConditionalFits:
     """The fit engine over a fresh oracle sample of the model."""
+    oracle_n = as_count(oracle_n, "oracle_n")
     min_n = 10 * spec.p * class_spec.dictionary.size
     if oracle_n < min_n:
         raise UsageError(f"oracle_n={oracle_n} too small; need at least 10*p*N = {min_n}")

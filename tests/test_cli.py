@@ -480,6 +480,18 @@ def test_bad_numeric_config_entry_is_usage_error(tmp_path, capsys, command, cfg,
     assert not (out / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("command", ["misspec", "gap"])
+@pytest.mark.parametrize("oracle_n", [-5, 0])
+def test_oracle_n_below_one_is_usage_error(tmp_path, capsys, command, oracle_n):
+    # read as a size before any sampling, not handed to numpy's seeding or shapes
+    cfg = {**MISSPEC, "n_grid": [100]} if command == "misspec" else {"sem": sine_chain_cfg(p=2), "class": SPLINE5}
+    path = write_cfg(tmp_path, "c.json", {**cfg, "oracle_n": oracle_n})
+    code, _, err = run([command, "--config", path, "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert err.startswith("error: config entry 'oracle_n' must be at least 1")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("n, message", [(10**15, "out of memory"), (10**19, "64-bit")])
 def test_oversized_sample_is_usage_error(tmp_path, capsys, n, message):
     # 10**15 rows lie beyond the address space, so the allocation fails at once

@@ -24,7 +24,6 @@ from semorder.empproc import (
     z_sup_l1,
 )
 from semorder.errors import DegeneracyError, UsageError
-from semorder.regress import population_projection
 
 import oracles
 
@@ -212,8 +211,6 @@ def test_non_finite_moment_matrices_are_usage_errors(bad):
     m = np.array([[bad, 0.0], [0.0, 1.0]])
     with pytest.raises(UsageError, match="finite"):
         pinv_solve_psd(m, np.ones(2))
-    with pytest.raises(UsageError, match="finite"):
-        population_projection(m, np.ones(2))
     with pytest.raises(UsageError, match="finite"):
         lambda_min(m)
     c = np.zeros((2, 1))

@@ -8,7 +8,7 @@ import pytest
 
 import semorder
 from semorder import regress
-from semorder._linalg import RANK_REL_TOL, factorize, least_squares
+from semorder._linalg import RANK_REL_TOL, factorize, least_squares, pinv_solve_psd
 from semorder.dictionary import (
     CUBIC_B_SPLINE,
     PIECEWISE_CONSTANT,
@@ -27,7 +27,6 @@ from semorder.regress import (
     fit_span,
     kkt_residual,
     misspec_experiment,
-    population_projection,
 )
 from semorder.semgen import DataMatrix, EdgeFunction, SemSpec, sample
 
@@ -621,38 +620,38 @@ def test_fit_l1_matches_sign_face_enumeration():
     assert worst <= 1e-12
 
 
-def test_population_projection_identity():
+def test_pinv_solve_psd_identity():
     c = np.array([0.3, -1.0, 2.0])
-    out = population_projection(np.eye(3), c)
-    assert np.allclose(out.coefficients, c, atol=1e-14)
+    beta, _ = pinv_solve_psd(np.eye(3), c)
+    assert np.allclose(beta, c, atol=1e-14)
 
 
-def test_population_projection_scalar():
-    out = population_projection(np.array([[4.0]]), np.array([2.0]))
-    assert abs(out.coefficients[0] - 0.5) <= 1e-14
+def test_pinv_solve_psd_scalar():
+    beta, _ = pinv_solve_psd(np.array([[4.0]]), np.array([2.0]))
+    assert abs(beta[0] - 0.5) <= 1e-14
 
 
-def test_population_projection_round_trip():
+def test_pinv_solve_psd_round_trip():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((4, 4))
     sigma = a @ a.T + 4.0 * np.eye(4)
     beta = rng.standard_normal(4)
-    out = population_projection(sigma, sigma @ beta)
-    assert np.max(np.abs(out.coefficients - beta)) <= 1e-10
-    assert not out.degenerate
+    out, degenerate = pinv_solve_psd(sigma, sigma @ beta)
+    assert np.max(np.abs(out - beta)) <= 1e-10
+    assert not degenerate
 
 
-def test_population_projection_rejects_asymmetry():
+def test_pinv_solve_psd_rejects_asymmetry():
     with pytest.raises(UsageError):
-        population_projection(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+        pinv_solve_psd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
 
 
-def test_population_projection_singular_flagged():
+def test_pinv_solve_psd_singular_flagged():
     sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = population_projection(sigma, np.array([1.0, 1.0]))
-    assert out.degenerate
+    beta, degenerate = pinv_solve_psd(sigma, np.array([1.0, 1.0]))
+    assert degenerate
     # minimum-norm solution splits the weight evenly
-    assert np.allclose(out.coefficients, [0.5, 0.5], atol=1e-10)
+    assert np.allclose(beta, [0.5, 0.5], atol=1e-10)
 
 
 def trig_class(size=3, domain=(-1.0, 1.0), intercept=True):
@@ -759,9 +758,13 @@ def test_misspec_l1_class_converges_to_the_l1_projection():
 
 
 def test_misspec_oracle_cell_collapses():
-    # the cell that re-draws the oracle sample fits the projection exactly
-    rep = misspec_experiment(cubic_truth(), trig_class(), n_grid=[4096], reps=1, oracle_n=4096, seed=19)
-    assert rep.cells[0]["mean_dist"] <= 1e-6
+    # the cell that re-draws the oracle sample runs the very fit that gives
+    # the projection, so it lands on it exactly, span and l1 classes alike
+    l1 = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-1.0, 1.0)), kind="l1", budget=1.0, intercept=False)
+    for cls in (trig_class(), l1):
+        rep = misspec_experiment(cubic_truth(), cls, n_grid=[4096], reps=1, oracle_n=4096, seed=19)
+        assert rep.cells[0]["mean_dist"] == 0.0
+        assert rep.cells[0]["mean_variance_gap"] == 0.0
 
 
 def test_misspec_refuses_a_sample_that_misses_a_cell():
@@ -798,7 +801,7 @@ def test_misspec_report_shape():
 
 
 def test_projection_moment_convergence():
-    # projection coefficients from moments of n and 4n samples drift at root-n scale
+    # projection coefficients fitted on n and 4n samples drift at root-n scale
     d = Dictionary(TRIGONOMETRIC, 3, (-1.0, 1.0))
     cls = trig_class()
     rng = np.random.default_rng(21)
@@ -807,7 +810,7 @@ def test_projection_moment_convergence():
         x = rng.uniform(-1.0, 1.0, n)
         y = x**3 + 0.3 * rng.standard_normal(n)
         psi = oracles.direct_design(x[:, None], cls, [0])
-        return population_projection(psi.T @ psi / n, psi.T @ y / n).coefficients
+        return fit_span(psi, y).coefficients
 
     n = 20_000
     drift = np.max(np.abs(beta_of(n) - beta_of(4 * n)))
