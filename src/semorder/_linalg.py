@@ -1,4 +1,4 @@
-"""Shared linear-algebra helpers.
+"""Shared linear-algebra helpers: every linear solve and rank decision of the package.
 
 Each convention used throughout the package is written once, here:
 
@@ -25,7 +25,9 @@ Each convention used throughout the package is written once, here:
   factorizations and ``p 2^(p-1)`` solves;
 * row compression (:func:`row_compress`): the R factor of a Householder QR,
   folded over row blocks, in place of a tall matrix whose column space is
-  all that a fit reads.
+  all that a fit reads;
+* span membership on the lasso path (:func:`moment_solve`): a Householder
+  QR pivot at most ``RANK_REL_TOL`` times the design's largest column norm.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ __all__ = [
     "check_psd",
     "whitener",
     "gen_eigh",
-    "pinv_solve_psd",
     "Factor",
     "factorize",
     "least_squares",
     "row_compress",
+    "moment_solve",
     "SYM_TOL",
     "PSD_REL_TOL",
     "PD_REL_TOL",
@@ -114,28 +116,6 @@ def gen_eigh(a: np.ndarray, white: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, white @ u
 
 
-def pinv_solve_psd(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve ``s @ beta = c`` for symmetric PSD `s`, minimum-norm if singular.
-
-    Returns ``(beta, degenerate)`` where `degenerate` marks a rank-deficient
-    system solved through the pseudo-inverse.
-    """
-    s = check_symmetric(s, "moment matrix")
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (s.shape[0],):
-        raise UsageError(f"vector shape {c.shape} does not match matrix {s.shape}")
-    if s.shape[0] == 0:
-        return np.zeros(0), False
-    w, v = np.linalg.eigh(s)
-    check_psd(w, "moment matrix")
-    cutoff = PD_REL_TOL * max(float(w[-1]), 0.0) if w[-1] > 0 else 0.0
-    keep = w > cutoff
-    degenerate = bool(np.count_nonzero(keep) < s.shape[0])
-    w_inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    beta = (v * w_inv) @ (v.T @ c)
-    return beta, degenerate
-
-
 class Factor(NamedTuple):
     """The factor step of :func:`least_squares` on one design `x`.
 
@@ -152,13 +132,18 @@ def factorize(x: np.ndarray) -> Factor:
     ``L`` is accepted only under the certificate ``trace(g) ||L^-1||_F^2 <= 1 /
     RANK_REL_TOL``.  Its left side is at least ``cond(x)^2``, so a certified
     `x` has full column rank under the rank rule.  A singular `g` or a failed
-    or NaN certificate gives ``Factor(None)``.
+    or NaN certificate gives ``Factor(None)``.  :class:`UsageError` when
+    ``trace(g)`` is not finite (a non-finite entry, or squares that overflow).
     """
     g = x.T @ x
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(g))
+    if not math.isfinite(trace):
+        raise UsageError(f"design must be finite with finite squares, got trace(x'x) = {trace}")
     try:
         inv = np.linalg.inv(np.linalg.cholesky(g))
         with np.errstate(over="ignore"):
-            bound = float(np.trace(g)) * float(np.sum(inv * inv))
+            bound = trace * float(np.sum(inv * inv))
     except np.linalg.LinAlgError:
         bound = math.nan
     return Factor(inv if bound <= 1.0 / RANK_REL_TOL else None)
@@ -199,3 +184,18 @@ def row_compress(blocks) -> np.ndarray:
             rows = block[start : start + step]
             r = np.linalg.qr(rows if r is None else np.vstack([r, rows]), mode="r")
     return r
+
+
+def moment_solve(x: np.ndarray, s: np.ndarray, norm: float) -> np.ndarray | None:
+    """Solve ``(x'x / n) d = s`` for the n rows of `x`, or None when its last column is in the span of the others.
+
+    One Householder QR of `x` decides and solves.  The last column is in the
+    span (of none, for a lone column) when R has fewer rows than columns or
+    its last pivot, the column's distance from that span, is at most
+    ``RANK_REL_TOL * norm``, `norm` being the largest column norm of the
+    design.  Otherwise ``d = n R^-1 R^-T s``, empty when `x` has no column.
+    """
+    r = np.linalg.qr(x, mode="r")
+    if r.shape[0] < r.shape[1] or (r.size and abs(r[-1, -1]) <= RANK_REL_TOL * norm):
+        return None
+    return x.shape[0] * np.linalg.solve(r, np.linalg.solve(r.T, s))

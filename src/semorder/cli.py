@@ -2,9 +2,8 @@
 
 Each subcommand reads a JSON config, runs one experiment, and writes its
 outputs plus a manifest into the output directory.  Outputs are deterministic
-functions of (config, seed).  The manifest also records ``--threads``, the
-machine's CPU count unless given, on which nothing else depends, so a rerun
-on one machine reproduces every file byte for byte.
+functions of (config, seed): a rerun on one machine reproduces every file byte
+for byte.
 
 Exit codes: 0 success, 2 configuration or usage error or a size too large to
 allocate, 3 numerical degeneracy or a failed linear-algebra routine.
@@ -16,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -323,12 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to the JSON config")
         sp.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
         sp.add_argument("--out", required=True, help="output directory (created if missing)")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="recorded in the manifest; not yet used, so results do not depend on it",
-        )
         if name in ("rates", "empnorm"):
             sp.add_argument(
                 "--self-test",
@@ -342,8 +334,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     self_test = bool(getattr(args, "self_test", False))
     try:
-        if args.threads < 1:
-            raise UsageError(f"--threads must be positive, got {args.threads}")
         cfg = _load_config(args.config)
         out = Path(args.out)
         try:
@@ -356,7 +346,6 @@ def main(argv=None) -> int:
             "config": cfg,
             "outputs": outputs,
             "seed": args.seed,
-            "threads": args.threads,
             "version": __version__,
         }
         if args.command in ("rates", "empnorm"):

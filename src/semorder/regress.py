@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import empproc
-from ._linalg import Factor, factorize, least_squares, pinv_solve_psd, row_compress, whitener
+from ._linalg import Factor, factorize, least_squares, moment_solve, row_compress, whitener
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix
 from .errors import CapacityError, DegeneracyError, UsageError, as_count, as_number, as_sizes
@@ -140,7 +140,8 @@ def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitR
     variance is the mean squared residual ``y - x beta`` (no
     degrees-of-freedom correction).  ``rank`` is the numerical rank of `x`,
     the number of singular values above ``RANK_REL_TOL`` times the largest;
-    ``degenerate`` marks a rank below the column count.
+    ``degenerate`` marks a rank below the column count.  :class:`UsageError`
+    for a non-finite `y`, ``trace(x'x)`` or residual variance (`x` is not scanned).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -148,9 +149,13 @@ def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitR
         raise UsageError(f"incompatible shapes {x.shape} and {y.shape}")
     if x.shape[0] < 1:
         raise UsageError("need at least one observation")
+    if not np.isfinite(y).all():
+        raise UsageError("response must be finite")
     beta, rank = least_squares(x, y, factor)
     resid = y - x @ beta
     rv = float(resid @ resid) / x.shape[0]
+    if not math.isfinite(rv):
+        raise UsageError(f"design and response must be finite, got residual variance {rv}")
     return FitResult(
         coefficients=beta,
         residual_variance=rv,
@@ -170,16 +175,13 @@ def kkt_residual(x: np.ndarray, y: np.ndarray, beta: np.ndarray, budget: float, 
     > 1e-10 budget``.  Interior means an empty support or an l1 norm below
     ``budget (1 - 1e-9)``; at budget 0 only the intercept counts.  A true
     minimizer has residual 0; small residuals certify near-optimality.
+    :class:`UsageError` unless `x`, `y` and `beta` are finite.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     beta = np.asarray(beta, dtype=np.float64).ravel()
-    n = x.shape[0]
-    grad = 2.0 * (x.T @ (x @ beta - y)) / n
-    return _kkt_from_gradient(grad, beta, budget, intercept)
-
-
-def _kkt_from_gradient(grad: np.ndarray, beta: np.ndarray, budget: float, intercept: bool) -> float:
+    _check_finite(design=x, response=y, coefficients=beta)
+    grad = 2.0 * (x.T @ (x @ beta - y)) / x.shape[0]
     g_int = abs(float(grad[0])) if intercept and grad.shape[0] else 0.0
     g_pen, b_pen = (grad[1:], beta[1:]) if intercept else (grad, beta)
     if g_pen.shape[0] == 0:
@@ -194,6 +196,12 @@ def _kkt_from_gradient(grad: np.ndarray, beta: np.ndarray, budget: float, interc
     return max(g_int, align)
 
 
+def _check_finite(**arrays: np.ndarray) -> None:
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise UsageError(f"{name} must be finite")
+
+
 def fit_l1(
     x: np.ndarray,
     y: np.ndarray,
@@ -202,22 +210,17 @@ def fit_l1(
     max_iter: int = 50000,
     intercept: bool = False,
 ) -> FitResult:
-    """Least squares under ``sum_j |beta_j| <= budget`` (intercept exempt).
+    """Least squares of `y` (n,) on `x` (n, d) under ``sum_j |beta_j| <= budget`` (intercept exempt).
 
-    Solved exactly by the lasso homotopy of :func:`_lasso_path` on the moment
-    form ``a = x'x / n``, ``b = x'y / n``, after one Schur complement on column
-    0 removes an intercept.  ``converged`` requires the KKT residual of
+    `x` and `y` must be finite and `budget` nonnegative, else
+    :class:`UsageError`.  Solved exactly by the lasso homotopy of
+    :func:`_lasso_path`.  With ``intercept=True`` column 0 of `x` is the
+    unpenalized intercept, removed first: the other columns are replaced by
+    their residuals on it, ``x_j - x_0 (x_0'x_j) / (x_0'x_0)``, and a zero
+    column 0 gets coefficient 0.  ``converged`` requires the KKT residual of
     :func:`kkt_residual` to be at most `tol`; a path cut at `max_iter` steps
     never converges.  A fit that does not converge warns.  On collinear
     columns the coefficients may not be unique; the fitted values are.
-
-    Parameters
-    ----------
-    x, y : ndarray
-        Design (n, d) and response (n,).  When ``intercept=True`` column 0 of
-        `x` is treated as the unpenalized intercept.
-    budget : float
-        Nonnegative l1 budget over the penalized coordinates.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -227,20 +230,18 @@ def fit_l1(
         raise UsageError("need at least one observation")
     if not (budget >= 0):
         raise UsageError(f"budget must be nonnegative, got {budget!r}")
+    _check_finite(design=x, response=y)
     n, d = x.shape
     if d == 0:
         return FitResult(np.zeros(0), float(y @ y) / n, kkt_residual=0.0, n_obs=n)
-
-    a = x.T @ x / n
-    b = x.T @ y / n
-    if intercept:  # a zero column 0 gets coefficient 0
-        pivot, col = a[0, 0] or 1.0, a[1:, 0]
-        a_pen, b_pen = a[1:, 1:] - np.outer(col, col) / pivot, b[1:] - col * (b[0] / pivot)
-        v, steps, done = _lasso_path(a_pen, b_pen, budget, max_iter)
-        beta = np.concatenate([[(b[0] - col @ v) / pivot], v])
-    else:
-        beta, steps, done = _lasso_path(a, b, budget, max_iter)
-    residual = _kkt_from_gradient(2.0 * (a @ beta - b), beta, budget, intercept)
+    pen = x
+    if intercept:
+        x0, rest = x[:, 0], x[:, 1:]
+        pivot = float(x0 @ x0) or 1.0
+        pen = rest - np.outer(x0, (x0 @ rest) / pivot)
+    v, steps, done = _lasso_path(pen, y, budget, max_iter)
+    beta = np.concatenate([[x0 @ (y - rest @ v) / pivot], v]) if intercept else v
+    residual = kkt_residual(x, y, beta, budget, intercept)
     converged = done and residual <= tol
     if not converged:
         msg = f"l1 fit stopped after {steps} path steps with KKT residual {residual:.3e} > {tol:.1e}"
@@ -255,8 +256,8 @@ def fit_l1(
     )
 
 
-def _lasso_path(a: np.ndarray, b: np.ndarray, budget: float, max_steps: int) -> tuple[np.ndarray, int, bool]:
-    """Minimize ``v'a v - 2 b'v`` over ``||v||_1 <= budget`` by the lasso homotopy.
+def _lasso_path(x: np.ndarray, y: np.ndarray, budget: float, max_steps: int) -> tuple[np.ndarray, int, bool]:
+    """Minimize ``v'a v - 2 b'v`` over ``||v||_1 <= budget`` by the lasso homotopy, ``a = x'x / n``, ``b = x'y / n``.
 
     The penalized minimizer is piecewise linear in its multiplier ``lam``
     (Osborne, Presnell & Turlach 2000; Efron et al. 2004).  From ``v = 0`` at
@@ -264,23 +265,29 @@ def _lasso_path(a: np.ndarray, b: np.ndarray, budget: float, max_steps: int) -> 
     at ``lam`` times their signs s while v moves along ``a_SS^-1 s`` and
     ``lam`` falls at unit rate, up to the nearest event: a column joins S, a
     coefficient reaches 0 and leaves, the budget binds, or ``lam`` reaches 0
-    (least squares).  A joining column that leaves ``a_SS`` singular is in the
-    span of S, so its correlation stays at ``lam`` by itself: it stays out
-    until a column leaves.  Returns ``(v, steps, finished)``.
+    (least squares).  S is kept in joining order, and each direction comes
+    from :func:`semorder._linalg.moment_solve` on S's columns of `x`.  A
+    joining column that it finds in the span of S keeps its correlation at
+    ``lam`` by itself: it stays out until a column leaves.  Returns ``(v,
+    steps, finished)``.
     """
-    dim = b.shape[0]
+    n, dim = x.shape
+    a, b = x.T @ x / n, x.T @ y / n
+    norm = float(np.sqrt(n * np.max(np.diag(a), initial=0.0)))
     v, sign, riding = np.zeros(dim), np.zeros(dim), np.zeros(dim, dtype=bool)
     lam = float(np.max(np.abs(b), initial=0.0))
     if budget == 0 or lam == 0:
         return v, 0, True
-    c, j = b, int(np.argmax(np.abs(b)))
-    sign[j] = np.sign(b[j])
+    c, active = b, [int(np.argmax(np.abs(b)))]
+    sign[active[0]] = np.sign(b[active[0]])
     for step in range(1, max_steps + 1):
-        act, dv = np.flatnonzero(sign), np.zeros(dim)
-        dv[act], singular = pinv_solve_psd(a[np.ix_(act, act)], sign[act])
-        if singular:
+        d = moment_solve(x[:, active], sign[active], norm)
+        if d is None:
+            j = active.pop()
             sign[j], riding[j] = 0.0, True
             continue
+        dv = np.zeros(dim)
+        dv[active] = d
         w = a @ dv
         with np.errstate(divide="ignore", invalid="ignore"):
             up = np.where(w < 1.0, np.maximum(lam - c, 0.0) / (1.0 - w), np.inf)
@@ -297,11 +304,14 @@ def _lasso_path(a: np.ndarray, b: np.ndarray, budget: float, max_steps: int) -> 
             used = float(np.abs(v).sum())
             return (v * (budget / used) if used > budget else v), step, True
         if event < 2 + dim:
-            v[event - 2] = sign[event - 2] = 0.0
+            k = event - 2
+            v[k] = sign[k] = 0.0
+            active.remove(k)
             riding[:] = False
         else:
             j = event - 2 - dim
             sign[j] = 1.0 if up[j] <= down[j] else -1.0
+            active.append(j)
         c = b - a @ v
     return v, max_steps, False
 

@@ -8,7 +8,7 @@ import pytest
 
 import semorder
 from semorder import regress
-from semorder._linalg import RANK_REL_TOL, factorize, least_squares, pinv_solve_psd
+from semorder._linalg import RANK_REL_TOL, factorize, least_squares
 from semorder.dictionary import (
     CUBIC_B_SPLINE,
     PIECEWISE_CONSTANT,
@@ -180,14 +180,20 @@ def test_least_squares_certifies_only_well_conditioned_designs(monkeypatch):
 
 
 def test_least_squares_solvers_live_in_linalg():
-    # every least-squares solve and Cholesky factorization goes through the
-    # one certified policy in _linalg, and every QR through its row compression
+    # every linear solve, factorization and rank decision lives in _linalg
     package = Path(semorder.__file__).parent
     for path in sorted(package.glob("*.py")):
         if path.name == "_linalg.py":
             continue
         text = path.read_text(encoding="utf-8")
-        for name in ("np.linalg.lstsq", "np.linalg.cholesky", "np.linalg.qr"):
+        for name in (
+            "np.linalg.lstsq",
+            "np.linalg.cholesky",
+            "np.linalg.qr",
+            "np.linalg.solve",
+            "np.linalg.inv",
+            "np.linalg.pinv",
+        ):
             assert name not in text, f"{path.name} calls {name}"
 
 
@@ -620,38 +626,57 @@ def test_fit_l1_matches_sign_face_enumeration():
     assert worst <= 1e-12
 
 
-def test_pinv_solve_psd_identity():
-    c = np.array([0.3, -1.0, 2.0])
-    beta, _ = pinv_solve_psd(np.eye(3), c)
-    assert np.allclose(beta, c, atol=1e-14)
+def test_fit_l1_reaches_least_squares_on_wide_spline_designs():
+    # far above every binding budget the path ends at least squares, deciding
+    # span membership by the span fits' rank rule: on these designs, with
+    # condition numbers up to 1e16 and beyond, a coarser rule stops short
+    worst = 0.0
+    for s in range(300):
+        rng = np.random.default_rng(s)
+        k, blocks, n = int(rng.integers(4, 12)), int(rng.integers(1, 6)), int(rng.integers(41, 85))
+        z = rng.standard_normal((n, blocks))
+        x = np.column_stack([np.ones(n), basis_matrix(Dictionary(CUBIC_B_SPLINE, k, (-3.0, 3.0)), z)])
+        y = np.sin(1.5 * z[:, 0]) + 0.3 * rng.standard_normal(n)
+        fit = fit_l1(x, y, 1e9, intercept=True)
+        assert fit.converged
+        worst = max(worst, fit.kkt_residual)
+    assert worst <= 5e-11
 
 
-def test_pinv_solve_psd_scalar():
-    beta, _ = pinv_solve_psd(np.array([[4.0]]), np.array([2.0]))
-    assert abs(beta[0] - 0.5) <= 1e-14
+def test_fit_l1_drops_a_column_below_the_rank_rule_as_least_squares_does():
+    # a column 1e-11 of the design's largest norm is zero under the rank rule,
+    # even when it alone carries y: both fits drop it, and the l1 fit reports
+    # that its KKT residual, which still sees the column, is not met
+    rng = np.random.default_rng(14)
+    z, u = rng.standard_normal((2, 40))
+    u -= z * (z @ u) / (z @ z)
+    x = np.column_stack([1e6 * u, 1e-5 * z])
+    with pytest.warns(RuntimeWarning, match="KKT"):
+        fit = fit_l1(x, z, 1e9)
+    assert abs(fit.residual_variance - fit_span(x, z).residual_variance) <= 1e-12 * fit.residual_variance
 
 
-def test_pinv_solve_psd_round_trip():
-    rng = np.random.default_rng(10)
-    a = rng.standard_normal((4, 4))
-    sigma = a @ a.T + 4.0 * np.eye(4)
-    beta = rng.standard_normal(4)
-    out, degenerate = pinv_solve_psd(sigma, sigma @ beta)
-    assert np.max(np.abs(out - beta)) <= 1e-10
-    assert not degenerate
-
-
-def test_pinv_solve_psd_rejects_asymmetry():
-    with pytest.raises(UsageError):
-        pinv_solve_psd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
-
-
-def test_pinv_solve_psd_singular_flagged():
-    sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
-    beta, degenerate = pinv_solve_psd(sigma, np.array([1.0, 1.0]))
-    assert degenerate
-    # minimum-norm solution splits the weight evenly
-    assert np.allclose(beta, [0.5, 0.5], atol=1e-10)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "name, where",
+    [(name, where) for name in ("fit_l1", "fit_span", "kkt_residual") for where in ("x", "y")]
+    + [("kkt_residual", "beta")],
+)
+def test_public_fits_reject_non_finite_input(name, where, bad, capfd):
+    # a usage error, raised before LAPACK sees the entry and prints to the terminal
+    rng = np.random.default_rng(12)
+    arrays = {"x": np.column_stack([np.ones(30), rng.standard_normal((30, 3))]), "y": rng.standard_normal(30)}
+    arrays["beta"] = np.zeros(4)
+    arrays[where].reshape(-1)[2] = bad
+    x, y, beta = arrays["x"], arrays["y"], arrays["beta"]
+    call = {
+        "fit_l1": lambda: fit_l1(x, y, 1.0, intercept=True),
+        "fit_span": lambda: fit_span(x, y),
+        "kkt_residual": lambda: kkt_residual(x, y, beta, 1.0, intercept=True),
+    }[name]
+    with pytest.raises(UsageError, match="finite"):
+        call()
+    assert capfd.readouterr() == ("", "")
 
 
 def trig_class(size=3, domain=(-1.0, 1.0), intercept=True):
