@@ -36,10 +36,10 @@ from .empproc import (
     z_sup_ellipsoid,
     z_sup_l1,
 )
-from .errors import CapacityError, DegeneracyError, UsageError, as_count, as_number
+from .errors import REQUIRED, CapacityError, DegeneracyError, UsageError, as_count, as_number, as_tuple, read_keys
 from .order import EXACT_GUARD, estimate_order_exact, estimate_order_greedy
 from .regress import ClassSpec, MisspecTruth, misspec_experiment
-from .semgen import DataMatrix, EdgeFunction, SemSpec, identifiability_gap, sample
+from .semgen import TRUTH_KEYS, DataMatrix, EdgeFunction, SemSpec, identifiability_gap, sample
 
 __all__ = ["main"]
 
@@ -94,61 +94,40 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _need(cfg: dict, key: str):
-    if key not in cfg:
-        raise UsageError(f"config is missing the {key!r} entry")
-    return cfg[key]
-
-
-def _number(cfg: dict, key: str, default=None) -> float:
-    """Config entry `key` as a finite float; `default` if absent, required if None."""
-    raw = _need(cfg, key) if default is None else cfg.get(key, default)
-    return as_number(raw, f"config entry {key!r}")
-
-
-def _numbers(cfg: dict, key: str, count: int, default) -> list[float]:
-    """Config entry `key` as a list of `count` finite floats; `default` if absent."""
-    raw = cfg.get(key, default)
-    if not isinstance(raw, (list, tuple)) or len(raw) != count:
-        raise UsageError(f"config entry {key!r} must be a list of {count} finite numbers, got {raw!r}")
-    return [as_number(v, f"config entry {key!r}") for v in raw]
-
-
-def _positive_int(cfg: dict, key: str, default=None) -> int:
-    """Config entry `key` as an int of at least 1; `default` if absent, required if None."""
-    raw = _need(cfg, key) if default is None else cfg.get(key, default)
-    return as_count(raw, f"config entry {key!r}")
-
-
 def cmd_simulate(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
-    spec = SemSpec.from_json(_need(cfg, "sem"))
-    n = _positive_int(cfg, "n")
-    data = sample(spec, n, seed)
+    c = read_keys(cfg, "", {"sem": REQUIRED, "n": REQUIRED})
+    data = sample(SemSpec.from_json(c["sem"]), c["n"], seed)
     data.to_csv(out / "data.csv")
     return ["data.csv"]
 
 
 def cmd_order(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
-    class_spec = ClassSpec.from_config(_need(cfg, "class"))
+    # the data come from a CSV or from an inline model: a key of the other source is unknown
     if "data" in cfg:
-        data = DataMatrix.from_csv(str(cfg["data"]))
+        c = read_keys(cfg, "", {"data": REQUIRED, "class": REQUIRED, "method": "exact"})
     elif "sem" in cfg:
-        spec = SemSpec.from_json(cfg["sem"])
-        data = sample(spec, _positive_int(cfg, "n"), seed)
+        c = read_keys(cfg, "", {"sem": REQUIRED, "n": REQUIRED, "class": REQUIRED, "method": "exact"})
     else:
         raise UsageError("order config needs either a 'data' path or an inline 'sem'")
-    method = str(cfg.get("method", "exact"))
-    if method == "exact":
+    method = c["method"]
+    if method not in ("exact", "greedy"):
+        raise UsageError(f"method must be 'exact' or 'greedy', got {method!r}")
+    class_spec = ClassSpec.from_config(c["class"])
+    if "data" in c:
+        if not isinstance(c["data"], str):  # open() reads an int as a file descriptor
+            raise UsageError(f"data must be a path string, got {c['data']!r}")
+        data = DataMatrix.from_csv(c["data"])
+    else:
+        data = sample(SemSpec.from_json(c["sem"]), c["n"], seed)
+    if method == "greedy":
+        est = estimate_order_greedy(data, class_spec)
+    else:
         try:
             est = estimate_order_exact(data, class_spec)
         except CapacityError as exc:
             if data.p <= EXACT_GUARD:
                 raise  # greedy also fits the last variable on all others, so it fails alike
             raise UsageError(f"{exc}; rerun with \"method\": \"greedy\"") from exc
-    elif method == "greedy":
-        est = estimate_order_greedy(data, class_spec)
-    else:
-        raise UsageError(f"method must be 'exact' or 'greedy', got {method!r}")
     _write_json(out / "order.json", est.to_json())
     lines = [
         f"method: {est.method}",
@@ -171,15 +150,13 @@ def cmd_order(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
 
 
 def cmd_rates(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
-    report = rate_experiment(
-        case=str(_need(cfg, "case")),
-        grid=_need(cfg, "grid"),
-        reps=_positive_int(cfg, "reps"),
-        family=str(cfg.get("family", TRIGONOMETRIC)),
-        domain=tuple(_numbers(cfg, "domain", 2, (0.0, 1.0))),
-        seed=seed,
-        self_test=self_test,
-    )
+    # "restarts" is retired: an older config may still give it, and it is ignored
+    keys = {"case": REQUIRED, "grid": REQUIRED, "reps": REQUIRED, "restarts": None}
+    if cfg.get("case") in ("case3", "case4"):  # only the additive cases build a dictionary
+        keys.update(family=TRIGONOMETRIC, domain=(0.0, 1.0))
+    c = read_keys(cfg, "", keys)
+    del c["restarts"]
+    report = rate_experiment(**c, seed=seed, self_test=self_test)
     _write_json(out / "rates.json", report.to_json())
     header, rows = report.csv_rows()
     _write_csv(out / "rates.csv", header, rows)
@@ -187,17 +164,14 @@ def cmd_rates(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
 
 
 def cmd_misspec(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
-    truth_cfg = _need(cfg, "truth")
-    if not isinstance(truth_cfg, dict) or "noise_sd" not in truth_cfg:
-        raise UsageError("truth config needs kind/params/noise_sd")
-    fn = EdgeFunction.from_config(truth_cfg)
-    truth = MisspecTruth(mean=fn, noise_sd=_number(truth_cfg, "noise_sd"), label=fn.kind)
+    c = read_keys(cfg, "", {"truth": REQUIRED, "class": REQUIRED, "n_grid": REQUIRED, "reps": REQUIRED, "oracle_n": 200_000})
+    fn = EdgeFunction.from_config(c["truth"], "truth", TRUTH_KEYS)
     report = misspec_experiment(
-        truth=truth,
-        class_spec=ClassSpec.from_config(_need(cfg, "class")),
-        n_grid=_need(cfg, "n_grid"),
-        reps=_positive_int(cfg, "reps"),
-        oracle_n=_positive_int(cfg, "oracle_n", 200_000),
+        truth=MisspecTruth(mean=fn, noise_sd=c["truth"]["noise_sd"], label=fn.kind),
+        class_spec=ClassSpec.from_config(c["class"]),
+        n_grid=c["n_grid"],
+        reps=c["reps"],
+        oracle_n=c["oracle_n"],
         seed=seed,
     )
     _write_json(out / "misspec.json", report.to_json())
@@ -207,10 +181,11 @@ def cmd_misspec(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
 
 
 def cmd_gap(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
-    spec = SemSpec.from_json(_need(cfg, "sem"))
-    class_spec = ClassSpec.from_config(_need(cfg, "class"))
-    oracle_n = _positive_int(cfg, "oracle_n", 200_000)
-    replicates = _positive_int(cfg, "replicates", 3)
+    c = read_keys(cfg, "", {"sem": REQUIRED, "class": REQUIRED, "oracle_n": 200_000, "replicates": 3})
+    spec = SemSpec.from_json(c["sem"])
+    class_spec = ClassSpec.from_config(c["class"])
+    oracle_n = c["oracle_n"]  # identifiability_gap checks it before it samples
+    replicates = as_count(c["replicates"], "replicates")
     gaps, floored, table = [], [], None
     for r in range(replicates):
         rep = identifiability_gap(spec, class_spec, oracle_n=oracle_n, seed=(seed, r), return_table=r == 0)
@@ -238,16 +213,23 @@ def cmd_gap(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
 
 
 def cmd_empnorm(cfg: dict, seed: int, out: Path, self_test: bool) -> list[str]:
-    n = _positive_int(cfg, "n")
-    p = _positive_int(cfg, "p")
+    # "restarts" is retired, as for rates
+    c = read_keys(
+        cfg, "", {"n": REQUIRED, "p": REQUIRED, "budget": 1.0, "u": 1.0, "noise_sd": 1.0, "response_coefficients": None, "restarts": None}
+    )
+    n = as_count(c["n"], "n")
+    p = as_count(c["p"], "p")
     if p > n:
         raise UsageError(f"need p <= n, got p={p}, n={n}")
-    budget = _number(cfg, "budget", 1.0)
+    budget = as_number(c["budget"], "budget")
     if not (budget > 0):
         raise UsageError("budget must be positive")
-    u = _number(cfg, "u", 1.0)
-    noise_sd = _number(cfg, "noise_sd", 1.0)
-    w = np.array(_numbers(cfg, "response_coefficients", p, [1.0] * p))
+    u = as_number(c["u"], "u")
+    noise_sd = as_number(c["noise_sd"], "noise_sd")
+    w = c["response_coefficients"]
+    w = np.ones(p) if w is None else np.array(as_tuple(w, "response_coefficients"))
+    if w.shape != (p,):
+        raise UsageError(f"response_coefficients must be a list of p={p} numbers, got {c['response_coefficients']!r}")
 
     rng = derived_rng(seed)
     x = rng.uniform(-1.0, 1.0, (n, p))

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, as_number
+from .errors import REQUIRED, UsageError, as_count, as_tuple, read_keys
 
 PIECEWISE_CONSTANT = "piecewise-constant"
 CUBIC_B_SPLINE = "cubic-b-spline"
 TRIGONOMETRIC = "trigonometric"
 FAMILIES = (PIECEWISE_CONSTANT, CUBIC_B_SPLINE, TRIGONOMETRIC)
+DICTIONARY_KEYS = {"family": REQUIRED, "size": REQUIRED, "domain": REQUIRED}
 
 __all__ = [
     "Dictionary",
@@ -67,13 +68,11 @@ class Dictionary:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UsageError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if int(self.size) != self.size or self.size < 1:
-            raise UsageError(f"size must be a positive integer, got {self.size!r}")
-        object.__setattr__(self, "size", int(self.size))
-        a, b = float(self.domain[0]), float(self.domain[1])
-        if not (math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a)):
-            raise UsageError(f"domain must be a finite interval with a < b, got {self.domain!r}")
-        object.__setattr__(self, "domain", (a, b))
+        object.__setattr__(self, "size", as_count(self.size, "dictionary size"))
+        domain = as_tuple(self.domain, "dictionary domain")
+        if len(domain) != 2 or not (domain[0] < domain[1] and math.isfinite(domain[1] - domain[0])):
+            raise UsageError(f"dictionary domain must be a finite interval [a, b] with a < b, got {self.domain!r}")
+        object.__setattr__(self, "domain", domain)
         if self.family == CUBIC_B_SPLINE:
             if self.size < 4:
                 raise UsageError(f"cubic-b-spline needs size >= 4, got {self.size}")
@@ -102,20 +101,9 @@ class Dictionary:
         return {"family": self.family, "size": self.size, "domain": list(self.domain)}
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "Dictionary":
-        try:
-            family = cfg["family"]
-            size = cfg["size"]
-            domain = cfg["domain"]
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"dictionary config needs family/size/domain, got {cfg!r}") from exc
-        if not isinstance(domain, (list, tuple)) or len(domain) != 2:
-            raise UsageError(f"dictionary domain must be a [a, b] pair, got {domain!r}")
-        return cls(
-            family=str(family),
-            size=as_number(size, "dictionary size", int),
-            domain=tuple(as_number(v, "dictionary domain") for v in domain),
-        )
+    def from_config(cls, cfg: dict, path: str = "dictionary") -> "Dictionary":
+        """The dictionary of config object `cfg`; :func:`semorder.errors.read_keys` names `path` on a key fault."""
+        return cls(**read_keys(cfg, path, DICTIONARY_KEYS))
 
 
 def basis_matrix(d: Dictionary, x) -> np.ndarray:

@@ -38,7 +38,7 @@ from .dictionary import (
     moment_matrix,
     moment_vector,
 )
-from .errors import CapacityError, DegeneracyError, UsageError, as_count, as_number
+from .errors import REQUIRED, CapacityError, DegeneracyError, UsageError, as_count, as_number, read_keys
 
 RATE_CASES = ("case3", "case4", "l1_theorem", "l3_theorem")
 EPS = np.finfo(np.float64).eps
@@ -319,15 +319,6 @@ class RademacherResult:
     z_eps_se: float
     reps: int
 
-    def to_json(self) -> dict:
-        return {
-            "z_mean": self.z_mean,
-            "z_eps_mean": self.z_eps_mean,
-            "z_se": self.z_se,
-            "z_eps_se": self.z_eps_se,
-            "reps": self.reps,
-        }
-
 
 def rademacher_diagnostic(data, mp: MomentPair, reps: int = 200, seed: int = 0) -> RademacherResult:
     """Compare the norm-gap supremum with its sign-randomized counterpart.
@@ -576,29 +567,23 @@ class RateReport:
         return header, rows
 
 
-def _normalize_cell(case: str, cell, idx: int) -> dict:
-    if not isinstance(cell, dict):
-        raise UsageError(f"grid cell {idx} must be a mapping, got {cell!r}")
-
-    def entry(key, kind, what):
-        if key not in cell:
-            raise UsageError(f"grid cell {idx} needs {what}")
-        return as_number(cell[key], f"grid cell {idx} entry {key!r}", kind)
-
-    out = {"n": entry("n", int, "a sample size n"), "p": entry("p", int, "a dimension p")}
-    if out["n"] < 1 or out["p"] < 1:
-        raise UsageError(f"grid cell {idx} needs positive n and p")
-    additive = case in ("case3", "case4")
-    if additive:
-        out["N"] = entry("N", int, f"a basis size N for {case}")
-        if out["N"] < 1:
-            raise UsageError(f"grid cell {idx} needs positive N")
-        if out["p"] * out["N"] + 1 > out["n"]:
-            raise UsageError(f"grid cell {idx} violates p*N + 1 <= n ({out['p']}*{out['N']}+1 > {out['n']})")
+def _read_cell(case: str, cell, idx: int) -> dict:
+    """Grid cell `idx`: n and p, N for the additive cases, M for the budgeted ones."""
+    keys = {"n": REQUIRED, "p": REQUIRED}
+    if case in ("case3", "case4"):
+        keys["N"] = REQUIRED
+    if case in ("case3", "l1_theorem"):
+        keys["M"] = REQUIRED
+    out = read_keys(cell, f"grid[{idx}]", keys)
+    for key in ("n", "p", "N"):
+        if key in out:
+            out[key] = as_count(out[key], f"grid cell {idx} entry {key!r}")
+    if "N" in out and out["p"] * out["N"] + 1 > out["n"]:
+        raise UsageError(f"grid cell {idx} violates p*N + 1 <= n ({out['p']}*{out['N']}+1 > {out['n']})")
     if out["p"] > out["n"]:
         raise UsageError(f"grid cell {idx} violates p <= n")
-    if case in ("case3", "l1_theorem"):
-        out["M"] = entry("M", float, f"a budget M for {case}")
+    if "M" in out:
+        out["M"] = as_number(out["M"], f"grid cell {idx} entry 'M'")
         if not (out["M"] > 0):
             raise UsageError(f"grid cell {idx} needs a positive budget")
     return out
@@ -629,33 +614,36 @@ def rate_experiment(
     fails the positive definite rule is skipped, its message naming
     ``Lambda_min``.
 
+    `grid` is a nonempty list of cells, each an object of keys ``n`` and
+    ``p``, plus ``N`` for the additive cases and ``M`` for the budgeted
+    ones; any other key is a :class:`UsageError` naming it (``grid[0].MM``).
+
     With ``self_test=True`` the empirical matrix is replaced by the
     population one and every statistic must be exactly 0.
     """
     if case not in RATE_CASES:
         raise UsageError(f"case must be one of {RATE_CASES}, got {case!r}")
     reps = as_count(reps, "reps")
-    cells = [_normalize_cell(case, c, i) for i, c in enumerate(grid)]
-    if not cells:
-        raise UsageError("grid must contain at least one cell")
+    if not isinstance(grid, (list, tuple)) or not grid:
+        raise UsageError(f"grid must be a nonempty list of cells, got {grid!r}")
+    cells = [_read_cell(case, c, i) for i, c in enumerate(grid)]
     additive = case in ("case3", "case4")
     budgeted = case in ("case3", "l1_theorem")
+    dicts = [Dictionary(family, c["N"], domain) if additive else None for c in cells]
     report = RateReport(
         case=case,
         reps=reps,
         seed=int(seed),
         family=family if additive else None,
-        domain=tuple(domain) if additive else (-1.0, 1.0),
+        domain=dicts[0].domain if additive else (-1.0, 1.0),
         self_test=bool(self_test),
     )
-    for ci, cell in enumerate(cells):
+    for ci, (cell, dct) in enumerate(zip(cells, dicts)):
         n, p = cell["n"], cell["p"]
         if additive:
-            dct = Dictionary(family, cell["N"], tuple(domain))
             sigma = additive_population_moments(dct, p)
             a, b = dct.domain
         else:
-            dct = None
             sigma = np.eye(p) / 3.0
             a, b = -1.0, 1.0
         record = dict(cell)
@@ -718,15 +706,6 @@ class Case5Report:
     alpha: float
     rows: list[dict]
     chosen_n_basis: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "alpha": self.alpha,
-            "rows": self.rows,
-            "chosen_N": self.chosen_n_basis,
-        }
 
 
 def case5_tradeoff(

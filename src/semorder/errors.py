@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the number checks that raise them."""
+"""Exception types shared across the package, the config key reader and the number checks that raise them."""
 
 import math
 import numbers
+from collections.abc import Iterable, Mapping
 
 
 class UsageError(ValueError):
@@ -14,6 +15,33 @@ class CapacityError(UsageError):
 
 class DegeneracyError(RuntimeError):
     """Raised when a numerical precondition fails (singular moment matrix, zero spread)."""
+
+
+REQUIRED = object()  # a key table's default for a key that must be given
+
+
+def read_keys(cfg, path: str, keys: dict) -> dict:
+    """Config object `cfg` at `path`, as a dict of every key in `keys`, defaults filled in.
+
+    `keys` maps each key the object takes to its default, or to
+    :data:`REQUIRED`.  A UsageError naming the full key path (``class.budgt``)
+    for a `cfg` that is not an object, a missing required key, or any other
+    key.  Values pass through unchecked: the code that uses each one checks it.
+    """
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path or 'file'} must be an object, got {cfg!r}")
+    prefix = f"{path}." if path else ""
+    for key in cfg:
+        if key not in keys:
+            import difflib
+
+            close = difflib.get_close_matches(str(key), list(keys), n=1)
+            hint = f"did you mean {close[0]!r}?" if close else "expected one of " + ", ".join(keys)
+            raise UsageError(f"unknown config key {prefix}{key}; {hint}")
+    for key, default in keys.items():
+        if default is REQUIRED and key not in cfg:
+            raise UsageError(f"missing config key {prefix}{key}")
+    return {key: cfg.get(key, default) for key, default in keys.items()}
 
 
 def as_number(raw, name: str, kind=float):
@@ -44,6 +72,13 @@ def as_count(raw, name: str) -> int:
     if v < 1:
         raise UsageError(f"{name} must be at least 1, got {v}")
     return v
+
+
+def as_tuple(raw, name: str, kind=float) -> tuple:
+    """`raw`, a list, tuple or array, as a tuple of entries each read by :func:`as_number`."""
+    if isinstance(raw, (str, bytes, Mapping)) or not isinstance(raw, Iterable):
+        raise UsageError(f"{name} must be a list of numbers, got {raw!r}")
+    return tuple(as_number(v, name, kind) for v in raw)
 
 
 def as_sizes(raw, name: str) -> list[int]:

@@ -33,10 +33,11 @@ from . import empproc
 from ._linalg import Factor, factorize, least_squares, moment_solve, row_compress, whitener
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix
-from .errors import CapacityError, DegeneracyError, UsageError, as_count, as_number, as_sizes
+from .errors import REQUIRED, CapacityError, DegeneracyError, UsageError, as_count, as_number, as_sizes, read_keys
 
 SPAN = "span"
 L1 = "l1"
+CLASS_KEYS = {"dictionary": REQUIRED, "kind": SPAN, "budget": None, "intercept": True}
 
 # rows of the data that ConditionalFits folds into its QR at a time, which
 # bounds the working memory of the fold whatever the number of rows
@@ -84,6 +85,8 @@ class ClassSpec:
             object.__setattr__(self, "budget", budget)
         elif self.budget is not None:
             raise UsageError("span class takes no budget")
+        if not isinstance(self.intercept, bool):
+            raise UsageError(f"class entry 'intercept' must be true or false, got {self.intercept!r}")
 
     def total_budget(self, n_blocks: int) -> float:
         if self.kind != L1:
@@ -97,20 +100,10 @@ class ClassSpec:
         return cfg
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "ClassSpec":
-        try:
-            dcfg = cfg["dictionary"]
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"class config needs a dictionary entry, got {cfg!r}") from exc
-        intercept = cfg.get("intercept", True)
-        if not isinstance(intercept, bool):
-            raise UsageError(f"class entry 'intercept' must be true or false, got {intercept!r}")
-        return cls(
-            dictionary=Dictionary.from_config(dcfg),
-            kind=str(cfg.get("kind", SPAN)),
-            budget=cfg.get("budget"),
-            intercept=intercept,
-        )
+    def from_config(cls, cfg: dict, path: str = "class") -> "ClassSpec":
+        """The class of config object `cfg`; :func:`semorder.errors.read_keys` names `path` on a key fault."""
+        c = read_keys(cfg, path, CLASS_KEYS)
+        return cls(Dictionary.from_config(c["dictionary"], f"{path}.dictionary"), c["kind"], c["budget"], c["intercept"])
 
 
 @dataclass
@@ -591,9 +584,10 @@ class MisspecTruth:
     label: str = "truth"
 
     def __post_init__(self):
-        if not (float(self.noise_sd) >= 0):
-            raise UsageError(f"noise_sd must be nonnegative, got {self.noise_sd!r}")
-        object.__setattr__(self, "noise_sd", float(self.noise_sd))
+        noise_sd = as_number(self.noise_sd, "truth entry 'noise_sd'")
+        if noise_sd < 0:
+            raise UsageError(f"truth entry 'noise_sd' must be nonnegative, got {noise_sd!r}")
+        object.__setattr__(self, "noise_sd", noise_sd)
 
 
 @dataclass

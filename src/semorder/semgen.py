@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import derived_rng
 from .dictionary import Dictionary, basis_matrix
-from .errors import CapacityError, UsageError, as_count, as_number
+from .errors import REQUIRED, CapacityError, UsageError, as_count, as_number, as_tuple, read_keys
 from .regress import EXACT_GUARD, ClassSpec, ConditionalFits
 
 SAMPLE_BLOCK = 4096
@@ -41,6 +41,14 @@ __all__ = [
 ]
 
 _EDGE_KINDS = ("sine", "cubic", "tanh", "linear", "dictionary-combination")
+
+# config keys: an edge function's own, then those of a sem edge and of a
+# misspec truth, which add theirs to it
+FUNCTION_KEYS = {"kind": REQUIRED, "params": []}
+EDGE_KEYS = {**FUNCTION_KEYS, "from": REQUIRED, "to": REQUIRED}
+TRUTH_KEYS = {**FUNCTION_KEYS, "noise_sd": REQUIRED}
+COMBINATION_KEYS = {"dictionary": REQUIRED, "coefficients": REQUIRED}
+SEM_KEYS = {"p": REQUIRED, "order": REQUIRED, "noise_sd": REQUIRED, "edges": []}
 
 
 @dataclass(frozen=True)
@@ -61,11 +69,11 @@ class EdgeFunction:
     def __post_init__(self):
         if self.kind not in _EDGE_KINDS:
             raise UsageError(f"unknown edge kind {self.kind!r}; expected one of {_EDGE_KINDS}")
-        object.__setattr__(self, "params", tuple(as_number(v, "edge params") for v in self.params))
+        object.__setattr__(self, "params", as_tuple(self.params, "edge params"))
         if self.kind == "dictionary-combination":
             if self.dictionary is None or self.coefficients is None:
                 raise UsageError("dictionary-combination needs a dictionary and coefficients")
-            coefs = tuple(as_number(v, "edge coefficients") for v in self.coefficients)
+            coefs = as_tuple(self.coefficients, "edge coefficients")
             if len(coefs) != self.dictionary.size:
                 raise UsageError(
                     f"coefficient count {len(coefs)} does not match dictionary size {self.dictionary.size}"
@@ -96,7 +104,7 @@ class EdgeFunction:
 
     @classmethod
     def dictionary_combination(cls, dictionary: Dictionary, coefficients) -> "EdgeFunction":
-        return cls("dictionary-combination", (), dictionary, tuple(coefficients))
+        return cls("dictionary-combination", (), dictionary, coefficients)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -123,22 +131,17 @@ class EdgeFunction:
         return {"kind": self.kind, "params": list(self.params)}
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "EdgeFunction":
-        try:
-            kind = str(cfg["kind"])
-            params = cfg.get("params", [])
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"edge config needs a kind, got {cfg!r}") from exc
-        if kind == "dictionary-combination":
-            if not (isinstance(params, dict) and "dictionary" in params
-                    and isinstance(params.get("coefficients"), list)):
-                raise UsageError("dictionary-combination params need a dictionary and a list of coefficients")
-            return cls.dictionary_combination(
-                Dictionary.from_config(params["dictionary"]), params["coefficients"]
-            )
-        if not isinstance(params, (list, tuple)):
-            raise UsageError(f"edge params must be a list, got {params!r}")
-        return cls(kind, tuple(params))
+    def from_config(cls, cfg: dict, path: str = "edge", keys: dict = FUNCTION_KEYS) -> "EdgeFunction":
+        """The function of config object `cfg`, which takes `keys`: a sem edge's or a truth's add theirs.
+
+        :func:`semorder.errors.read_keys` names `path` on a key fault.
+        """
+        c = read_keys(cfg, path, keys)
+        if c["kind"] != "dictionary-combination":
+            return cls(c["kind"], c["params"])
+        params = read_keys(c["params"], f"{path}.params", COMBINATION_KEYS)
+        dictionary = Dictionary.from_config(params["dictionary"], f"{path}.params.dictionary")
+        return cls.dictionary_combination(dictionary, params["coefficients"])
 
 
 @dataclass(frozen=True)
@@ -157,29 +160,32 @@ class SemSpec:
     noise_sd: tuple[float, ...]
 
     def __post_init__(self):
-        if self.p < 1:
-            raise UsageError(f"p must be at least 1, got {self.p}")
-        order = tuple(int(v) for v in self.order)
-        if sorted(order) != list(range(self.p)):
-            raise UsageError(f"order must be a permutation of 0..{self.p - 1}, got {order!r}")
-        object.__setattr__(self, "order", order)
-        sds = tuple(as_number(s, "noise_sd") for s in self.noise_sd)
-        if len(sds) != self.p or any(not (s > 0) for s in sds):
-            raise UsageError(f"noise_sd must be {self.p} positive reals, got {self.noise_sd!r}")
-        object.__setattr__(self, "noise_sd", sds)
+        p = as_count(self.p, "sem entry 'p'")
+        order = as_tuple(self.order, "sem entry 'order'", int)
+        if sorted(order) != list(range(p)):
+            raise UsageError(f"order must be a permutation of 0..{p - 1}, got {order!r}")
+        sds = as_tuple(self.noise_sd, "sem entry 'noise_sd'")
+        if len(sds) != p or any(not (s > 0) for s in sds):
+            raise UsageError(f"noise_sd must be {p} positive reals, got {self.noise_sd!r}")
         pos = {v: i for i, v in enumerate(order)}
         edges = {}
-        for (k, j), fn in self.edges.items():
-            k, j = int(k), int(j)
+        if not isinstance(self.edges, dict):
+            raise UsageError(f"edges must be a dict of (source, target) pairs, got {self.edges!r}")
+        for key, fn in self.edges.items():
+            ends = as_tuple(key, "edge endpoint", int)
+            if len(ends) != 2:
+                raise UsageError(f"edge key must be a (source, target) pair, got {key!r}")
+            k, j = ends
             # error messages name edges 1-based, matching the config convention
-            if not (0 <= k < self.p and 0 <= j < self.p) or k == j:
+            if not (0 <= k < p and 0 <= j < p) or k == j:
                 raise UsageError(f"edge {k + 1}->{j + 1} is out of range or a self-loop")
             if pos[k] >= pos[j]:
                 raise UsageError(f"edge {k + 1}->{j + 1} violates the generating order (cycle)")
             if not isinstance(fn, EdgeFunction):
                 raise UsageError(f"edge {k + 1}->{j + 1} must map to an EdgeFunction")
             edges[(k, j)] = fn
-        object.__setattr__(self, "edges", edges)
+        for name, value in (("p", p), ("order", order), ("noise_sd", sds), ("edges", edges)):
+            object.__setattr__(self, name, value)
 
     def parents(self, j: int) -> list[int]:
         return sorted(k for (k, t) in self.edges if t == j)
@@ -196,26 +202,23 @@ class SemSpec:
         }
 
     @classmethod
-    def from_json(cls, cfg: dict) -> "SemSpec":
-        try:
-            p = as_number(cfg["p"], "sem entry 'p'", int)
-            order, noise_sd, edge_list = cfg["order"], cfg["noise_sd"], cfg.get("edges", [])
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"sem config needs p/order/noise_sd, got {cfg!r}") from exc
-        for key, val in (("order", order), ("noise_sd", noise_sd), ("edges", edge_list)):
-            if not isinstance(val, list):
-                raise UsageError(f"sem entry {key!r} must be a list, got {val!r}")
-        order = [as_number(v, "sem entry 'order'", int) - 1 for v in order]
+    def from_json(cls, cfg: dict, path: str = "sem") -> "SemSpec":
+        """The model of config object `cfg`, variables 1-based as in :meth:`to_json`.
+
+        :func:`semorder.errors.read_keys` names `path` on a key fault.
+        """
+        c = read_keys(cfg, path, SEM_KEYS)
+        if not isinstance(c["edges"], list):
+            raise UsageError(f"sem entry 'edges' must be a list, got {c['edges']!r}")
         edges = {}
-        for e in edge_list:
-            try:
-                key = tuple(as_number(e[end], f"edge entry {end!r}", int) - 1 for end in ("from", "to"))
-            except (KeyError, TypeError) as exc:
-                raise UsageError(f"edge entry needs from/to, got {e!r}") from exc
+        for i, e in enumerate(c["edges"]):
+            fn = EdgeFunction.from_config(e, f"{path}.edges[{i}]", EDGE_KEYS)
+            key = tuple(as_number(e[end], f"edge entry {end!r}", int) - 1 for end in ("from", "to"))
             if key in edges:
                 raise UsageError(f"edge {key[0] + 1}->{key[1] + 1} is listed twice")
-            edges[key] = EdgeFunction.from_config(e)
-        return cls(p=p, order=tuple(order), edges=edges, noise_sd=tuple(noise_sd))
+            edges[key] = fn
+        order = tuple(v - 1 for v in as_tuple(c["order"], "sem entry 'order'", int))
+        return cls(p=c["p"], order=order, edges=edges, noise_sd=c["noise_sd"])
 
 
 @dataclass

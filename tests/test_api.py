@@ -45,6 +45,28 @@ SIZE_CASES = {
     "misspec-oracle_n--5": (lambda: misspec_experiment(CUBIC, TRIG, [100], reps=1, oracle_n=-5), "oracle_n"),
     "misspec-oracle_n-0": (lambda: misspec_experiment(CUBIC, TRIG, [100], reps=1, oracle_n=0), "oracle_n"),
     "misspec-oracle_n-2000.5": (lambda: misspec_experiment(CUBIC, TRIG, [100], reps=1, oracle_n=2000.5), "oracle_n"),
+    # the constructors check their own numbers and flags, neither truncating nor coercing them
+    "semspec-p-2.5": (lambda: SemSpec(p=2.5, order=(0, 1), edges={}, noise_sd=(1.0, 1.0)), "sem entry 'p'"),
+    "semspec-p-True": (lambda: SemSpec(p=True, order=(0,), edges={}, noise_sd=(1.0,)), "sem entry 'p'"),
+    "semspec-order-1.7": (lambda: SemSpec(p=3, order=(0, 1.7, 2), edges={}, noise_sd=(1.0,) * 3), "sem entry 'order'"),
+    "semspec-edge-0.9": (
+        lambda: SemSpec(p=2, order=(0, 1), edges={(0.9, 1): EdgeFunction.linear(1.0)}, noise_sd=(1.0, 1.0)),
+        "edge endpoint",
+    ),
+    "semspec-edges-list": (
+        lambda: SemSpec(p=2, order=(0, 1), edges=[((0, 1), EdgeFunction.linear(1.0))], noise_sd=(1.0, 1.0)),
+        "edges",
+    ),
+    "semspec-edge-triple": (
+        lambda: SemSpec(p=3, order=(0, 1, 2), edges={(0, 1, 2): EdgeFunction.linear(1.0)}, noise_sd=(1.0,) * 3),
+        "edge key",
+    ),
+    "dictionary-size-True": (lambda: Dictionary(TRIGONOMETRIC, True, (0.0, 1.0)), "dictionary size"),
+    "dictionary-domain-str": (lambda: Dictionary(TRIGONOMETRIC, 3, ("0", "1")), "dictionary domain"),
+    "class-intercept-str": (lambda: ClassSpec(TRIG.dictionary, intercept="false"), "class entry 'intercept'"),
+    "rates-grid-5": (lambda: rate_experiment("case4", 5, reps=1), "grid"),
+    "rates-grid-None": (lambda: rate_experiment("case4", None, reps=1), "grid"),
+    "rates-domain-str": (lambda: rate_experiment("case4", GRID, reps=1, domain=("0", "1")), "dictionary domain"),
 }
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -404,8 +405,7 @@ def test_empnorm_caps_the_l1_dimension(tmp_path, capsys):
 
 
 def test_rates_benchmark_config_runs_and_stays_below_the_ellipsoid(tmp_path, capsys):
-    # the benchmark's rates-l1 config, which still passes "restarts": keys the
-    # CLI does not read are ignored
+    # the benchmark's rates-l1 config, which still passes the retired "restarts"
     grid = [{"n": n, "p": 2, "N": 3, "M": 1.0} for n in (500, 1000, 2000)]
     l1_cfg = {"case": "case3", "grid": grid, "reps": 2, "family": "trigonometric", "restarts": 8}
     ell_cfg = {"case": "case4", "grid": [{k: v for k, v in c.items() if k != "M"} for c in grid], "reps": 2, "family": "trigonometric"}
@@ -433,7 +433,7 @@ def test_rates_benchmark_config_runs_and_stays_below_the_ellipsoid(tmp_path, cap
         ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": "three", "M": 1.0}], "reps": 1}, "N"),
         ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 2.5, "M": 1.0}], "reps": 1}, "N"),
         ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 3, "M": "big"}], "reps": 1}, "M"),
-        ("rates", {"case": "case3", "grid": [{"p": 2, "N": 3, "M": 1.0}], "reps": 1}, "sample size n"),
+        ("rates", {"case": "case3", "grid": [{"p": 2, "N": 3, "M": 1.0}], "reps": 1}, "grid[0].n"),
         ("rates", {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 3, "M": 1.0}], "reps": 1, "domain": "ab"}, "domain"),
         ("order", {"sem": {**sine_chain_cfg(p=2), "edges": [{"from": 1, "to": 2, "kind": "sine", "params": ["x", 1]}]}, "n": 50, "class": SPLINE5}, "params"),
         ("order", {"sem": {**sine_chain_cfg(p=2), "noise_sd": ["a", 1]}, "n": 50, "class": SPLINE5}, "noise_sd"),
@@ -453,14 +453,16 @@ def test_rates_benchmark_config_runs_and_stays_below_the_ellipsoid(tmp_path, cap
         ("simulate", {"sem": {**sine_chain_cfg(p=2), "p": "2"}, "n": 50}, "'p'"),
         ("simulate", {"sem": {**sine_chain_cfg(p=2), "order": "12"}, "n": 50}, "'order'"),
         ("simulate", {"sem": {**sine_chain_cfg(p=2), "noise_sd": "11"}, "n": 50}, "'noise_sd'"),
-        ("simulate", {"sem": sine_chain_cfg(p=2), "n": True}, "'n'"),
-        ("simulate", {"sem": sine_chain_cfg(p=2), "n": "50"}, "'n'"),
+        ("simulate", {"sem": sine_chain_cfg(p=2), "n": True}, "n must be an integer"),
+        ("simulate", {"sem": sine_chain_cfg(p=2), "n": "50"}, "n must be an integer"),
         ("simulate", {"sem": {**sine_chain_cfg(p=2), "noise_sd": [1.0, True]}, "n": 50}, "noise_sd"),
         ("rates", {"case": "case3", "grid": [{"n": "50", "p": 2, "N": 3, "M": 1.0}], "reps": 1}, "'n'"),
         ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {**SPLINE5, "kind": "l1", "budget": True}}, "budget"),
         ("misspec", {**MISSPEC, "n_grid": 5}, "n_grid"),
         ("misspec", {**MISSPEC, "n_grid": ["a"]}, "n_grid"),
         ("misspec", {**MISSPEC, "n_grid": [100.7, 200]}, "n_grid"),
+        # checked before the 10**15-row sample, which would exit 2 for memory instead
+        ("order", {"sem": sine_chain_cfg(p=2), "n": 10**15, "class": TRIG3, "method": "gredy"}, "method must be"),
     ],
 )
 def test_bad_numeric_config_entry_is_usage_error(tmp_path, capsys, command, cfg, key):
@@ -472,6 +474,68 @@ def test_bad_numeric_config_entry_is_usage_error(tmp_path, capsys, command, cfg,
     assert not (out / f"{command}.json").exists()
 
 
+COMBINATION = {"from": 1, "to": 2, "kind": "dictionary-combination", "params": {**TRIG3, "coefficient": [1.0, 0.0, 0.0]}}
+RATES = {"case": "case3", "grid": [{"n": 50, "p": 2, "N": 3, "M": 1.0}], "reps": 1}
+
+
+KEY_FAULTS = {
+    "simulate": ("simulate", {"semm": sine_chain_cfg(p=2), "n": 50}, "unknown config key semm; did you mean 'sem'?"),
+    "order": ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": TRIG3, "methd": "greedy"}, "unknown config key methd; did you mean 'method'?"),
+    "rates": ("rates", {**RATES, "rep": 2}, "unknown config key rep; did you mean 'reps'?"),
+    "misspec": ("misspec", {**MISSPEC, "n_grd": [100]}, "unknown config key n_grd; did you mean 'n_grid'?"),
+    "gap": ("gap", {"sem": sine_chain_cfg(p=2), "class": SPLINE5, "replicate": 2}, "unknown config key replicate; did you mean 'replicates'?"),
+    "empnorm": ("empnorm", {"n": 50, "p": 2, "budgt": 2.0}, "unknown config key budgt; did you mean 'budget'?"),
+    "class": ("order", {"sem": sine_chain_cfg(p=2), "n": 50, "class": {**SPLINE5, "kind": "l1", "budgt": 1.0}}, "unknown config key class.budgt; did you mean 'budget'?"),
+    "class.dictionary": ("gap", {"sem": sine_chain_cfg(p=2), "class": {"dictionary": {**SPLINE5["dictionary"], "sise": 6}}}, "unknown config key class.dictionary.sise; did you mean 'size'?"),
+    "sem": ("simulate", {"sem": {**sine_chain_cfg(p=2), "edge": []}, "n": 50}, "unknown config key sem.edge; did you mean 'edges'?"),
+    "sem.edges[i]": ("simulate", {"sem": {**sine_chain_cfg(p=2), "edges": [{"from": 1, "to": 2, "kind": "linear", "prams": [1.0]}]}, "n": 50}, "unknown config key sem.edges[0].prams; did you mean 'params'?"),
+    "combination params": ("simulate", {"sem": {**sine_chain_cfg(p=2), "edges": [COMBINATION]}, "n": 50}, "unknown config key sem.edges[0].params.coefficient; did you mean 'coefficients'?"),
+    "grid[i]": ("rates", {**RATES, "grid": [{"n": 50, "p": 2, "N": 3, "MM": 1.0}]}, "unknown config key grid[0].MM; did you mean 'M'?"),
+    "truth": ("misspec", {**MISSPEC, "n_grid": [100], "truth": {"kind": "cubic", "params": [1.0], "nois": 0.3}}, "unknown config key truth.nois; did you mean 'noise_sd'?"),
+    "case4 grid[i] has no M": ("rates", {**RATES, "case": "case4"}, "unknown config key grid[0].M; expected one of n, p, N"),
+    "l1_theorem grid[i] has no N": ("rates", {**RATES, "case": "l1_theorem"}, "unknown config key grid[0].N; expected one of n, p, M"),
+    "l3_theorem takes no family": ("rates", {**RATES, "case": "l3_theorem", "grid": [{"n": 50, "p": 2}], "family": "trigonometric"}, "unknown config key family; expected one of case, grid, reps, restarts"),
+    "order data beside sem": ("order", {"data": "x.csv", "sem": sine_chain_cfg(p=2), "n": 50, "class": TRIG3}, "unknown config key sem; expected one of data, class, method"),
+    "order n beside data": ("order", {"data": "x.csv", "n": 50, "class": TRIG3}, "unknown config key n; expected one of data, class, method"),
+    "order sem without n": ("order", {"sem": sine_chain_cfg(p=2), "class": TRIG3}, "missing config key n"),
+    "order data not a path": ("order", {"data": 5, "class": TRIG3}, "data must be a path string, got 5"),
+    "sem not an object": ("gap", {"sem": [], "class": SPLINE5}, "config sem must be an object, got []"),
+    "grid not a list": ("rates", {**RATES, "grid": 5}, "grid must be a nonempty list of cells, got 5"),
+}
+
+
+@pytest.mark.parametrize("level", KEY_FAULTS)
+def test_config_key_fault_names_its_path(tmp_path, capsys, level):
+    # one case per nesting level: a misspelled key exits 2 before any work, naming its full path
+    command, cfg, message = KEY_FAULTS[level]
+    code, _, err = run([command, "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "r")], capsys)
+    assert code == 2 and err == f"error: {message}\n"
+    assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg", [("rates", RATES), ("empnorm", {"n": 50, "p": 2})])
+def test_retired_restarts_key_is_ignored(tmp_path, capsys, command, cfg):
+    runs = {}
+    for name, given in (("plain", cfg), ("restarts", {**cfg, "restarts": 8})):
+        out = tmp_path / name
+        code, _, err = run([command, "--config", write_cfg(tmp_path, f"{name}.json", given), "--out", str(out)], capsys)
+        assert code == 0 and err == ""
+        runs[name] = (out / f"{command}.json").read_bytes()
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"] == given
+    assert runs["plain"] == runs["restarts"]
+
+
+def test_readme_configs_run(tmp_path, capsys):
+    # every JSON block of README.md: the order example, and each fragment run inside it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(b if b.lstrip().startswith("{") else "{" + b + "}") for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    assert len(blocks) >= 2 and {"sem", "n", "class"} <= set(blocks[0])
+    for i, block in enumerate(blocks):
+        cfg = {**blocks[0], **block}
+        code, _, err = run(["order", "--config", write_cfg(tmp_path, f"{i}.json", cfg), "--out", str(tmp_path / str(i))], capsys)
+        assert code == 0 and err == "", (i, err)
+
+
 @pytest.mark.parametrize("command", ["misspec", "gap"])
 @pytest.mark.parametrize("oracle_n", [-5, 0])
 def test_oracle_n_below_one_is_usage_error(tmp_path, capsys, command, oracle_n):
@@ -480,7 +544,7 @@ def test_oracle_n_below_one_is_usage_error(tmp_path, capsys, command, oracle_n):
     path = write_cfg(tmp_path, "c.json", {**cfg, "oracle_n": oracle_n})
     code, _, err = run([command, "--config", path, "--out", str(tmp_path / "r")], capsys)
     assert code == 2
-    assert err.startswith("error: config entry 'oracle_n' must be at least 1")
+    assert err.startswith("error: oracle_n must be at least 1")
     assert "Traceback" not in err
 
 
