@@ -22,7 +22,10 @@ Each convention used throughout the package is written once, here:
   fitted on that design shares the one :class:`Factor`, certified or not;
   :func:`least_squares` then solves once per right-hand side.  The sigma
   table's exact search over p variables thus costs ``2^p - 1``
-  factorizations and ``p 2^(p-1)`` solves;
+  factorizations and ``p 2^(p-1)`` solves.  The factorizations run in
+  stacked calls, one per popcount layer and design width (and per stack
+  size limit): :func:`factorize` takes a stack of designs and factors each
+  member bit for bit as it would factor it alone;
 * row compression (:func:`row_compress`): the R factor of a Householder QR,
   folded over row blocks, in place of a tall matrix whose column space is
   all that a fit reads;
@@ -32,7 +35,6 @@ Each convention used throughout the package is written once, here:
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -126,27 +128,38 @@ class Factor(NamedTuple):
     inv: np.ndarray | None
 
 
-def factorize(x: np.ndarray) -> Factor:
+def factorize(x: np.ndarray) -> Factor | list[Factor]:
     """The certified Cholesky factor of ``g = x'x``, once for every right-hand side fitted on `x`.
 
-    ``L`` is accepted only under the certificate ``trace(g) ||L^-1||_F^2 <= 1 /
-    RANK_REL_TOL``.  Its left side is at least ``cond(x)^2``, so a certified
-    `x` has full column rank under the rank rule.  A singular `g` or a failed
-    or NaN certificate gives ``Factor(None)``.  :class:`UsageError` when
-    ``trace(g)`` is not finite (a non-finite entry, or squares that overflow).
+    `x` is one ``(m, d)`` design, which gives its :class:`Factor`, or a stack
+    ``(..., m, d)`` of designs, which gives a list of one Factor per design
+    in C order: the Gram matrices, Cholesky factors and inverses of a stack
+    are each one call, and a 2-d design is a stack of one, so each Factor is
+    bit for bit that of its design alone.  When the stacked Cholesky or
+    inverse fails, each design is factored alone.  ``L`` is accepted only
+    under the certificate ``trace(g) ||L^-1||_F^2 <= 1 / RANK_REL_TOL``.
+    Its left side is at least ``cond(x)^2``, so a certified `x` has full
+    column rank under the rank rule.  A singular `g` or a failed or NaN
+    certificate gives ``Factor(None)``.  :class:`UsageError` when some
+    ``trace(g)`` is not finite (a non-finite entry, or squares that
+    overflow).
     """
-    g = x.T @ x
+    stack = x[None] if x.ndim == 2 else x.reshape(-1, *x.shape[-2:])
+    g = np.swapaxes(stack, -1, -2) @ stack
     with np.errstate(over="ignore"):
-        trace = float(np.trace(g))
-    if not math.isfinite(trace):
-        raise UsageError(f"design must be finite with finite squares, got trace(x'x) = {trace}")
+        trace = np.trace(g, axis1=-2, axis2=-1)
+    bad = trace[~np.isfinite(trace)]
+    if bad.size:
+        raise UsageError(f"design must be finite with finite squares, got trace(x'x) = {bad[0]}")
     try:
         inv = np.linalg.inv(np.linalg.cholesky(g))
-        with np.errstate(over="ignore"):
-            bound = trace * float(np.sum(inv * inv))
     except np.linalg.LinAlgError:
-        bound = math.nan
-    return Factor(inv if bound <= 1.0 / RANK_REL_TOL else None)
+        factors = [Factor(None)] if len(stack) == 1 else [factorize(member) for member in stack]
+    else:
+        with np.errstate(over="ignore"):
+            bound = trace * np.sum(inv * inv, axis=(-2, -1))
+        factors = [Factor(member if b <= 1.0 / RANK_REL_TOL else None) for member, b in zip(inv, bound)]
+    return factors[0] if x.ndim == 2 else factors
 
 
 def least_squares(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> tuple[np.ndarray, int]:

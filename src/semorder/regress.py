@@ -44,6 +44,10 @@ CLASS_KEYS = {"dictionary": REQUIRED, "kind": SPAN, "budget": None, "intercept":
 CHUNK_ROWS = 4096
 # the largest p the one subset DP (ConditionalFits.best_order) takes
 EXACT_GUARD = 18
+# bytes of the designs that one stacked factorization of the sigma table's
+# layered fill takes (ConditionalFits.fill): a layer of C(p, k) designs is
+# gathered and factored in stacks of at most this size, never whole
+STACK_BYTES = 1 << 18
 
 __all__ = [
     "ClassSpec",
@@ -348,17 +352,21 @@ class ConditionalFits:
       :func:`_design_columns`, reduced to ``C``, the R factor of its QR scaled
       so that ``C'C / m = A'A / n`` (:meth:`_compress`);
     * the design ``[1 | B_k ...]`` with blocks in ascending column order, as
-      columns of ``C`` (:meth:`_design`), and the span/l1 dispatch and
-      empty-design convention of :meth:`_fits`.  Every fit thus runs on the
-      m <= 1 + pN + p rows of ``C``; its residual variance and moment form
-      equal those on the n data rows in exact arithmetic, and ``n_obs`` is
-      n;
+      columns of ``C`` (:meth:`_columns`) gathered into a C-contiguous copy
+      (:meth:`_gather`), and the span/l1 dispatch and empty-design
+      convention of :meth:`_fits`.  Every fit thus runs on the m <= 1 + pN +
+      p rows of ``C``; its residual variance and moment form equal those on
+      the n data rows in exact arithmetic, and ``n_obs`` is n;
     * the sigma table: ``(residual variance, floored, degenerate)`` keyed by
       (variable, predecessor bitmask), each variance floored at
       ``max(1e-12 * mean square, tiny)`` of its column so that logs stay
       finite, its walk along an order (:meth:`along`) and its search
-      (:meth:`best_order`).  The table fills by rows (:meth:`_row`): the
-      targets of one predictor set share its design and one factorization.
+      (:meth:`best_order`).  A single entry fills by rows (:meth:`_row`):
+      the targets of one predictor set share its design and one
+      factorization.  A search fills by popcount layers (:meth:`fill`): the
+      same-width designs of a layer are gathered and factored as stacks of
+      at most STACK_BYTES, and each entry is still one :func:`fit_span`
+      solve, bit for bit the entry :meth:`_row` would give.
     """
 
     def __init__(self, data, class_spec: ClassSpec):
@@ -374,8 +382,8 @@ class ConditionalFits:
         self.n, self.p = values.shape
         self.class_spec = class_spec
         self._floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny).tolist()
-        self._blocks: list[tuple[np.ndarray, np.ndarray, bool]] | None = None
-        self._const: np.ndarray | None = None
+        self._blocks: list[tuple[list[int], list[int], bool]] | None = None
+        self._c: np.ndarray | None = None
         self._targets: np.ndarray | None = None
         self._memo: dict[tuple[int, int], tuple[float, bool, bool]] = {}
 
@@ -424,9 +432,7 @@ class ConditionalFits:
             if mask >> v & 1:
                 raise UsageError(f"target column {v} cannot be conditioned on itself")
         cs, k = self.class_spec, mask.bit_count()
-        need = k * cs.dictionary.size + 1
-        if need > self.n:
-            raise CapacityError(f"conditioning on {k} columns needs {need} rows, have {self.n}")
+        self._check_capacity(k)
         design, lost = self._design(mask)
         ys = [self._targets[:, v] for v in targets]
         if design is None:
@@ -442,22 +448,38 @@ class ConditionalFits:
             fit.n_obs = self.n
         return fits
 
+    def _check_capacity(self, k: int) -> None:
+        """The capacity rule ``k N + 1 <= n`` for a predictor set of `k` columns, else :class:`CapacityError`."""
+        need = k * self.class_spec.dictionary.size + 1
+        if need > self.n:
+            raise CapacityError(f"conditioning on {k} columns needs {need} rows, have {self.n}")
+
     def _design(self, mask: int) -> tuple[np.ndarray | None, bool]:
-        """The class design of the columns in `mask` as columns of ``C``, and whether a block lost a column.
+        """The class design of the columns in `mask`, gathered from ``C``, and whether a block lost a column.
+
+        None when the design has no column (no block and no intercept).
+        """
+        cols, lost = self._columns(mask)
+        return (self._gather(np.array(cols)) if cols else None), lost
+
+    def _columns(self, mask: int) -> tuple[list[int], bool]:
+        """The columns of ``C`` that make the class design of `mask`, and whether a block lost a column.
 
         ``[1 | B_k ...]``: the intercept if the class has one, then each block
         in ascending column order, the first in its first-block form and the
-        others in their later form.  None when the design has no column (no
-        block and no intercept).  A design of one part is a view of ``C``,
-        not a copy.
+        others in their later form.
         """
         if self._blocks is None:
             self._compress()
         blocks = [self._blocks[k] for k in range(self.p) if mask >> k & 1]
-        parts = ([] if self._const is None else [self._const]) + [b[i > 0] for i, b in enumerate(blocks)]
-        if not parts:
-            return None, False
-        return (np.hstack(parts) if len(parts) > 1 else parts[0]), not all(b[2] for b in blocks)
+        cols = list(range(int(self.class_spec.intercept)))
+        for i, (first, later, _) in enumerate(blocks):
+            cols += later if i else first
+        return cols, not all(b[2] for b in blocks)
+
+    def _gather(self, cols: np.ndarray) -> np.ndarray:
+        """The C-contiguous ``(..., m, d)`` stack of designs whose ``C`` columns are the rows ``(..., d)`` of `cols`."""
+        return self._c[np.arange(self._c.shape[0])[:, None], cols[..., None, :]]
 
     def _compress(self) -> None:
         """Reduce ``A = [1 | B_1 ... B_p | X]`` to the columns of ``C``.
@@ -487,10 +509,9 @@ class ConditionalFits:
             keep.append(icpt + k * size + cols)
         keep.append(icpt + p * size + np.arange(p))
         r = row_compress([r[:, np.concatenate(keep)]])
-        c = r * math.sqrt(r.shape[0] / n)
-        self._const = c[:, :1] if icpt else None
-        self._blocks = [(c[:, at : at + first], c[:, at : at + later], full) for at, first, later, full in spans]
-        self._targets = c[:, c.shape[1] - p :]
+        self._c = r * math.sqrt(r.shape[0] / n)
+        self._blocks = [(list(range(at, at + first)), list(range(at, at + later)), full) for at, first, later, full in spans]
+        self._targets = self._c[:, self._c.shape[1] - p :]
 
     def sigma(self, v: int, mask: int) -> tuple[float, bool, bool]:
         """Memoized ``(floored residual variance, floored, degenerate)`` of :meth:`fit`.
@@ -510,10 +531,13 @@ class ConditionalFits:
         missing = [v for v in targets if (v, mask) not in self._memo]
         if missing:
             for v, fit in zip(missing, self._fits(mask, missing)):
-                floored = fit.residual_variance < self._floor[v]
-                rv = self._floor[v] if floored else fit.residual_variance
-                self._memo[(v, mask)] = (rv, floored, fit.degenerate)
+                self._store(v, mask, fit.residual_variance, fit.degenerate)
         return [self._memo[(v, mask)] for v in targets]
+
+    def _store(self, v: int, mask: int, rv: float, degenerate: bool) -> None:
+        """Enter the fit of `v` on `mask` in the table, its residual variance `rv` floored."""
+        floored = rv < self._floor[v]
+        self._memo[(v, mask)] = (self._floor[v] if floored else rv, floored, degenerate)
 
     def along(self, pi) -> tuple[np.ndarray, tuple[bool, ...], tuple[bool, ...]]:
         """:meth:`sigma` at each position of the order `pi`, on the variables placed before it.
@@ -527,34 +551,80 @@ class ConditionalFits:
         values, floored, degenerate = zip(*rows)
         return np.array(values), floored, degenerate
 
+    def fill(self, before) -> list[list[tuple[int, list[int]]]]:
+        """Put in the table every entry that an order allowed by `before` reaches, one popcount layer at a time.
+
+        In an allowed order each v follows the set bits of ``before[v]``.
+        Returns the layers: for k = 0 .. p-1, each placed set of k columns
+        that some allowed order reaches, in ascending order, with the columns
+        that may come next.  A set that no allowed order reaches costs no
+        fit.  For a span class the missing entries of a layer are fitted on
+        stacks of same-width designs, each stack gathered from ``C`` at once
+        and factored by one stacked :func:`factorize` call; every entry is
+        still its own :func:`fit_span` solve, bit for bit the fit of
+        :meth:`_fits`.  l1 classes, and the empty design of a class without
+        an intercept, fill by :meth:`_row`.  :class:`UsageError` when
+        `before` has a cycle.
+        """
+        full = (1 << self.p) - 1
+        layers, masks = [], [0]
+        while masks != [full]:
+            layer = [(mask, [v for v in range(self.p) if not (mask >> v & 1 or before[v] & ~mask)]) for mask in masks]
+            masks = sorted({mask | 1 << v for mask, allowed in layer for v in allowed})
+            if not masks:
+                raise UsageError("the precedence constraints of the order search have a cycle")
+            layers.append(layer)
+            missing = [(mask, [v for v in allowed if (v, mask) not in self._memo]) for mask, allowed in layer]
+            self._fill_layer(len(layers) - 1, [(mask, targets) for mask, targets in missing if targets])
+        return layers
+
+    def _fill_layer(self, k: int, rows: list[tuple[int, list[int]]]) -> None:
+        """Fit the `targets` of each ``(mask, targets)`` in `rows`, every mask of `k` columns."""
+        if self.class_spec.kind == L1 or not rows:
+            for mask, targets in rows:
+                self._row(mask, targets)
+            return
+        self._check_capacity(k)
+        widths: dict[int, list[tuple[int, list[int], list[int], bool]]] = {}
+        for mask, targets in rows:
+            cols, lost = self._columns(mask)
+            if not cols:
+                self._row(mask, targets)
+            else:
+                widths.setdefault(len(cols), []).append((mask, targets, cols, lost))
+        m = self._c.shape[0]
+        for d, group in widths.items():
+            step = max(STACK_BYTES // (8 * m * d), 1)
+            for start in range(0, len(group), step):
+                chunk = group[start : start + step]
+                designs = self._gather(np.array([cols for _, _, cols, _ in chunk]))
+                for (mask, targets, _, lost), x, factor in zip(chunk, designs, factorize(designs)):
+                    for v in targets:
+                        fit = fit_span(x, self._targets[:, v], factor)
+                        self._store(v, mask, fit.residual_variance, fit.degenerate or lost)
+
     def best_order(self, before) -> tuple[int, ...]:
         """The order of least ``sum log sigma`` in which each v follows the set bits of ``before[v]``.
 
-        Subset DP (Silander & Myllymaki, UAI 2006) top down from the empty set,
-        memoized by mask.  Ties go to the smallest next v, so the order is the
-        lexicographically smallest minimizer; a set that no allowed order
-        reaches is never visited, so it costs no fit.  `before` must be acyclic,
-        and p at most EXACT_GUARD, else :class:`CapacityError`.
+        Subset DP (Silander & Myllymaki, UAI 2006) over the layers of
+        :meth:`fill`, from the full set down: the best completion of a placed
+        set is the least ``log sigma(v | set) + best(set + v)`` over its
+        allowed v.  Ties go to the smallest v, so the order is the
+        lexicographically smallest minimizer.  p at most EXACT_GUARD, else
+        :class:`CapacityError`.
         """
         if self.p > EXACT_GUARD:
             raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={self.p}")
         full = (1 << self.p) - 1
-        memo = {full: (0.0, -1)}
+        best = {full: (0.0, -1)}
+        for layer in reversed(self.fill(before)):
+            for mask, allowed in layer:
+                best[mask] = min((math.log(self._memo[(v, mask)][0]) + best[mask | 1 << v][0], v) for v in allowed)
         pi, mask = [], 0
         while mask != full:
-            pi.append(self._completion(mask, before, memo)[1])
+            pi.append(best[mask][1])
             mask |= 1 << pi[-1]
         return tuple(pi)
-
-    def _completion(self, mask: int, before, memo: dict) -> tuple[float, int]:
-        """``(least sum log sigma, next v)`` over the allowed completions of the placed set `mask`."""
-        if mask not in memo:
-            allowed = [v for v in range(self.p) if not (mask >> v & 1 or before[v] & ~mask)]
-            memo[mask] = min(
-                (math.log(rv) + self._completion(mask | 1 << v, before, memo)[0], v)
-                for v, (rv, _, _) in zip(allowed, self._row(mask, allowed))
-            )
-        return memo[mask]
 
 
 def fit_over_subsets(data, j: int, class_spec: ClassSpec, subsets) -> dict[tuple[int, ...], FitResult]:

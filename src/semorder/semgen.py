@@ -463,11 +463,40 @@ def identifiability_gap(
     gap, floored = min((score(fits.best_order(before)) for before in reversed_edge), default=(math.inf, False))
     rows = []
     if return_table:
-        parents = _parent_masks(spec)
-        for pi in permutations(range(spec.p)):
-            value, row_floored = score(pi)
-            rows.append(
-                {"permutation": pi, "mean_log_sd_ratio": value, "topological": _respects(pi, parents), "floored": row_floored}
-            )
-        rows.sort(key=lambda r: r["mean_log_sd_ratio"])
+        rows = _gap_table(spec, fits, [math.log(base_by_var[v]) for v in range(spec.p)], any(base_floored))
     return GapReport(gap=gap, order=spec.order, rows=rows, floored=floored)
+
+
+def _gap_table(spec: SemSpec, fits: ConditionalFits, base_log: list[float], base_floored: bool) -> list[dict]:
+    """The rows of :func:`identifiability_gap`'s table: every permutation, sorted stably by its score.
+
+    The sigma table is filled whole, one popcount layer at a time
+    (:meth:`ConditionalFits.fill`), and its ``math.log`` values are put in a
+    ``(p, 2^p)`` array.  Each permutation's score is then p gathers from it,
+    summed in position order and divided by p: bit for bit the sum of
+    ``0.5 * (log sigma^2 - log base sigma^2)`` over its positions.
+    """
+    p = spec.p
+    fits.fill([0] * p)
+    logs = np.zeros((p, 1 << p))
+    flags = np.zeros((p, 1 << p), dtype=bool)
+    for v in range(p):
+        for mask in range(1 << p):
+            if not mask >> v & 1:
+                rv, flags[v, mask], _ = fits.sigma(v, mask)
+                logs[v, mask] = math.log(rv)
+    perms = np.array(list(permutations(range(p))))
+    bits = 1 << perms
+    placed = np.cumsum(bits, axis=1) - bits
+    base = np.array(base_log)
+    total = np.zeros(perms.shape[0])
+    for pos in range(p):
+        total += 0.5 * (logs[perms[:, pos], placed[:, pos]] - base[perms[:, pos]])
+    floored = flags[perms, placed].any(axis=1) | base_floored
+    parents = _parent_masks(spec)
+    rows = [
+        {"permutation": pi, "mean_log_sd_ratio": value, "topological": _respects(pi, parents), "floored": flag}
+        for pi, value, flag in zip(permutations(range(p)), (total / p).tolist(), floored.tolist())
+    ]
+    rows.sort(key=lambda r: r["mean_log_sd_ratio"])
+    return rows

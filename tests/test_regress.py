@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -179,6 +180,55 @@ def test_least_squares_certifies_only_well_conditioned_designs(monkeypatch):
     assert same_with_factor(x, y, beta, rank).inv is None
 
 
+def _same_factor(a, b):
+    return (a.inv is None and b.inv is None) or (
+        a.inv is not None and b.inv is not None and np.array_equal(a.inv, b.inv)
+    )
+
+
+def test_stacked_factorize_gives_each_design_its_own_factor():
+    # every member of a stack is bit for bit the factor of its design alone,
+    # certified or not, and a (2, 3, m, d) stack lists its members in C order
+    rng = np.random.default_rng(31)
+    stack = rng.standard_normal((6, 40, 7))
+    stack[2, :, 6] = stack[2, :, 5] + 1e-7 * rng.standard_normal(40)  # cond about 1e7: refused
+    factors = factorize(stack)
+    assert isinstance(factors, list) and len(factors) == 6
+    assert [f.inv is None for f in factors] == [False, False, True, False, False, False]
+    for x, factor in zip(stack, factors):
+        assert _same_factor(factor, factorize(np.ascontiguousarray(x)))
+    nested = factorize(stack.reshape(2, 3, 40, 7))
+    assert all(_same_factor(a, b) for a, b in zip(nested, factors))
+
+
+def test_stacked_factorize_falls_back_per_design_on_a_singular_member(monkeypatch):
+    # a rank-deficient member fails the stacked Cholesky; the stack is then
+    # factored design by design, and the other members keep their factors
+    rng = np.random.default_rng(32)
+    stack = rng.standard_normal((5, 30, 4))
+    stack[3, :, 3] = stack[3, :, 0]
+    g = np.swapaxes(stack, -1, -2) @ stack
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(g)
+    alone = [factorize(np.ascontiguousarray(x)) for x in stack]
+    calls = _counting(monkeypatch, np.linalg, "cholesky")
+    factors = factorize(stack)
+    assert calls[0] == 1 + len(stack)
+    assert [f.inv is None for f in factors] == [False, False, False, True, False]
+    assert all(_same_factor(a, b) for a, b in zip(factors, alone))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stacked_factorize_rejects_a_non_finite_member(bad):
+    rng = np.random.default_rng(33)
+    stack = rng.standard_normal((4, 20, 3))
+    stack[2, 7, 1] = bad
+    with pytest.raises(UsageError, match="design must be finite with finite squares"):
+        factorize(stack)
+    with pytest.raises(UsageError, match="design must be finite with finite squares"):
+        factorize(stack[2])
+
+
 def test_least_squares_solvers_live_in_linalg():
     # every linear solve, factorization and rank decision lives in _linalg
     package = Path(semorder.__file__).parent
@@ -217,6 +267,14 @@ def test_best_order_leaves_no_reference_cycle():
         assert gone() is None
     finally:
         gc.enable()
+
+
+def test_best_order_rejects_cyclic_precedence():
+    # x0 must follow x1 and x1 must follow x0: no order is allowed
+    data = np.random.default_rng(25).standard_normal((50, 3))
+    fits = ConditionalFits(data, ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-4.0, 4.0))))
+    with pytest.raises(UsageError, match="cycle"):
+        fits.best_order([0b010, 0b001, 0])
 
 
 def test_engine_matches_svd_reference_on_full_design(monkeypatch):
@@ -448,7 +506,15 @@ def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
 
 
 def test_sigma_table_factors_each_predictor_set_once(monkeypatch):
-    factors = _counting(monkeypatch, regress, "factorize")
+    # counts designs factored: a stacked call factors one per leading index
+    factors = [0]
+    real = regress.factorize
+
+    def counted(x):
+        factors[0] += math.prod(x.shape[:-2])
+        return real(x)
+
+    monkeypatch.setattr(regress, "factorize", counted)
     solves = _counting(monkeypatch, regress, "fit_span")
     p = 5
     values = np.random.default_rng(23).standard_normal((200, p))
