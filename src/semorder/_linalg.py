@@ -27,8 +27,8 @@ Each convention used throughout the package is written once, here:
   size limit): :func:`factorize` takes a stack of designs and factors each
   member bit for bit as it would factor it alone;
 * row compression (:func:`row_compress`): the R factor of a Householder QR,
-  folded over row blocks, in place of a tall matrix whose column space is
-  all that a fit reads;
+  folded over row blocks as a tree of stacked leaf QRs, in place of a tall
+  matrix whose column space is all that a fit reads;
 * span membership on the lasso path (:func:`moment_solve`): a Householder
   QR pivot at most ``RANK_REL_TOL`` times the design's largest column norm.
 """
@@ -45,12 +45,13 @@ SYM_TOL = 1e-10
 PSD_REL_TOL = 1e-10
 PD_REL_TOL = 1e-12
 RANK_REL_TOL = 1e-10
-# entries of ``[r; rows]`` per QR in row_compress.  LAPACK's QR of a matrix
-# this narrow runs column by column through level-2 BLAS; a fold this small
-# stays in cache and is too small for OpenBLAS to spread over threads.  On a
-# 2-vCPU VM a 1000 x 64 matrix folds in 2.6 ms against 3.3 ms in one QR, and
-# one QR of that size took 0.35 to 0.47 s in 2 of 16 CLI runs (thread
-# hand-offs on a busy machine), against none of 48 runs with these folds
+# entries of one leaf of row_compress.  LAPACK's QR of a matrix this narrow
+# runs column by column through level-2 BLAS; a leaf this small stays in
+# cache and is too small for OpenBLAS to spread over threads.  On a 2-vCPU
+# VM a 1000 x 64 matrix folds in 1.6 ms, against 1.3 ms in one QR on one BLAS
+# thread and 3.4 ms on two, and one QR of that size took 0.35 to 0.47 s in 2
+# of 16 CLI runs (thread hand-offs on a busy machine).  The leaves of one
+# tree level are one stacked ``np.linalg.qr`` call
 FOLD_CELLS = 8192
 
 __all__ = [
@@ -178,25 +179,42 @@ def least_squares(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) ->
 
 
 def row_compress(blocks) -> np.ndarray:
-    """The R factor of a Householder QR of the row blocks `blocks`, stacked, a few rows at a time.
+    """The R factor of a Householder QR of the row blocks `blocks`, stacked, one block at a time.
 
-    Rows are folded in by ``r <- qr([r; rows])`` (TSQR; Demmel, Grigori,
-    Hoemmen & Langou, SIAM J. Sci. Comput. 2012), so no more than one block
-    is ever held.  The stacked matrix ``a`` then satisfies ``||a b|| = ||r b||``
-    for every b, and so does every column subset of ``a`` with the same
-    columns of `r`; Householder QR is columnwise backward stable (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 19.4).  `r`
-    has ``min(rows, columns)`` rows.  Each fold stacks at most FOLD_CELLS
-    entries where the width allows (at least as many new rows as columns).
+    Each block is reduced by a tree of QRs (TSQR; Demmel, Grigori, Hoemmen &
+    Langou, SIAM J. Sci. Comput. 2012), so no more than one block is ever
+    held.  A level splits its rows into equal leaves of at most ``leaf =
+    max(FOLD_CELLS // width, 2 width + 2)`` rows, factors them all in one
+    stacked ``np.linalg.qr(..., mode="r")`` call and stacks their R factors
+    over the rows left over; the first level of a block runs on the block
+    itself, the R factor of the blocks before it then joins the stack, and
+    levels repeat until one leaf holds the stack.  A leaf has more rows than
+    columns, so every level shrinks the stack.  The stacked matrix ``a``
+    then satisfies ``||a b|| = ||r b||`` for every b, and so does every
+    column subset of ``a`` with the same columns of `r`; Householder QR is
+    columnwise backward stable (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, Thm 19.4), and a column that is zero in every block
+    stays exactly zero.  `r` has ``min(rows, columns)`` rows.
     """
     r = None
     for block in blocks:
         width = block.shape[1]
-        step = max(FOLD_CELLS // width - width, width)
-        for start in range(0, block.shape[0], step):
-            rows = block[start : start + step]
-            r = np.linalg.qr(rows if r is None else np.vstack([r, rows]), mode="r")
+        leaf = max(FOLD_CELLS // width, 2 * width + 2)
+        a = _leaf_level(block, leaf) if block.shape[0] > leaf else block
+        if r is not None:
+            a = np.concatenate([r, a])
+        while a.shape[0] > leaf:
+            a = _leaf_level(a, leaf)
+        r = np.linalg.qr(a, mode="r")
     return r
+
+
+def _leaf_level(a: np.ndarray, leaf: int) -> np.ndarray:
+    """The R factors of the rows of `a` in equal leaves of at most `leaf` rows, stacked over the rows left over."""
+    count = -(-a.shape[0] // leaf)
+    rows = count * (a.shape[0] // count)
+    tops = np.linalg.qr(a[:rows].reshape(count, -1, a.shape[1]), mode="r")
+    return np.concatenate([tops.reshape(-1, a.shape[1]), a[rows:]])
 
 
 def moment_solve(x: np.ndarray, s: np.ndarray, norm: float) -> np.ndarray | None:

@@ -290,28 +290,27 @@ class DataMatrix:
 def sample(spec: SemSpec, n: int, seed) -> DataMatrix:
     """Draw n iid rows from the model.
 
-    Rows are generated in the model order: each variable is the sum of its
-    parents' edge functions plus fresh N(0, sd^2) noise.  The noise tensor is
-    drawn in fixed-size row blocks, each from its own counter-based stream
-    derived from (seed, block index), so output is bit-identical for the same
-    (spec, n, seed) regardless of scheduling and blocks could be filled in
-    parallel.
+    Rows are made in fixed-size blocks of SAMPLE_BLOCK rows, each from its own
+    counter-based stream derived from (seed, block index): a block's noise is
+    drawn at once, and its rows are built through the whole model in the
+    model order, each variable the sum of its parents' edge functions plus
+    N(0, sd^2) noise.  A row depends only on its block's stream, so output is
+    bit-identical for the same (spec, n, seed) regardless of scheduling, and
+    blocks could be filled in parallel.
     """
     n = as_count(n, "n")
-    p = spec.p
-    eps = np.empty((n, p))
+    parents: dict[int, list[tuple[int, EdgeFunction]]] = {j: [] for j in spec.order}
+    for (k, j), fn in sorted(spec.edges.items(), key=lambda e: e[0]):
+        parents[j].append((k, fn))
+    x = np.empty((n, spec.p))
     for b, start in enumerate(range(0, n, SAMPLE_BLOCK)):
-        stop = min(start + SAMPLE_BLOCK, n)
-        eps[start:stop] = derived_rng(seed, b).standard_normal((stop - start, p))
-    x = np.empty((n, p))
-    by_target: dict[int, list[tuple[int, EdgeFunction]]] = {}
-    for (k, j), fn in spec.edges.items():
-        by_target.setdefault(j, []).append((k, fn))
-    for pos, j in enumerate(spec.order):
-        col = spec.noise_sd[j] * eps[:, pos]
-        for k, fn in sorted(by_target.get(j, []), key=lambda t: t[0]):
-            col = col + fn(x[:, k])
-        x[:, j] = col
+        block = x[start : start + SAMPLE_BLOCK]
+        eps = derived_rng(seed, b).standard_normal(block.shape)
+        for pos, j in enumerate(spec.order):
+            col = spec.noise_sd[j] * eps[:, pos]
+            for k, fn in parents[j]:
+                col = col + fn(block[:, k])
+            block[:, j] = col
     return DataMatrix(values=x)
 
 

@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 
+from semorder._rng import derived_rng
 from semorder.dictionary import basis_matrix
 from semorder.regress import fit_span
-from semorder.semgen import EdgeFunction, SemSpec
+from semorder.semgen import SAMPLE_BLOCK, EdgeFunction, SemSpec
 
 try:
     _trapezoid = np.trapezoid
@@ -325,6 +326,27 @@ def sigma_table_gap(p, sigma, reference):
         for mask in range(1 << p)
         if not mask >> v & 1
     )
+
+
+def sample(spec, n, seed):
+    """The n x p values of ``semgen.sample(spec, n, seed)``, one whole column at a time.
+
+    The noise of every row is drawn first, SAMPLE_BLOCK rows per stream of
+    ``derived_rng(seed, block)``; then each variable, in the model order, is
+    its scaled noise plus its parents' edge functions in ascending parent
+    order, each evaluated on the whole n-row column.
+    """
+    eps = np.concatenate(
+        [derived_rng(seed, b).standard_normal((min(SAMPLE_BLOCK, n - start), spec.p))
+         for b, start in enumerate(range(0, n, SAMPLE_BLOCK))]
+    )
+    x = np.empty((n, spec.p))
+    for pos, j in enumerate(spec.order):
+        col = spec.noise_sd[j] * eps[:, pos]
+        for k in spec.parents(j):
+            col = col + spec.edges[(k, j)](x[:, k])
+        x[:, j] = col
+    return x
 
 
 def topological_filter(spec):

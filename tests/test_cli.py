@@ -168,6 +168,19 @@ def test_order_output_independent_of_threads(tmp_path, capsys, cli_child):
     assert outs[0] == outs[1]
 
 
+def test_gap_output_independent_of_threads(tmp_path, cli_child):
+    # 20,000 oracle rows fold through several levels of stacked leaf QRs
+    cfg = write_cfg(
+        tmp_path, "c.json", {"sem": sine_chain_cfg(p=4), "class": SPLINE5, "oracle_n": 20000, "replicates": 2}
+    )
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        cli_child(["gap", "--config", cfg, "--out", str(out), "--seed", "3"], threads)
+        outs.append((out / "gap.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_order_capacity_suggests_greedy(tmp_path, capsys):
     rng = np.random.default_rng(61)
     DataMatrix(rng.standard_normal((60, 19))).to_csv(tmp_path / "wide.csv")

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 import semorder
 from semorder import regress
-from semorder._linalg import RANK_REL_TOL, factorize, least_squares
+from semorder._linalg import FOLD_CELLS, RANK_REL_TOL, factorize, least_squares, row_compress
 from semorder.dictionary import (
     CUBIC_B_SPLINE,
     PIECEWISE_CONSTANT,
@@ -229,6 +230,61 @@ def test_stacked_factorize_rejects_a_non_finite_member(bad):
         factorize(stack[2])
 
 
+def _recording_qr(monkeypatch):
+    """Patch ``np.linalg.qr`` to record the shape of each call's input; returns the list of shapes."""
+    shapes = []
+    real = np.linalg.qr
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "width, rows",
+    [
+        (25, [100]),  # fewer rows than a leaf, 8192 // 25 = 327 rows
+        (25, [327 * 4]),  # an exact multiple of the leaf
+        (25, [1000]),  # equal leaves and rows left over
+        (25, [10]),  # fewer rows than columns
+        (25, [1308, 1000, 7, 4096]),  # blocks of each kind, folded into one R
+        (70, [426, 500]),  # 2 * 70 rows of 70 exceed FOLD_CELLS: leaves of 2 * 70 + 2 rows
+    ],
+)
+def test_row_compress_keeps_the_gram_matrix(monkeypatch, width, rows):
+    # R'R equals A'A of the stacked blocks within 1e-14 of its largest entry
+    # (observed 1.5e-16 to 5.4e-16), R is upper triangular with min(n, d)
+    # rows, a column that is zero in every block stays exactly zero, and no
+    # QR member holds more rows than a leaf
+    rng = np.random.default_rng(width + len(rows))
+    blocks = [rng.standard_normal((m, width)) * np.logspace(0, 3, width) for m in rows]
+    for block in blocks:
+        block[:, 4] = 0.0
+    shapes = _recording_qr(monkeypatch)
+    r = row_compress(iter(blocks))
+    a = np.concatenate(blocks)
+    g = a.T @ a
+    assert r.shape == (min(a.shape), width) and np.array_equal(r, np.triu(r))
+    assert np.max(np.abs(r.T @ r - g)) <= 1e-14 * np.max(np.abs(g))
+    assert np.all(r[:, 4] == 0.0)
+    leaf = max(FOLD_CELLS // width, 2 * width + 2)
+    assert all(shape[-2] <= leaf and shape[-1] == width for shape in shapes)
+
+
+def test_row_compress_folds_a_chunk_in_stacked_leaves(monkeypatch):
+    # 4096-row chunks of 25 columns, as the gap benchmark folds them: one
+    # stacked QR of 13 leaves of 315 rows, the one row left over joining their
+    # R factors.  The first chunk's 326 rows then fit one leaf; from the
+    # second on, the R factor so far joins them, and 351 rows take a level of
+    # 2 leaves before the last QR
+    shapes = _recording_qr(monkeypatch)
+    row_compress(np.random.default_rng(5).standard_normal((2, 4096, 25)))
+    assert shapes == [(13, 315, 25), (326, 25), (13, 315, 25), (2, 175, 25), (51, 25)]
+
+
 def test_least_squares_solvers_live_in_linalg():
     # every linear solve, factorization and rank decision lives in _linalg
     package = Path(semorder.__file__).parent
@@ -362,14 +418,15 @@ def _check_against_full_design(values, class_spec, calls):
 
 def test_compressed_engine_matches_full_design_at_its_edges(monkeypatch):
     # ConditionalFits fits on the R factor of a QR of the data, folded in
-    # chunks; a 64-row chunk makes n=300 a ragged multiple and n=20 a single
-    # chunk with fewer rows than the compressed matrix has columns (29).
+    # chunks; a 64-row chunk (256 points at p=4) makes n=300 a ragged
+    # multiple and n=20 a single chunk with fewer rows than the folded matrix
+    # has columns (25 with a spline intercept class, 29 without).
     # sigma^2 within 1e-12 relative (observed 3.9e-13) wherever the certificate
     # proves cond <= 1e5.  The n=20 spline designs that fail it (cond 6e5 to
     # 3e6) reach 5.9e-11, since the compression perturbs the problem itself by
     # rounding times cond: the bound there is 1e-9
     calls = _counting_lstsq(monkeypatch)
-    monkeypatch.setattr(regress, "CHUNK_ROWS", 64)
+    monkeypatch.setattr(regress, "CHUNK_POINTS", 64 * 4)
     chain = SemSpec(
         p=4, order=(0, 1, 2, 3),
         edges={(j, j + 1): EdgeFunction("sine", (2.0, 1.5)) for j in range(3)},
@@ -393,7 +450,7 @@ def test_compressed_engine_matches_full_design_at_its_edges(monkeypatch):
 
 
 def test_compressed_engine_l1_fits_are_kkt_points_of_the_full_design(monkeypatch):
-    monkeypatch.setattr(regress, "CHUNK_ROWS", 64)
+    monkeypatch.setattr(regress, "CHUNK_POINTS", 64 * 3)
     chain = SemSpec(
         p=3, order=(0, 1, 2),
         edges={(0, 1): EdgeFunction("sine", (2.0, 1.5)), (1, 2): EdgeFunction("sine", (2.0, 1.5))},
@@ -415,6 +472,69 @@ def test_compressed_engine_l1_fits_are_kkt_points_of_the_full_design(monkeypatch
                 assert fit.n_obs == 1000
                 assert kkt_residual(design, values[:, v], fit.coefficients, budget, icpt) <= 1e-12
                 assert abs(fit.residual_variance - direct.residual_variance) <= 1e-12 * direct.residual_variance
+
+
+def test_compressed_engine_matches_full_design_with_an_unreached_middle_cell(monkeypatch):
+    # data on [-5, -2.2) and [3.6, 5] leaves interior cells empty while the
+    # last cell is reached: cells 3 to 7 of 10 piecewise-constant cells, and
+    # the spline B_5 of K = 10, whose support is [-2.14, 3.57].  The folded
+    # matrix never holds a block's last column, which the design drops
+    # instead of the unreached middle one
+    calls = _counting_lstsq(monkeypatch)
+    rng = np.random.default_rng(44)
+    n = 300
+    side = rng.random(n) < 0.5
+    x0 = np.where(side, rng.uniform(-5.0, -2.2, n), rng.uniform(3.6, 5.0, n))
+    flip = rng.random(n) < 0.2
+    x1 = np.where(side ^ flip, rng.uniform(-5.0, -2.2, n), rng.uniform(3.6, 5.0, n))
+    x2 = np.where(x1 < 0, -2.2 - 2.8 * ((x0 + 5.0) % 1.0), 3.6 + 1.4 * ((x1 - 3.6) / 1.4) ** 2)
+    values = np.column_stack([x0, x1, x2])
+    for kind, size, middle in [(PIECEWISE_CONSTANT, 10, [3, 4, 5, 6, 7]), (CUBIC_B_SPLINE, 10, [5])]:
+        class_spec = ClassSpec(Dictionary(kind, size, (-5.0, 5.0)))
+        reached = basis_matrix(class_spec.dictionary, values).reshape(n, 3, size).any(axis=0)
+        assert not reached[:, middle].any() and reached[:, size - 1].all()
+        worst = _check_against_full_design(values, class_spec, calls)
+        assert worst[0] <= 1e-12 and worst[1] <= 1e-9
+        assert ConditionalFits(values, class_spec).sigma(0, 0b110)[2]  # a block lost a column: degenerate
+
+
+@pytest.mark.parametrize(
+    "kind, size, intercept, l1, folded",
+    [
+        (CUBIC_B_SPLINE, 6, True, False, 5),
+        (PIECEWISE_CONSTANT, 5, True, False, 4),
+        (CUBIC_B_SPLINE, 6, False, False, 6),
+        (TRIGONOMETRIC, 3, True, False, 3),
+        (CUBIC_B_SPLINE, 6, True, True, 6),
+    ],
+)
+def test_compression_folds_only_basis_columns_some_design_keeps(monkeypatch, kind, size, intercept, l1, folded):
+    # with an intercept a span class's partition-of-unity block never keeps
+    # its last column, so the fold leaves it out: A of a p = 4 spline class
+    # has 1 + 4 * 5 + 4 = 25 columns instead of 29.  Classes without an
+    # intercept, the trigonometric family and l1 classes fold every column
+    budget = {"kind": "l1", "budget": 1.0} if l1 else {}
+    class_spec = ClassSpec(Dictionary(kind, size, (-5.0, 5.0)), intercept=intercept, **budget)
+    values = np.random.default_rng(45).standard_normal((200, 4))
+    shapes = _recording_qr(monkeypatch)
+    ConditionalFits(values, class_spec).sigma(0, 0b1110)
+    assert shapes[0][-1] == int(intercept) + 4 * folded + 4
+
+
+@pytest.mark.parametrize("budget", [1e6, 1e9, 1e12, 1e15, 1e20])
+def test_l1_fit_leaves_rounding_noise_columns_out_of_its_path(budget):
+    # 15 identical rows: on the intercept's residuals every basis column is
+    # rounding noise, which the path's rank rule measures against the whole
+    # design, intercept included, as gelsd does.  Measured against the noise
+    # itself, the columns joined the path: sigma^2 rose to 1.3e-2 and the fit
+    # stopped converging from budget 1e9 up
+    x = np.tile([1.0, 2.0], (15, 1))
+    cs = ClassSpec(Dictionary(CUBIC_B_SPLINE, 4, (-5.0, 5.0)), kind="l1", budget=budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = ConditionalFits(x, cs).fit(1, 1)
+    assert fit.converged and fit.kkt_residual <= 1e-8
+    assert fit.residual_variance <= 1e-28
 
 
 def test_sigma_table_never_holds_an_n_row_design():
