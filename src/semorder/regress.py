@@ -241,7 +241,7 @@ def fit_l1(
         x0, rest = x[:, 0], x[:, 1:]
         pivot = float(x0 @ x0) or 1.0
         pen = rest - np.outer(x0, (x0 @ rest) / pivot)
-    norm = float(np.sqrt(np.max(np.einsum("ij,ij->j", x, x))))
+    norm = float(np.linalg.norm(x, axis=0).max())
     v, steps, done = _lasso_path(pen, y, budget, max_iter, norm)
     beta = np.concatenate([[x0 @ (y - rest @ v) / pivot], v]) if intercept else v
     residual = kkt_residual(x, y, beta, budget, intercept)

@@ -299,17 +299,14 @@ def sample(spec: SemSpec, n: int, seed) -> DataMatrix:
     blocks could be filled in parallel.
     """
     n = as_count(n, "n")
-    parents: dict[int, list[tuple[int, EdgeFunction]]] = {j: [] for j in spec.order}
-    for (k, j), fn in sorted(spec.edges.items(), key=lambda e: e[0]):
-        parents[j].append((k, fn))
     x = np.empty((n, spec.p))
     for b, start in enumerate(range(0, n, SAMPLE_BLOCK)):
         block = x[start : start + SAMPLE_BLOCK]
         eps = derived_rng(seed, b).standard_normal(block.shape)
         for pos, j in enumerate(spec.order):
             col = spec.noise_sd[j] * eps[:, pos]
-            for k, fn in parents[j]:
-                col = col + fn(block[:, k])
+            for k in spec.parents(j):
+                col = col + spec.edges[(k, j)](block[:, k])
             block[:, j] = col
     return DataMatrix(values=x)
 

@@ -77,7 +77,6 @@ def test_sample_dictionary_combination_edges_move_only_by_rounding(n):
     # a dictionary-combination edge is a BLAS matrix-vector product, whose
     # rounding may depend on the length it runs over: reruns are identical and
     # the block-by-block values stay within 1e-15 of the whole-column ones
-    # (differences of 2.8e-17 have been seen at n = 4097)
     fn = EdgeFunction.dictionary_combination(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0)), [0.5, -1.0, 2.0, 0.3, -0.7, 1.1])
     spec = _multi_parent_dag(fn)
     got = sample(spec, n, seed=13).values
