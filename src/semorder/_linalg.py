@@ -22,10 +22,14 @@ Each convention used throughout the package is written once, here:
   fitted on that design shares the one :class:`Factor`, certified or not;
   :func:`least_squares` then solves once per right-hand side.  The sigma
   table's exact search over p variables thus costs ``2^p - 1``
-  factorizations and ``p 2^(p-1)`` solves.  The factorizations run in
-  stacked calls, one per popcount layer and design width (and per stack
-  size limit): :func:`factorize` takes a stack of designs and factors each
-  member bit for bit as it would factor it alone;
+  factorizations and ``p 2^(p-1)`` solves.  The one fit path of
+  ``regress.ConditionalFits`` runs the factorizations in stacked calls,
+  one per design width of each request (a popcount layer, for the
+  search) and per stack size limit: :func:`factorize` takes a stack of
+  designs and factors each member bit for bit as it would factor it
+  alone.  A design whose squares overflow is a :class:`UsageError`: the
+  Gram product and its trace are formed under one ``np.errstate``, so the
+  check costs one per stacked call, not one per design;
 * row compression (:func:`row_compress`): the R factor of a Householder QR,
   folded over row blocks as a tree of stacked leaf QRs, in place of a tall
   matrix whose column space is all that a fit reads;
@@ -146,8 +150,8 @@ def factorize(x: np.ndarray) -> Factor | list[Factor]:
     overflow).
     """
     stack = x[None] if x.ndim == 2 else x.reshape(-1, *x.shape[-2:])
-    g = np.swapaxes(stack, -1, -2) @ stack
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.swapaxes(stack, -1, -2) @ stack
         trace = np.trace(g, axis1=-2, axis2=-1)
     bad = trace[~np.isfinite(trace)]
     if bad.size:

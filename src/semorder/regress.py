@@ -47,9 +47,9 @@ CLASS_KEYS = {"dictionary": REQUIRED, "kind": SPAN, "budget": None, "intercept":
 CHUNK_POINTS = 16384
 # the largest p the one subset DP (ConditionalFits.best_order) takes
 EXACT_GUARD = 18
-# bytes of the designs that one stacked factorization of the sigma table's
-# layered fill takes (ConditionalFits.fill): a layer of C(p, k) designs is
-# gathered and factored in stacks of at most this size, never whole
+# bytes of the designs that one stacked factorization of the one fit path
+# takes (ConditionalFits._fits): a layer of C(p, k) designs is gathered and
+# factored in stacks of at most this size, never whole
 STACK_BYTES = 1 << 18
 
 __all__ = [
@@ -141,7 +141,8 @@ def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitR
     degrees-of-freedom correction).  ``rank`` is the numerical rank of `x`,
     the number of singular values above ``RANK_REL_TOL`` times the largest;
     ``degenerate`` marks a rank below the column count.  :class:`UsageError`
-    for a non-finite `y`, ``trace(x'x)`` or residual variance (`x` is not scanned).
+    for a non-finite ``y'y``, ``trace(x'x)`` (checked by :func:`factorize`)
+    or residual variance.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -149,8 +150,7 @@ def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitR
         raise UsageError(f"incompatible shapes {x.shape} and {y.shape}")
     if x.shape[0] < 1:
         raise UsageError("need at least one observation")
-    if not np.isfinite(y).all():
-        raise UsageError("response must be finite")
+    _check_squares(response=y)
     beta, rank = least_squares(x, y, factor)
     resid = y - x @ beta
     rv = float(resid @ resid) / x.shape[0]
@@ -202,6 +202,13 @@ def _check_finite(**arrays: np.ndarray) -> None:
             raise UsageError(f"{name} must be finite")
 
 
+def _check_squares(**arrays: np.ndarray) -> None:
+    """:class:`UsageError` unless each array's sum of squares is finite, checked by ``np.vdot``, which never warns."""
+    for name, a in arrays.items():
+        if not math.isfinite(np.vdot(a, a)):
+            raise UsageError(f"{name} must be finite with finite squares")
+
+
 def fit_l1(
     x: np.ndarray,
     y: np.ndarray,
@@ -212,17 +219,18 @@ def fit_l1(
 ) -> FitResult:
     """Least squares of `y` (n,) on `x` (n, d) under ``sum_j |beta_j| <= budget`` (intercept exempt).
 
-    `x` and `y` must be finite and `budget` nonnegative, else
-    :class:`UsageError`.  Solved exactly by the lasso homotopy of
-    :func:`_lasso_path`.  With ``intercept=True`` column 0 of `x` is the
-    unpenalized intercept, removed first: the other columns are replaced by
-    their residuals on it, ``x_j - x_0 (x_0'x_j) / (x_0'x_0)``, and a zero
-    column 0 gets coefficient 0.  The path's rank rule measures against the
-    largest column norm of `x` itself, intercept included, as ``gelsd`` does,
-    so a residual column of rounding noise stays out of the path.
-    ``converged`` requires the KKT residual of :func:`kkt_residual` to be at
-    most `tol`; a path cut at `max_iter` steps never converges.  A fit that does not converge warns.  On collinear
-    columns the coefficients may not be unique; the fitted values are.
+    `x` and `y` must be finite with finite squares and `budget`
+    nonnegative, else :class:`UsageError`.  Solved exactly by the lasso
+    homotopy of :func:`_lasso_path`.  With ``intercept=True`` column 0 of `x`
+    is the unpenalized intercept, removed first: the other columns are
+    replaced by their residuals on it, ``x_j - x_0 (x_0'x_j) / (x_0'x_0)``,
+    and a zero column 0 gets coefficient 0.  The path's rank rule measures
+    against the largest column norm of `x` itself, intercept included, as
+    ``gelsd`` does, so a residual column of rounding noise stays out of the
+    path.  ``converged`` requires the KKT residual of :func:`kkt_residual` to
+    be at most `tol`; a path cut at `max_iter` steps never converges.  A fit
+    that does not converge warns.  On collinear columns the coefficients
+    may not be unique; the fitted values are.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -232,7 +240,7 @@ def fit_l1(
         raise UsageError("need at least one observation")
     if not (budget >= 0):
         raise UsageError(f"budget must be nonnegative, got {budget!r}")
-    _check_finite(design=x, response=y)
+    _check_squares(design=x, response=y)
     n, d = x.shape
     if d == 0:
         return FitResult(np.zeros(0), float(y @ y) / n, kkt_residual=0.0, n_obs=n)
@@ -375,20 +383,19 @@ class ConditionalFits:
       (:meth:`_compress`);
     * the design ``[1 | B_k ...]`` with blocks in ascending column order, as
       columns of ``C`` (:meth:`_columns`) gathered into a C-contiguous copy
-      (:meth:`_gather`), and the span/l1 dispatch and empty-design
-      convention of :meth:`_fits`.  Every fit thus runs on the m <= 1 + pN +
+      (:meth:`_gather`);
+    * the one fit path, :meth:`_fits`: same-width designs gathered and
+      factored in stacks of at most STACK_BYTES, the span/l1 dispatch and
+      the empty-design convention.  Every fit thus runs on the m <= 1 + pN +
       p rows of ``C``; its residual variance and moment form equal those on
       the n data rows in exact arithmetic, and ``n_obs`` is n;
     * the sigma table: ``(residual variance, floored, degenerate)`` keyed by
       (variable, predecessor bitmask), each variance floored at
       ``max(1e-12 * mean square, tiny)`` of its column so that logs stay
       finite, its walk along an order (:meth:`along`) and its search
-      (:meth:`best_order`).  A single entry fills by rows (:meth:`_row`):
-      the targets of one predictor set share its design and one
-      factorization.  A search fills by popcount layers (:meth:`fill`): the
-      same-width designs of a layer are gathered and factored as stacks of
-      at most STACK_BYTES, and each entry is still one :func:`fit_span`
-      solve, bit for bit the entry :meth:`_row` would give.
+      (:meth:`best_order`).  Every entry is stored by :meth:`_fill` as
+      :meth:`_fits` makes it: :meth:`sigma` fills one entry, greedy search
+      one predictor set's row, and :meth:`fill` one popcount layer per call.
     """
 
     def __init__(self, data, class_spec: ClassSpec):
@@ -430,45 +437,63 @@ class ConditionalFits:
         return mask
 
     def fit(self, v: int, mask: int) -> FitResult:
-        """Fit column `v` on the columns whose bits are set in `mask` (not memoized)."""
-        return self._fits(mask, [v])[0]
+        """Fit column `v` on the columns whose bits are set in `mask` (not memoized), after :meth:`_check_entry`."""
+        self._check_entry(v, mask)
+        ((_, _, fit),) = self._fits([(mask, [v])])
+        return fit
 
-    def _fits(self, mask: int, targets) -> list[FitResult]:
-        """Fit each column of `targets` on the set `mask`, all on the one design of :meth:`_design`.
-
-        The one place that picks a class fit's solver: an l1 class with k >= 1
-        blocks takes ``total_budget(k)``, every other fit is a span fit, on a
-        design that :func:`factorize` factors once for all of `targets`.  With
-        neither blocks nor intercept the residual is the target itself, so the
-        residual variance is its mean square.  A span fit is ``degenerate``
-        only when its rank is below the dimension of the class span: below the
-        design's column count, or a block lost an all-zero column.  l1 fits
-        are never flagged.  :class:`UsageError` unless `mask` names columns
-        only and every target is a column outside it.
-        """
+    def _check_entry(self, v: int, mask: int) -> None:
+        """:class:`UsageError` unless `mask` names columns only and `v` is a column outside it."""
         if not 0 <= mask < 1 << self.p:
             raise UsageError(f"predictor mask {mask:#b} names a column beyond the {self.p} columns")
-        for v in targets:
-            if not 0 <= v < self.p:
-                raise UsageError(f"target column {v} out of range for {self.p} columns")
-            if mask >> v & 1:
-                raise UsageError(f"target column {v} cannot be conditioned on itself")
-        cs, k = self.class_spec, mask.bit_count()
-        self._check_capacity(k)
-        design, lost = self._design(mask)
-        ys = [self._targets[:, v] for v in targets]
-        if design is None:
-            return [FitResult(np.zeros(0), float(np.mean(y * y)), n_obs=self.n, rank=0) for y in ys]
-        if cs.kind == L1 and k:
-            fits = [fit_l1(design, y, cs.total_budget(k), intercept=cs.intercept) for y in ys]
-        else:
-            factor = factorize(design)
-            fits = [fit_span(design, y, factor) for y in ys]
-            for fit in fits:
-                fit.degenerate = fit.degenerate or lost
-        for fit in fits:
-            fit.n_obs = self.n
-        return fits
+        if not 0 <= v < self.p:
+            raise UsageError(f"target column {v} out of range for {self.p} columns")
+        if mask >> v & 1:
+            raise UsageError(f"target column {v} cannot be conditioned on itself")
+
+    def _fits(self, rows):
+        """Fit the `targets` of each ``(mask, targets)`` in `rows` on the design of `mask`; yields ``(v, mask, fit)``.
+
+        The one place that picks a class fit's solver; `rows` is trusted.  The
+        capacity rule is checked once per popcount, and same-width designs are
+        gathered in stacks.  An l1 class with k >= 1 blocks takes one
+        :func:`fit_l1` per target at ``total_budget(k)``.  A span design's
+        stack is factored by one :func:`factorize` call, and each target is
+        one :func:`fit_span`, bit for bit the fit on that design alone.  With
+        neither blocks nor intercept the residual variance is the target's
+        mean square.  A span fit is ``degenerate`` only when its rank is below
+        the dimension of the class span: below the design's column count, or
+        a block lost an all-zero column.  l1 fits are never flagged.
+        """
+        cs = self.class_spec
+        for k in {mask.bit_count() for mask, _ in rows}:
+            self._check_capacity(k)
+        groups: dict[tuple[int, float | None], list[tuple[int, list[int], list[int], bool]]] = {}
+        for mask, targets in rows:
+            cols, lost = self._columns(mask)
+            budget = cs.total_budget(mask.bit_count()) if cs.kind == L1 and mask else None
+            groups.setdefault((len(cols), budget), []).append((mask, targets, cols, lost))
+        for (d, budget), group in groups.items():
+            if not d:
+                for mask, targets, _, _ in group:
+                    for v in targets:
+                        y = self._targets[:, v]
+                        yield v, mask, FitResult(np.zeros(0), float(np.mean(y * y)), n_obs=self.n, rank=0)
+                continue
+            step = max(STACK_BYTES // (8 * self._c.shape[0] * d), 1)
+            for start in range(0, len(group), step):
+                chunk = group[start : start + step]
+                designs = self._gather(np.array([cols for _, _, cols, _ in chunk]))
+                factors = factorize(designs) if budget is None else [None] * len(chunk)
+                for (mask, targets, _, lost), x, factor in zip(chunk, designs, factors):
+                    for v in targets:
+                        if budget is None:
+                            fit = fit_span(x, self._targets[:, v], factor)
+                            fit.degenerate = fit.degenerate or lost
+                        else:
+                            fit = fit_l1(x, self._targets[:, v], budget, intercept=cs.intercept)
+                        fit.n_obs = self.n
+                        yield v, mask, fit
 
     def _check_capacity(self, k: int) -> None:
         """The capacity rule ``k N + 1 <= n`` for a predictor set of `k` columns, else :class:`CapacityError`."""
@@ -550,28 +575,25 @@ class ConditionalFits:
     def sigma(self, v: int, mask: int) -> tuple[float, bool, bool]:
         """Memoized ``(floored residual variance, floored, degenerate)`` of :meth:`fit`.
 
-        :class:`UsageError` for a target that is not a column, a mask that
-        names a column beyond them, or a target inside its own mask.
-        """
-        return self._row(mask, [v])[0]
-
-    def _row(self, mask: int, targets) -> list[tuple[float, bool, bool]]:
-        """:meth:`sigma` of each column of `targets` on the set `mask`.
-
-        The targets not yet in the table are fitted together by :meth:`_fits`,
-        so the design of `mask` is built, checked and factored once.  A bad
+        A missing entry passes :meth:`_check_entry`, then :meth:`_fill`; a bad
         request never enters the table, so it always reaches that check.
         """
-        missing = [v for v in targets if (v, mask) not in self._memo]
-        if missing:
-            for v, fit in zip(missing, self._fits(mask, missing)):
-                self._store(v, mask, fit.residual_variance, fit.degenerate)
+        if (v, mask) not in self._memo:
+            self._check_entry(v, mask)
+            self._fill([(mask, [v])])
+        return self._memo[(v, mask)]
+
+    def _row(self, mask: int, targets) -> list[tuple[float, bool, bool]]:
+        """:meth:`sigma` of each column of `targets` on the set `mask`, after one :meth:`_fill`."""
+        self._fill([(mask, targets)])
         return [self._memo[(v, mask)] for v in targets]
 
-    def _store(self, v: int, mask: int, rv: float, degenerate: bool) -> None:
-        """Enter the fit of `v` on `mask` in the table, its residual variance `rv` floored."""
-        floored = rv < self._floor[v]
-        self._memo[(v, mask)] = (self._floor[v] if floored else rv, floored, degenerate)
+    def _fill(self, rows) -> None:
+        """Enter the entries of `rows` not yet in the table, each as :meth:`_fits` makes it, its residual variance floored."""
+        missing = [(mask, [v for v in targets if (v, mask) not in self._memo]) for mask, targets in rows]
+        for v, mask, fit in self._fits([(mask, targets) for mask, targets in missing if targets]):
+            rv, floor = fit.residual_variance, self._floor[v]
+            self._memo[(v, mask)] = (floor, True, fit.degenerate) if rv < floor else (rv, False, fit.degenerate)
 
     def along(self, pi) -> tuple[np.ndarray, tuple[bool, ...], tuple[bool, ...]]:
         """:meth:`sigma` at each position of the order `pi`, on the variables placed before it.
@@ -592,13 +614,8 @@ class ConditionalFits:
         Returns the layers: for k = 0 .. p-1, each placed set of k columns
         that some allowed order reaches, in ascending order, with the columns
         that may come next.  A set that no allowed order reaches costs no
-        fit.  For a span class the missing entries of a layer are fitted on
-        stacks of same-width designs, each stack gathered from ``C`` at once
-        and factored by one stacked :func:`factorize` call; every entry is
-        still its own :func:`fit_span` solve, bit for bit the fit of
-        :meth:`_fits`.  l1 classes, and the empty design of a class without
-        an intercept, fill by :meth:`_row`.  :class:`UsageError` when
-        `before` has a cycle.
+        fit.  Each layer is one :meth:`_fill`.
+        :class:`UsageError` when `before` has a cycle.
         """
         full = (1 << self.p) - 1
         layers, masks = [], [0]
@@ -608,34 +625,8 @@ class ConditionalFits:
             if not masks:
                 raise UsageError("the precedence constraints of the order search have a cycle")
             layers.append(layer)
-            missing = [(mask, [v for v in allowed if (v, mask) not in self._memo]) for mask, allowed in layer]
-            self._fill_layer(len(layers) - 1, [(mask, targets) for mask, targets in missing if targets])
+            self._fill(layer)
         return layers
-
-    def _fill_layer(self, k: int, rows: list[tuple[int, list[int]]]) -> None:
-        """Fit the `targets` of each ``(mask, targets)`` in `rows`, every mask of `k` columns."""
-        if self.class_spec.kind == L1 or not rows:
-            for mask, targets in rows:
-                self._row(mask, targets)
-            return
-        self._check_capacity(k)
-        widths: dict[int, list[tuple[int, list[int], list[int], bool]]] = {}
-        for mask, targets in rows:
-            cols, lost = self._columns(mask)
-            if not cols:
-                self._row(mask, targets)
-            else:
-                widths.setdefault(len(cols), []).append((mask, targets, cols, lost))
-        m = self._c.shape[0]
-        for d, group in widths.items():
-            step = max(STACK_BYTES // (8 * m * d), 1)
-            for start in range(0, len(group), step):
-                chunk = group[start : start + step]
-                designs = self._gather(np.array([cols for _, _, cols, _ in chunk]))
-                for (mask, targets, _, lost), x, factor in zip(chunk, designs, factorize(designs)):
-                    for v in targets:
-                        fit = fit_span(x, self._targets[:, v], factor)
-                        self._store(v, mask, fit.residual_variance, fit.degenerate or lost)
 
     def best_order(self, before) -> tuple[int, ...]:
         """The order of least ``sum log sigma`` in which each v follows the set bits of ``before[v]``.

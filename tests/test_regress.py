@@ -1,5 +1,7 @@
 import gc
+import inspect
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -219,7 +221,7 @@ def test_stacked_factorize_falls_back_per_design_on_a_singular_member(monkeypatc
     assert all(_same_factor(a, b) for a, b in zip(factors, alone))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_stacked_factorize_rejects_a_non_finite_member(bad):
     rng = np.random.default_rng(33)
     stack = rng.standard_normal((4, 20, 3))
@@ -283,6 +285,14 @@ def test_row_compress_folds_a_chunk_in_stacked_leaves(monkeypatch):
     shapes = _recording_qr(monkeypatch)
     row_compress(np.random.default_rng(5).standard_normal((2, 4096, 25)))
     assert shapes == [(13, 315, 25), (326, 25), (13, 315, 25), (2, 175, 25), (51, 25)]
+
+
+def test_conditional_fits_has_one_solver_dispatch():
+    # every class fit goes through ConditionalFits._fits: a second fit path
+    # would be a second call site of one of these solvers
+    source = inspect.getsource(ConditionalFits)
+    for name in ("fit_span", "fit_l1", "factorize"):
+        assert len(re.findall(rf"\b{name}\(", source)) == 1, name
 
 
 def test_least_squares_solvers_live_in_linalg():
@@ -576,13 +586,8 @@ def test_sigma_table_builds_without_lstsq(monkeypatch):
     assert len(fits._memo) == 5 * 2 ** 4
 
 
-def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
-    # The row fill factors each predictor set once and shares the factor;
-    # every entry must equal fit_span on the same engine design without a
-    # factor, bit for bit, flags included.  x5 repeats x4, so the
-    # piecewise-constant designs holding both are rank-deficient and take
-    # the gelsd path; its 10 cells on (-5, 5) leave the outer ones empty.
-    calls = _counting_lstsq(monkeypatch)
+def _chain_with_a_copy():
+    """A 4-variable sine chain, n = 300, with a fifth column that repeats the fourth; every entry below 3.5."""
     chain = SemSpec(
         p=4, order=(0, 1, 2, 3),
         edges={(j, j + 1): EdgeFunction("sine", (2.0, 1.5)) for j in range(3)},
@@ -591,11 +596,24 @@ def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
     chained = sample(chain, 300, seed=5).values
     values = np.column_stack([chained, chained[:, 3]])
     assert not np.any(np.abs(values) >= 3.5)
+    return values
+
+
+def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
+    # The one fit path factors each stack of designs once; every span entry
+    # must equal fit_span on the same engine design without a factor, and
+    # every l1 entry fit_l1 on it, bit for bit, flags included.  x5 repeats
+    # x4, so the piecewise-constant designs holding both are rank-deficient
+    # and take the gelsd path; its 10 cells on (-5, 5) leave the outer ones
+    # empty.
+    calls = _counting_lstsq(monkeypatch)
+    values = _chain_with_a_copy()
     classes = [
         ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0))),
         ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)), intercept=False),
         ClassSpec(Dictionary(PIECEWISE_CONSTANT, 10, (-5.0, 5.0))),
         ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-5.0, 5.0))),
+        ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)), kind="l1", budget=2.0),
     ]
     p = values.shape[1]
     fallback = 0
@@ -607,13 +625,16 @@ def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
         for (v, mask), entry in sorted(fits._memo.items()):
             design, lost = fits._design(mask)
             y = fits._targets[:, v]
-            if design is not None:
+            if design is None:
+                rv, degenerate = float(np.mean(y * y)), False
+            elif class_spec.kind == "l1" and mask:
+                budget = class_spec.total_budget(mask.bit_count())
+                rv, degenerate = fit_l1(design, y, budget, intercept=class_spec.intercept).residual_variance, False
+            else:
                 before = calls[0]
                 fit = fit_span(design, y)
                 fallback += calls[0] > before
                 rv, degenerate = fit.residual_variance, fit.degenerate or lost
-            else:
-                rv, degenerate = float(np.mean(y * y)), False
             floor = fits._floor[v]
             got.append(entry)
             ref.append((max(rv, floor), rv < floor, degenerate))
@@ -623,6 +644,50 @@ def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
         if class_spec.dictionary.family == PIECEWISE_CONSTANT:
             assert got[:, 2].any()
     assert fallback > 0
+
+
+def test_sigma_table_is_the_same_whatever_the_stack_bound(monkeypatch):
+    # STACK_BYTES only bounds how many same-width designs one gather and one
+    # factorize take: stacks of one design, and stacks of three that leave
+    # the last stack of a width partial, give the default table bit for bit
+    values = _chain_with_a_copy()
+    p = values.shape[1]
+    classes = [
+        ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0))),
+        ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)), intercept=False),
+        ClassSpec(Dictionary(PIECEWISE_CONSTANT, 10, (-5.0, 5.0))),
+        ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)), kind="l1", budget=2.0),
+    ]
+    stacks = []
+    real = ConditionalFits._gather
+
+    def recorded(self, cols):
+        stacks.append(cols.shape)
+        return real(self, cols)
+
+    full = (1 << p) - 1
+    for class_spec in classes:
+        default = ConditionalFits(values, class_spec)
+        default.best_order([0] * p)
+        if class_spec.dictionary.family == PIECEWISE_CONSTANT:
+            assert any(degenerate for _, _, degenerate in default._memo.values())  # a block lost a column
+        m = default._c.shape[0]
+        widest = max(len(default._columns(full & ~(1 << v))[0]) for v in range(p))
+        for bound in (1, 3 * 8 * m * widest):
+            monkeypatch.setattr(regress, "STACK_BYTES", bound)
+            monkeypatch.setattr(ConditionalFits, "_gather", recorded)
+            stacks.clear()
+            fits = ConditionalFits(values, class_spec)
+            fits.best_order([0] * p)
+            monkeypatch.undo()
+            if bound == 1:
+                assert {shape[0] for shape in stacks} == {1}
+            else:  # the widest designs: stacks of three, then a partial one
+                sizes = [shape[0] for shape in stacks if shape[-1] == widest]
+                assert sizes[0] == 3 and sizes[-1] < 3
+            assert fits._memo.keys() == default._memo.keys()
+            for key, entry in default._memo.items():
+                assert fits._memo[key] == entry
 
 
 def test_sigma_table_factors_each_predictor_set_once(monkeypatch):
@@ -658,14 +723,15 @@ def test_sigma_table_factors_each_predictor_set_once(monkeypatch):
 def test_sigma_rejects_a_bad_target_or_mask():
     values = np.random.default_rng(24).standard_normal((50, 3))
     fits = ConditionalFits(values, ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-4.0, 4.0))))
-    with pytest.raises(UsageError, match="conditioned on itself"):
-        fits.sigma(0, 0b1)
-    with pytest.raises(UsageError, match="out of range"):
-        fits.sigma(5, 0)
-    with pytest.raises(UsageError, match="beyond the 3 columns"):
-        fits.sigma(0, 1 << 7)
-    with pytest.raises(UsageError, match="beyond the 3 columns"):
-        fits.sigma(0, -1)
+    for call in (fits.sigma, fits.fit):
+        with pytest.raises(UsageError, match="conditioned on itself"):
+            call(0, 0b1)
+        with pytest.raises(UsageError, match="out of range"):
+            call(5, 0)
+        with pytest.raises(UsageError, match="beyond the 3 columns"):
+            call(0, 1 << 7)
+        with pytest.raises(UsageError, match="beyond the 3 columns"):
+            call(0, -1)
     assert not fits._memo
     fits.sigma(0, 0b110)
 
@@ -842,14 +908,15 @@ def test_fit_l1_drops_a_column_below_the_rank_rule_as_least_squares_does():
     assert abs(fit.residual_variance - fit_span(x, z).residual_variance) <= 1e-12 * fit.residual_variance
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize(
-    "name, where",
-    [(name, where) for name in ("fit_l1", "fit_span", "kkt_residual") for where in ("x", "y")]
-    + [("kkt_residual", "beta")],
+    "name, where, bad",
+    [(name, where, bad) for name in ("fit_l1", "fit_span", "kkt_residual") for where in ("x", "y") for bad in (np.nan, np.inf)]
+    + [("kkt_residual", "beta", bad) for bad in (np.nan, np.inf)]
+    + [(name, where, 1e200) for name in ("fit_l1", "fit_span") for where in ("x", "y")],
 )
 def test_public_fits_reject_non_finite_input(name, where, bad, capfd):
-    # a usage error, raised before LAPACK sees the entry and prints to the terminal
+    # a usage error, raised before LAPACK sees the entry and prints to the
+    # terminal; 1e200 is finite, but its square overflows in the fit's products
     rng = np.random.default_rng(12)
     arrays = {"x": np.column_stack([np.ones(30), rng.standard_normal((30, 3))]), "y": rng.standard_normal(30)}
     arrays["beta"] = np.zeros(4)
