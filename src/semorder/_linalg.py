@@ -18,11 +18,13 @@ Each convention used throughout the package is written once, here:
   1 / RANK_REL_TOL``: that proves ``cond(x) <= 1e5``, so ``gelsd`` would keep
   every singular value and both solvers give the same rank and, to rounding,
   the same fit.  The policy runs in two steps: :func:`factorize` forms
-  ``x'x``, ``L^-1`` and the certificate once per design, and every target
-  fitted on that design shares the one :class:`Factor`, certified or not;
-  :func:`least_squares` then solves once per right-hand side.  The sigma
-  table's exact search over p variables thus costs ``2^p - 1``
-  factorizations and ``p 2^(p-1)`` solves.  The one fit path of
+  ``x'x``, ``L^-1`` (by block forward substitution, blocks of INV_BLOCK
+  rows, each diagonal block by ``np.linalg.inv``) and the certificate once
+  per design, and every target fitted on that design shares the one
+  :class:`Factor`, certified or not; :func:`least_squares` then solves once
+  per right-hand side, ``beta = L^-T L^-1 x'y`` in three ``np.dot``
+  products.  The sigma table's exact search over p variables thus costs
+  ``2^p - 1`` factorizations and ``p 2^(p-1)`` solves.  The one fit path of
   ``regress.ConditionalFits`` runs the factorizations in stacked calls,
   one per design width of each request (a popcount layer, for the
   search) and per stack size limit: :func:`factorize` takes a stack of
@@ -57,6 +59,14 @@ RANK_REL_TOL = 1e-10
 # of 16 CLI runs (thread hand-offs on a busy machine).  The leaves of one
 # tree level are one stacked ``np.linalg.qr`` call
 FOLD_CELLS = 8192
+# rows of one diagonal block of factorize's block inverse (_lower_inverse).
+# On a 2-vCPU VM the 26 stacked factors of a p = 9 exact search (511 designs
+# of up to 41 columns) invert in 4.5 to 6.1 ms with blocks of 8 rows, against
+# 4.8 to 6.7 ms with 4, 6.2 to 8.3 ms with 16, 6.8 to 9.4 ms row by row and
+# 9.6 to 12.8 ms for np.linalg.inv of each whole factor.  On the 4 stacks of a
+# p = 4 search (up to 16 columns) rows take 0.26 to 0.37 ms, blocks of 8 rows
+# 0.10 to 0.13 ms and the whole inverse 0.08 to 0.11 ms
+INV_BLOCK = 8
 
 __all__ = [
     "check_symmetric",
@@ -126,8 +136,9 @@ def gen_eigh(a: np.ndarray, white: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Factor(NamedTuple):
     """The factor step of :func:`least_squares` on one design `x`.
 
-    ``inv`` is ``L^-1`` for the Cholesky factor ``L`` of ``x'x`` when the
-    certificate holds, else None: every right-hand side then goes to ``gelsd``.
+    ``inv`` is ``L^-1`` for the Cholesky factor ``L`` of ``x'x``, formed by
+    block forward substitution (:func:`_lower_inverse`), when the certificate
+    holds, else None: every right-hand side then goes to ``gelsd``.
     """
 
     inv: np.ndarray | None
@@ -139,14 +150,17 @@ def factorize(x: np.ndarray) -> Factor | list[Factor]:
     `x` is one ``(m, d)`` design, which gives its :class:`Factor`, or a stack
     ``(..., m, d)`` of designs, which gives a list of one Factor per design
     in C order: the Gram matrices, Cholesky factors and inverses of a stack
-    are each one call, and a 2-d design is a stack of one, so each Factor is
-    bit for bit that of its design alone.  When the stacked Cholesky or
-    inverse fails, each design is factored alone.  ``L`` is accepted only
-    under the certificate ``trace(g) ||L^-1||_F^2 <= 1 / RANK_REL_TOL``.
-    Its left side is at least ``cond(x)^2``, so a certified `x` has full
-    column rank under the rank rule.  A singular `g` or a failed or NaN
-    certificate gives ``Factor(None)``.  :class:`UsageError` when some
-    ``trace(g)`` is not finite (a non-finite entry, or squares that
+    are each formed in stacked calls, and a 2-d design is a stack of one, so
+    each Factor is bit for bit that of its design alone.  ``L^-1`` comes
+    from :func:`_lower_inverse`, by block forward substitution.  When the
+    stacked Cholesky or inverse fails, each design is factored alone.  ``L``
+    is accepted only under the certificate ``trace(g) ||L^-1||_F^2 <= 1 /
+    RANK_REL_TOL``.  Its left side is at least ``cond(x)^2``, so a certified
+    `x` has full column rank under the rank rule.  A singular `g` or a failed
+    or NaN certificate gives ``Factor(None)``; the inverse and the
+    certificate are formed under one ``np.errstate``, so an inverse that
+    overflows fails the certificate without a warning.  :class:`UsageError`
+    when some ``trace(g)`` is not finite (a non-finite entry, or squares that
     overflow).
     """
     stack = x[None] if x.ndim == 2 else x.reshape(-1, *x.shape[-2:])
@@ -157,14 +171,36 @@ def factorize(x: np.ndarray) -> Factor | list[Factor]:
     if bad.size:
         raise UsageError(f"design must be finite with finite squares, got trace(x'x) = {bad[0]}")
     try:
-        inv = np.linalg.inv(np.linalg.cholesky(g))
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = _lower_inverse(np.linalg.cholesky(g))
+            bound = trace * np.sum(inv * inv, axis=(-2, -1))
     except np.linalg.LinAlgError:
         factors = [Factor(None)] if len(stack) == 1 else [factorize(member) for member in stack]
     else:
-        with np.errstate(over="ignore"):
-            bound = trace * np.sum(inv * inv, axis=(-2, -1))
         factors = [Factor(member if b <= 1.0 / RANK_REL_TOL else None) for member, b in zip(inv, bound)]
     return factors[0] if x.ndim == 2 else factors
+
+
+def _lower_inverse(l: np.ndarray) -> np.ndarray:
+    """The inverses of a stack ``(k, d, d)`` of lower-triangular `l`, by block forward substitution.
+
+    Block row i of ``M = L^-1``, INV_BLOCK rows at a time, is ``M_ii =
+    L_ii^-1`` by ``np.linalg.inv`` and, left of it, ``M_i,<i = -M_ii (L_i,<i
+    M_<i,<i)``: two stacked products with the block rows above, already
+    done.  Entries above the diagonal blocks are zero.  This is as stable as
+    the general inverse (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, section 14.2), and each member is bit for bit the
+    inverse of its factor alone.
+    """
+    d = l.shape[-1]
+    inv = np.zeros_like(l)
+    for i in range(0, d, INV_BLOCK):
+        j = min(i + INV_BLOCK, d)
+        diag = np.linalg.inv(l[:, i:j, i:j])
+        inv[:, i:j, i:j] = diag
+        if i:
+            inv[:, i:j, :i] = -diag @ (l[:, i:j, :i] @ inv[:, :i, :i])
+    return inv
 
 
 def least_squares(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> tuple[np.ndarray, int]:
@@ -172,14 +208,17 @@ def least_squares(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) ->
 
     `factor` is :func:`factorize` of the same `x`, computed here when not
     given; either way the result is the same, bit for bit.  A certified `x`
-    is solved from ``L^-1``.  Any other goes to ``np.linalg.lstsq`` with
-    ``rcond = RANK_REL_TOL``, which returns the minimum-norm solution.
+    is solved from ``M = L^-1`` as ``(y'x M') M``, three matrix-vector
+    ``np.dot`` products: on a 60 x 41 design they take 4.7 us against 6.3 us
+    for ``@`` on transposed views (2-vCPU VM).
+    Any other goes to ``np.linalg.lstsq`` with ``rcond = RANK_REL_TOL``,
+    which returns the minimum-norm solution.
     """
     inv = (factorize(x) if factor is None else factor).inv
     if inv is None:
         beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=RANK_REL_TOL)
         return beta, int(rank)
-    return inv.T @ (inv @ (x.T @ y)), x.shape[1]
+    return np.dot(np.dot(inv, np.dot(y, x)), inv), x.shape[1]
 
 
 def row_compress(blocks) -> np.ndarray:

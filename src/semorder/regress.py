@@ -152,8 +152,8 @@ def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitR
         raise UsageError("need at least one observation")
     _check_squares(response=y)
     beta, rank = least_squares(x, y, factor)
-    resid = y - x @ beta
-    rv = float(resid @ resid) / x.shape[0]
+    resid = y - np.dot(x, beta)
+    rv = float(np.dot(resid, resid)) / x.shape[0]
     if not math.isfinite(rv):
         raise UsageError(f"design and response must be finite, got residual variance {rv}")
     return FitResult(
@@ -175,13 +175,17 @@ def kkt_residual(x: np.ndarray, y: np.ndarray, beta: np.ndarray, budget: float, 
     > 1e-10 budget``.  Interior means an empty support or an l1 norm below
     ``budget (1 - 1e-9)``; at budget 0 only the intercept counts.  A true
     minimizer has residual 0; small residuals certify near-optimality.
-    :class:`UsageError` unless `x`, `y` and `beta` are finite.
+    :class:`UsageError` unless `x`, `y`, `beta` and the gradient are finite
+    (finite entries whose products overflow give an infinite gradient).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     beta = np.asarray(beta, dtype=np.float64).ravel()
     _check_finite(design=x, response=y, coefficients=beta)
-    grad = 2.0 * (x.T @ (x @ beta - y)) / x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = 2.0 * (x.T @ (x @ beta - y)) / x.shape[0]
+    if not np.isfinite(grad).all():
+        raise UsageError("design, response and coefficients must give a finite KKT gradient")
     g_int = abs(float(grad[0])) if intercept and grad.shape[0] else 0.0
     g_pen, b_pen = (grad[1:], beta[1:]) if intercept else (grad, beta)
     if g_pen.shape[0] == 0:
@@ -380,10 +384,11 @@ class ConditionalFits:
       the columns that no design keeps (:func:`_folded_width`), then in its
       first-block form by :func:`_design_columns`, reduced to ``C``, the R
       factor of its QR scaled so that ``C'C / m = A'A / n``
-      (:meth:`_compress`);
+      (:meth:`_compress`), and kept as ``C'``, C-contiguous, so that every
+      column of ``C`` is contiguous;
     * the design ``[1 | B_k ...]`` with blocks in ascending column order, as
-      columns of ``C`` (:meth:`_columns`) gathered into a C-contiguous copy
-      (:meth:`_gather`);
+      columns of ``C`` (:meth:`_columns`), gathered as a copy of those rows
+      of ``C'`` (:meth:`_gather`);
     * the one fit path, :meth:`_fits`: same-width designs gathered and
       factored in stacks of at most STACK_BYTES, the span/l1 dispatch and
       the empty-design convention.  Every fit thus runs on the m <= 1 + pN +
@@ -525,8 +530,11 @@ class ConditionalFits:
         return cols, not all(b[2] for b in blocks)
 
     def _gather(self, cols: np.ndarray) -> np.ndarray:
-        """The C-contiguous ``(..., m, d)`` stack of designs whose ``C`` columns are the rows ``(..., d)`` of `cols`."""
-        return self._c[np.arange(self._c.shape[0])[:, None], cols[..., None, :]]
+        """The ``(..., m, d)`` stack of designs whose ``C`` columns are the rows ``(..., d)`` of `cols`.
+
+        Each design is the transpose of a C-contiguous copy of rows of ``C'``.
+        """
+        return self._c.T[cols].swapaxes(-1, -2)
 
     def _compress(self) -> None:
         """Reduce ``A = [1 | B_1 ... B_p | X]`` to the columns of ``C``.
@@ -568,7 +576,9 @@ class ConditionalFits:
             keep.append(icpt + k * folded + cols)
         keep.append(icpt + p * folded + np.arange(p))
         r = row_compress([r[:, np.concatenate(keep)]])
-        self._c = r * math.sqrt(r.shape[0] / n)
+        # C is the transpose of one C-contiguous copy of C', so each column,
+        # a target's included, is contiguous
+        self._c = np.ascontiguousarray((r * math.sqrt(r.shape[0] / n)).T).T
         self._blocks = [(list(range(at, at + first)), list(range(at, at + later)), full) for at, first, later, full in spans]
         self._targets = self._c[:, self._c.shape[1] - p :]
 

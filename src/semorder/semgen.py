@@ -275,14 +275,15 @@ class DataMatrix:
                 continue
             if len(row) != len(header):
                 raise UsageError(f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise UsageError(f"{path}: non-numeric cell ({exc})") from exc
+            rows.append(row)
         if not rows:
             raise UsageError(f"{path}: no data rows")
         try:
-            return cls(values=np.array(rows, dtype=np.float64))
+            values = np.array(rows, dtype=np.float64)  # each cell read as float() reads it
+        except ValueError as exc:
+            raise UsageError(f"{path}: non-numeric cell ({exc})") from exc
+        try:
+            return cls(values=values)
         except UsageError as exc:
             raise UsageError(f"{path}: {exc}") from None
 

@@ -1,7 +1,8 @@
 """The counts that the benchmark's traced self-check asserts, pinned in the test suite.
 
 A traced ``bench/run.py`` run wraps ``regress.fit_span`` at its module
-attribute and requires one call per sigma-table entry; a run whose counts
+attribute and requires one call per sigma-table entry, and on ``rates-l1``
+six calls of ``empproc.z_sup_l1`` at its binding site; a run whose counts
 differ ends ``"correct": false``.
 """
 
@@ -43,7 +44,7 @@ def test_gap_table_fits_each_sigma_entry_once_per_replicate(monkeypatch, p):
         assert calls[0] == p * 2 ** (p - 1)
 
 
-@pytest.mark.parametrize("workload", ["order-exact", "gap-oracle"])
+@pytest.mark.parametrize("workload", ["order-exact", "gap-oracle", "rates-l1"])
 def test_traced_benchmark_run_passes_its_self_check(workload):
     run = ROOT / "bench" / "run.py"
     cmd = [sys.executable, str(run), "--workload", workload, "--seed", "0", "--seconds", "0.1", "--trace", "1"]

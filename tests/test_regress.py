@@ -12,7 +12,7 @@ import pytest
 
 import semorder
 from semorder import regress
-from semorder._linalg import FOLD_CELLS, RANK_REL_TOL, factorize, least_squares, row_compress
+from semorder._linalg import FOLD_CELLS, INV_BLOCK, RANK_REL_TOL, _lower_inverse, factorize, least_squares, row_compress
 from semorder.dictionary import (
     CUBIC_B_SPLINE,
     PIECEWISE_CONSTANT,
@@ -230,6 +230,92 @@ def test_stacked_factorize_rejects_a_non_finite_member(bad):
         factorize(stack)
     with pytest.raises(UsageError, match="design must be finite with finite squares"):
         factorize(stack[2])
+
+
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 41])
+def test_block_inverse_matches_the_general_inverse(d):
+    # orders on each side of the INV_BLOCK = 8 edge.  Tolerance, set from
+    # float64 before measuring: max |M - inv(L)| <= d eps cond(L) max |inv(L)|,
+    # the first-order forward error of a triangular inverse (Higham 2002,
+    # section 14.2).  Observed: 0 up to one block, at most 3.3e-3 of it above
+    assert INV_BLOCK == 8
+    for seed in range(10):
+        rng = np.random.default_rng([d, seed])
+        x = rng.standard_normal((2 * d + 10, d)) * np.logspace(0, 2, d)
+        l = np.linalg.cholesky(x.T @ x)
+        ref = np.linalg.inv(l)
+        got = _lower_inverse(l[None])[0]
+        assert np.max(np.abs(got - ref)) <= d * EPS * np.linalg.cond(l) * np.max(np.abs(ref))
+        if d <= INV_BLOCK:
+            assert np.array_equal(got, ref)
+        assert np.array_equal(factorize(x).inv, got)
+
+
+@pytest.mark.parametrize("d, conds", [(9, (0.9e5, 1.1e5)), (41, (4.0e4, 4.4e4))])
+def test_block_inverse_near_the_certificate_bound(d, conds):
+    # cond(x) near 1e5, scaled so that the certificate trace(g) ||L^-1||_F^2
+    # falls just below 1e10 for the first design and just above it for the
+    # second: the block inverse makes the decision that the general inverse
+    # makes, and a certified factor is within the tolerance of the test above
+    # (observed: bounds within 2.6e-15 relative, inverses within 1e-5 of it)
+    decisions = []
+    for c in conds:
+        rng = np.random.default_rng(d)
+        u = np.linalg.qr(rng.standard_normal((3 * d, d)))[0]
+        v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        x = (u * np.logspace(0, np.log10(c), d)) @ v.T
+        g = x.T @ x
+        l = np.linalg.cholesky(g)
+        ref = np.linalg.inv(l)
+        refused = np.trace(g) * np.sum(ref * ref) > 1.0 / RANK_REL_TOL
+        factor = factorize(x)
+        assert (factor.inv is None) == refused
+        if not refused:
+            assert np.max(np.abs(factor.inv - ref)) <= d * EPS * np.linalg.cond(l) * np.max(np.abs(ref))
+        decisions.append(refused)
+    assert decisions == [False, True]
+
+
+@pytest.mark.parametrize("layout", ["C", "rows of x'"])
+def test_stacked_block_inverse_gives_each_design_its_own_factor(layout):
+    # designs of 41 columns, six diagonal blocks: each member of a stack is
+    # bit for bit its design factored alone, in C order and in the layout
+    # that ConditionalFits gathers (the transpose of C-contiguous rows)
+    rng = np.random.default_rng(34)
+    stack = rng.standard_normal((5, 90, 41)) * np.logspace(0, 2, 41)
+    stack[1, :, 30] = stack[1, :, 29] + 1e-7 * rng.standard_normal(90)  # refused
+    if layout != "C":
+        stack = np.ascontiguousarray(stack.swapaxes(-1, -2)).swapaxes(-1, -2)
+    factors = factorize(stack)
+    assert [f.inv is None for f in factors] == [False, True, False, False, False]
+    for x, factor in zip(stack, factors):
+        assert _same_factor(factor, factorize(x))
+
+
+def test_overflowing_block_inverse_is_refused_without_a_warning():
+    # x = H B for 64 rows of a Hadamard matrix and B upper bidiagonal (2^-20
+    # on the diagonal, 1 above it): x'x = 64 B'B and its Cholesky factor 8 B'
+    # are exact, and inv(8 B') has entries up to 2^(20 * 60) / 8, which
+    # overflow inside the block products.  Under -W error nothing warns, and
+    # the design is refused alone and in a stack; its fit goes to lstsq
+    h = np.ones((1, 1))
+    for _ in range(6):
+        h = np.kron(h, [[1.0, 1.0], [1.0, -1.0]])
+    d = 60
+    b = 2.0**-20 * np.eye(d) + np.eye(d, k=1)
+    x = h[:, :d] @ b
+    assert np.array_equal(np.linalg.cholesky(x.T @ x), 8 * b.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(_lower_inverse(8 * b.T[None])).all()
+    rng = np.random.default_rng(35)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert factorize(x).inv is None
+        assert [f.inv is None for f in factorize(np.stack([rng.standard_normal((64, d)), x]))] == [False, True]
+        assert least_squares(x, rng.standard_normal(64))[1] < d
 
 
 def _recording_qr(monkeypatch):
@@ -912,14 +998,16 @@ def test_fit_l1_drops_a_column_below_the_rank_rule_as_least_squares_does():
     "name, where, bad",
     [(name, where, bad) for name in ("fit_l1", "fit_span", "kkt_residual") for where in ("x", "y") for bad in (np.nan, np.inf)]
     + [("kkt_residual", "beta", bad) for bad in (np.nan, np.inf)]
-    + [(name, where, 1e200) for name in ("fit_l1", "fit_span") for where in ("x", "y")],
+    + [(name, where, 1e200) for name in ("fit_l1", "fit_span") for where in ("x", "y")]
+    + [("kkt_residual", "x", 1e200)],
 )
 def test_public_fits_reject_non_finite_input(name, where, bad, capfd):
     # a usage error, raised before LAPACK sees the entry and prints to the
-    # terminal; 1e200 is finite, but its square overflows in the fit's products
+    # terminal; 1e200 is finite, but its square overflows in the fit's
+    # products, and in kkt_residual's gradient once beta is nonzero
     rng = np.random.default_rng(12)
     arrays = {"x": np.column_stack([np.ones(30), rng.standard_normal((30, 3))]), "y": rng.standard_normal(30)}
-    arrays["beta"] = np.zeros(4)
+    arrays["beta"] = np.ones(4) if bad == 1e200 else np.zeros(4)
     arrays[where].reshape(-1)[2] = bad
     x, y, beta = arrays["x"], arrays["y"], arrays["beta"]
     call = {

@@ -422,6 +422,26 @@ def test_non_integer_seed_is_usage_error():
     assert np.array_equal(sample(spec, 10, (np.int32(1), 2)).values, sample(spec, 10, (1, 2)).values)
 
 
+@pytest.mark.parametrize("cell", ["1.5", " -2e-3 ", "1_000", "nan", "-Infinity", "1e400", "\u0661\u0662", "abc", "", "0x10"])
+def test_data_matrix_reads_each_cell_as_float_does(tmp_path, cell):
+    # the CSV is converted in one call; each cell reads as float() reads it,
+    # and a cell float() refuses is a usage error naming the file and the cell
+    path = tmp_path / "cells.csv"
+    path.write_text(f"x1,x2\n0.25,{cell}\n", encoding="utf-8")
+    try:
+        want = float(cell)
+    except ValueError as exc:
+        with pytest.raises(UsageError) as err:
+            DataMatrix.from_csv(path)
+        assert str(err.value) == f"{path}: non-numeric cell ({exc})"
+        return
+    if not math.isfinite(want):
+        with pytest.raises(UsageError, match="non-finite"):
+            DataMatrix.from_csv(path)
+        return
+    assert DataMatrix.from_csv(path).values.tolist() == [[0.25, want]]
+
+
 def test_data_matrix_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
