@@ -141,11 +141,17 @@ def _feasible_best(cands: np.ndarray, budget: float, sigma: np.ndarray, delta: n
     return float(vals[best]), b[best]
 
 
-def _face_candidates(delta: np.ndarray, sigma: np.ndarray, budget: float, k: int) -> np.ndarray:
-    """KKT candidates of families (b) and (c) on every face with support size `k`, as rows in R^d.
+def _face_candidates(delta: np.ndarray, sigma: np.ndarray, budget: float, k: int) -> list[np.ndarray]:
+    """KKT candidates of families (b) and (c) on every face with support size `k`, as blocks of rows in R^d.
 
-    A face is a support T with signs s whose first entry is +1.  Rows of a
-    degenerate face may be poor or non-finite.
+    A face is a support T with signs s whose first entry is +1.  Family (c)
+    is solved only on the supports that reach the ellipsoid, ``budget^2
+    max_{i in T} Sigma_ii >= 1`` less 8 ulps: the face is the simplex with
+    vertices ``budget s_i e_i``, and the convex ``b' Sigma b`` is largest at
+    a vertex, so below 1 no point of the face has both constraints active;
+    the maximizer's own face always passes.  The test depends on T alone,
+    so all signs of a support share it.  Rows of a degenerate face may be
+    poor or non-finite.
     """
     d = delta.shape[0]
     supports = np.array(list(itertools.combinations(range(d), k)), dtype=np.intp)
@@ -155,11 +161,17 @@ def _face_candidates(delta: np.ndarray, sigma: np.ndarray, budget: float, k: int
     # (b) ellipsoid slack: Delta_TT y = s, the minimum-norm solution when Delta_TT is singular
     lam, vec = np.linalg.eigh(d_tt)
     inv = np.where(np.abs(lam) > k * EPS * np.abs(lam).max(axis=1, keepdims=True), 1.0 / lam, 0.0)
-    cands = (signs @ (vec * inv[:, None, :]) @ np.swapaxes(vec, 1, 2))[:, :, None, :]
-    if k > 1:
-        cands = np.concatenate([cands, _both_active(d_tt, s_tt, signs, budget)], axis=2)
-    out = np.zeros(cands.shape[:3] + (d,))
-    np.put_along_axis(out, np.broadcast_to(supports[:, None, None, :], cands.shape), cands, axis=3)
+    blocks = [_on_supports(signs @ (vec * inv[:, None, :]) @ np.swapaxes(vec, 1, 2), supports, d)]
+    reach = budget * budget * sigma.diagonal()[supports].max(axis=1) >= 1.0 - 8.0 * EPS
+    if k > 1 and reach.any():
+        blocks.append(_on_supports(_both_active(d_tt[reach], s_tt[reach], signs, budget), supports[reach], d))
+    return blocks
+
+
+def _on_supports(cands: np.ndarray, supports: np.ndarray, d: int) -> np.ndarray:
+    """Rows in R^d, zero off the support, of candidates ``cands[t, ..., :]`` on support ``supports[t]``."""
+    out = np.zeros(cands.shape[:-1] + (d,))
+    out[np.arange(len(supports))[:, None], ..., supports] = np.moveaxis(cands, -1, 1)
     return out.reshape(-1, d)
 
 
@@ -176,7 +188,8 @@ def _both_active(d_tt: np.ndarray, s_tt: np.ndarray, signs: np.ndarray, budget: 
     Golub & von Matt 1989).  The hard case ``mu = alpha_j``, an eigenvalue of
     A, is completed along its eigenvector to norm r, with both signs.  Returns
     candidate rows of shape (supports, signs, 4(k-1), k); a face whose plane
-    misses the sphere gives NaN rows.
+    misses the sphere gives NaN rows.  :func:`_face_candidates` passes only
+    the blocks of supports that reach the ellipsoid.
     """
     m = d_tt.shape[1] - 1
     om, q = np.linalg.eigh(s_tt)
@@ -224,7 +237,12 @@ def z_sup_l1(mp: MomentPair, budget: float, return_details: bool = False):
     * (b) ellipsoid slack: the solution of ``Delta_TT y = s``, minimum-norm
       when ``Delta_TT`` is singular; for ``|T| = 1`` these are the vertices;
     * (c) both constraints active: a trust-region problem on the face's
-      plane, solved in :func:`_both_active`.
+      plane, solved in :func:`_both_active`, and only on the supports that
+      reach the ellipsoid, ``budget^2 max_{i in T} Sigma_ii >= 1`` (less 8
+      ulps).  The face is the simplex with vertices ``budget s_i e_i`` and
+      the convex ``b' Sigma b`` is largest at a vertex, so a face below the
+      rule has no point with both constraints active; the maximizer's own
+      face always passes, and the value is the one of the full enumeration.
 
     Every KKT point of a face is kept, not only its global one, since the
     face's sign constraints can make a local-nonglobal point the maximizer
@@ -233,7 +251,9 @@ def z_sup_l1(mp: MomentPair, budget: float, return_details: bool = False):
     1e-12``, so the value is a true lower bound, and with the enumeration
     complete it is the maximum to that shrink.  Sigma must pass the positive
     definite rule of :func:`semorder._linalg.whitener` (DegeneracyError
-    naming Lambda_min), and ``d <= L1_MAX_DIM`` (CapacityError).
+    naming Lambda_min), and ``d <= L1_MAX_DIM`` (CapacityError): family (b)
+    is solved on every face, and with a large budget every face reaches, so
+    the cost follows the face count.
 
     With ``return_details=True`` also returns a dict holding the maximizer
     (``argmax``) and the certified upper bound ``upper = min(z_ellipsoid, M^2
@@ -253,7 +273,7 @@ def z_sup_l1(mp: MomentPair, budget: float, return_details: bool = False):
     # a degenerate face (a singular block, a plane that misses the ellipsoid,
     # an extreme budget) may give non-finite rows: _feasible_best drops them
     with np.errstate(all="ignore"):
-        faces = [_face_candidates(delta, mp.sigma, budget, k) for k in range(1, d + 1)]
+        faces = [rows for k in range(1, d + 1) for rows in _face_candidates(delta, mp.sigma, budget, k)]
     val, arg = _feasible_best(np.concatenate([v_gen.T] + faces), budget, mp.sigma, delta)
     if return_details:
         upper = min(budget * budget * float(np.max(np.abs(delta))), float(np.max(np.abs(w_gen))))

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import empproc
-from ._linalg import Factor, factorize, least_squares, moment_solve, row_compress, whitener
+from ._linalg import RANK_REL_TOL, Factor, factorize, least_squares, moment_solve, row_compress, whitener
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix
 from .errors import REQUIRED, CapacityError, DegeneracyError, UsageError, as_count, as_number, as_sizes, read_keys
@@ -173,19 +173,25 @@ def kkt_residual(x: np.ndarray, y: np.ndarray, beta: np.ndarray, budget: float, 
     how far the negative gradient is from a common multiplier ``lam =
     max_j |grad_j|`` aligned with the sign pattern on the support, ``|beta_j|
     > 1e-10 budget``.  Interior means an empty support or an l1 norm below
-    ``budget (1 - 1e-9)``; at budget 0 only the intercept counts.  A true
-    minimizer has residual 0; small residuals certify near-optimality.
-    :class:`UsageError` unless `x`, `y`, `beta` and the gradient are finite
+    ``budget (1 - 1e-9)``; at budget 0 only the intercept counts.  The
+    gradient is taken on the columns of the fits' rank rule: a column whose
+    norm is at most ``RANK_REL_TOL`` times the largest column norm of `x` is
+    zero to that rule, and its entry counts as 0.  A true minimizer has
+    residual 0; small residuals certify near-optimality.  :class:`UsageError`
+    unless `x` has finite squares and `y`, `beta` and the gradient are finite
     (finite entries whose products overflow give an infinite gradient).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     beta = np.asarray(beta, dtype=np.float64).ravel()
-    _check_finite(design=x, response=y, coefficients=beta)
+    _check_squares(design=x)
+    _check_finite(response=y, coefficients=beta)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = 2.0 * (x.T @ (x @ beta - y)) / x.shape[0]
     if not np.isfinite(grad).all():
         raise UsageError("design, response and coefficients must give a finite KKT gradient")
+    norms = np.linalg.norm(x, axis=0)
+    grad[norms <= RANK_REL_TOL * norms.max(initial=0.0)] = 0.0
     g_int = abs(float(grad[0])) if intercept and grad.shape[0] else 0.0
     g_pen, b_pen = (grad[1:], beta[1:]) if intercept else (grad, beta)
     if g_pen.shape[0] == 0:
@@ -424,21 +430,18 @@ class ConditionalFits:
     def predictor_mask(self, v: int, s) -> int:
         """Bitmask of the conditioning set `s` of target column `v`, after checking both.
 
-        Every index must be a column, `s` may not repeat one, and `v` may not be in `s`.
+        Every index of `s` must be a column and `s` may not repeat one; then
+        :meth:`_check_entry` checks `v` against the mask.
         """
-        v = int(v)
-        if not (0 <= v < self.p):
-            raise UsageError(f"target column {v} out of range for {self.p} columns")
         mask = 0
         for k in s:
             k = int(k)
             if not (0 <= k < self.p):
                 raise UsageError(f"conditioning index {k} out of range for {self.p} columns")
-            if k == v:
-                raise UsageError(f"target column {v} cannot be conditioned on itself")
             if mask >> k & 1:
                 raise UsageError(f"conditioning set {s!r} has repeated indices")
             mask |= 1 << k
+        self._check_entry(int(v), mask)
         return mask
 
     def fit(self, v: int, mask: int) -> FitResult:

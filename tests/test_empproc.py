@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from semorder import empproc
 from semorder._linalg import gen_eigh, whitener
-from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary, moment_matrix, moment_vector
+from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary, basis_matrix, moment_matrix, moment_vector
 from semorder.empproc import (
+    EPS,
     MomentPair,
     additive_population_moments,
     case5_tradeoff,
@@ -195,6 +198,130 @@ def test_z_sup_l1_dominates_random_directions():
         assert z_sup_l1(mp, budget) >= scan * (1.0 - 1e-11)
 
 
+def _reach_battery():
+    """75 seeded problems at d = 2..6 whose budgets straddle ``M^2 max Sigma_ii = 1``.
+
+    Per d: a diagonal Sigma, a dense one, and one with diagonals spread over
+    a factor 20; a symmetric difference of scale 0.1; budgets 0.5, 0.9, 1.1,
+    1.6 and 2.5 over ``sqrt(max Sigma_ii)``.
+    """
+    rng = np.random.default_rng(32)
+    for d in range(2, 7):
+        a, b = rng.standard_normal((2, d, d))
+        sigmas = (
+            np.diag(rng.uniform(0.3, 0.7, d)),
+            a @ a.T / d + 0.5 * np.eye(d),
+            np.diag(np.geomspace(0.1, 2.0, d)) + 0.05 * b @ b.T / d,
+        )
+        for sigma in sigmas:
+            delta = rng.standard_normal((d, d)) * 0.1
+            mp = MomentPair(sigma + (delta + delta.T) / 2.0, sigma)
+            for c in (0.5, 0.9, 1.1, 1.6, 2.5):
+                yield mp, c / np.sqrt(sigma.diagonal().max())
+
+
+# z_sup_l1 on _reach_battery, as computed when family (c) was solved on every face
+REACH_BATTERY_VALUES = [
+    0.025850478233922076, 0.0837555494779075, 0.12511631465218284,
+    0.1883528689730825, 0.1883528689730825, 0.009053838250288758,
+    0.029334435930935567, 0.038948149473597, 0.04481174343349672,
+    0.04481174343349672, 0.008022463781615889, 0.025992782652435483,
+    0.038828724703020914, 0.08215002912374672, 0.2005615945403972,
+    0.05101972260518514, 0.1653039012407999, 0.2218615980435307,
+    0.27252412137394916, 0.27252412137394916, 0.00510239492712433,
+    0.016531759563882836, 0.024695591447281767, 0.05224852405375315,
+    0.10268207815272733, 0.016217202913607315, 0.052543737440087696,
+    0.07849126210185942, 0.16606415783533887, 0.3004598119443354,
+    0.0649658710271877, 0.2104894221280882, 0.3144348157715885,
+    0.3923384749995772, 0.41365595743195005, 0.02016200178877644,
+    0.06532488579563567, 0.09758408865767798, 0.19661410070500537,
+    0.31998449663865736, 0.020899096442155807, 0.06771307247258479,
+    0.10115162678003409, 0.21400674756767546, 0.40045397338438476,
+    0.029947013172849604, 0.0970283226800327, 0.14494354375659207,
+    0.28484845783615365, 0.3692420752633989, 0.01446877631881218,
+    0.04687883527295149, 0.07002887738305098, 0.14816026950463682,
+    0.19044139336143065, 0.02234153097481108, 0.0723865603583879,
+    0.10813300991808562, 0.22877727718206547, 0.5585382743702769,
+    0.05636609818526552, 0.1826261581202603, 0.27281191521668513,
+    0.4673439971313348, 0.6234561298787069, 0.029879598123236463,
+    0.09680989791928611, 0.1394053781568175, 0.20104928063988683,
+    0.2519740335706988, 0.017467788450855122, 0.056595634580770604,
+    0.08454409610213882, 0.15851847458337176, 0.3870079945883099,
+]
+
+
+def test_z_sup_l1_keeps_its_values_on_the_reach_battery():
+    # no vertex reaches the ellipsoid, some do, or all do
+    reach = {"none": 0, "some": 0, "all": 0}
+    for (mp, budget), pinned in zip(_reach_battery(), REACH_BATTERY_VALUES, strict=True):
+        vertex = budget * budget * mp.sigma.diagonal() >= 1.0
+        reach["all" if vertex.all() else "some" if vertex.any() else "none"] += 1
+        assert abs(z_sup_l1(mp, budget) - pinned) <= 1e-13 * pinned
+    assert reach == {"none": 30, "some": 27, "all": 18}
+
+
+def _spy_both_active(monkeypatch, sigma):
+    """Record the support of every block that ``empproc._both_active`` receives, read off Sigma's distinct diagonal."""
+    index = {v: i for i, v in enumerate(sigma.diagonal())}
+    seen = []
+    real = empproc._both_active
+
+    def spy(d_tt, s_tt, signs, budget):
+        seen.extend(tuple(index[v] for v in block.diagonal()) for block in s_tt)
+        return real(d_tt, s_tt, signs, budget)
+
+    monkeypatch.setattr(empproc, "_both_active", spy)
+    return seen
+
+
+def test_z_sup_l1_skips_both_active_where_no_vertex_reaches(monkeypatch):
+    # the rates-l1 shape: Sigma = I/2 and M = 1 keep the whole l1 ball inside the ellipsoid
+    sigma = additive_population_moments(Dictionary(TRIGONOMETRIC, 3, (0.0, 1.0)), 2)
+    assert np.array_equal(sigma, np.eye(6) / 2.0)
+    feats = basis_matrix(Dictionary(TRIGONOMETRIC, 3, (0.0, 1.0)), np.random.default_rng(5).uniform(0.0, 1.0, (500, 2)))
+    mp = MomentPair(feats.T @ feats / 500, sigma)
+    seen = _spy_both_active(monkeypatch, np.diag(np.arange(6.0)))
+    z = z_sup_l1(mp, 1.0)
+    assert seen == []
+    assert z >= oracles.scan_l1_ellipsoid_quadratic(mp.sigma_hat - mp.sigma, sigma, 1.0) * (1.0 - 1e-11)
+
+
+def test_z_sup_l1_solves_both_active_on_exactly_the_reaching_supports(monkeypatch):
+    # mixed diagonals: at M = 1 a support reaches when it holds index 3 or 4
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((5, 5))
+    sigma = np.diag([0.2, 0.45, 0.7, 1.3, 2.1]) + 0.02 * b @ b.T
+    delta = rng.standard_normal((5, 5)) * 0.1
+    mp = MomentPair(sigma + (delta + delta.T) / 2.0, sigma)
+    seen = _spy_both_active(monkeypatch, mp.sigma)
+    z = z_sup_l1(mp, 1.0)
+    reaching = [t for k in range(2, 6) for t in itertools.combinations(range(5), k) if {3, 4} & set(t)]
+    assert seen == reaching
+    assert z >= oracles.scan_l1_ellipsoid_quadratic(mp.sigma_hat - mp.sigma, mp.sigma, 1.0) * (1.0 - 1e-11)
+
+
+@pytest.mark.parametrize("ulps", [-6, -2, -1, 0, 1, 2, 6])
+def test_z_sup_l1_meets_the_oracles_where_a_vertex_touches_the_ellipsoid(ulps):
+    # the budget `ulps` ulps off 1 / sqrt(max Sigma_ii): the top vertex sits
+    # on the ellipsoid's boundary to a few ulps, on both sides of the reach
+    # rule's 8-ulp margin
+    rng = np.random.default_rng(7 + ulps)
+    for d in range(2, 6):
+        b = rng.standard_normal((d, d))
+        sigma = np.diag(np.linspace(0.3, 0.9, d)) + 0.05 * b @ b.T / d
+        budget = 1.0 / math.sqrt(sigma.diagonal().max())
+        for _ in range(abs(ulps)):
+            budget = float(np.nextafter(budget, math.copysign(math.inf, ulps)))
+        assert abs(budget * budget * sigma.diagonal().max() - 1.0) <= 16 * EPS
+        delta = rng.standard_normal((d, d)) * 0.2
+        delta = (delta + delta.T) / 2.0
+        mp = MomentPair(sigma + delta, sigma)
+        z = z_sup_l1(mp, budget)
+        assert z <= z_sup_ellipsoid(mp) + 1e-8
+        if d == 2:
+            assert z >= oracles.grid_l1_ellipsoid_quadratic_d2(delta, sigma, budget) * (1.0 - 1e-10)
+        else:
+            assert z >= oracles.scan_l1_ellipsoid_quadratic(delta, sigma, budget, seed=d) * (1.0 - 1e-11)
 
 
 def test_moment_pair_validation():

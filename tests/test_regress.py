@@ -822,6 +822,19 @@ def test_sigma_rejects_a_bad_target_or_mask():
     fits.sigma(0, 0b110)
 
 
+def test_predictor_mask_checks_the_target_by_the_entry_rule():
+    fits = ConditionalFits(np.random.default_rng(25).standard_normal((50, 3)), trig_class())
+    assert fits.predictor_mask(0, (2, 1)) == 0b110
+    for v, s, message in [
+        (5, (), "target column 5 out of range"),
+        (0, (1, 0), "target column 0 cannot be conditioned on itself"),
+        (0, (0, 0), "repeated indices"),  # the set is read whole before the target is checked
+        (5, (7,), "conditioning index 7 out of range"),
+    ]:
+        with pytest.raises(UsageError, match=message):
+            fits.predictor_mask(v, s)
+
+
 def test_fit_span_empty_rejected():
     with pytest.raises(UsageError):
         fit_span(np.ones((0, 1)), np.zeros(0))
@@ -983,14 +996,16 @@ def test_fit_l1_reaches_least_squares_on_wide_spline_designs():
 
 def test_fit_l1_drops_a_column_below_the_rank_rule_as_least_squares_does():
     # a column 1e-11 of the design's largest norm is zero under the rank rule,
-    # even when it alone carries y: both fits drop it, and the l1 fit reports
-    # that its KKT residual, which still sees the column, is not met
+    # even when it alone carries y: both fits drop it, and the KKT residual,
+    # measured on the rank rule's columns, certifies the l1 fit
     rng = np.random.default_rng(14)
     z, u = rng.standard_normal((2, 40))
     u -= z * (z @ u) / (z @ z)
     x = np.column_stack([1e6 * u, 1e-5 * z])
-    with pytest.warns(RuntimeWarning, match="KKT"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         fit = fit_l1(x, z, 1e9)
+    assert fit.converged and fit.kkt_residual <= 1e-8
     assert abs(fit.residual_variance - fit_span(x, z).residual_variance) <= 1e-12 * fit.residual_variance
 
 
