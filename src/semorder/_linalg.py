@@ -17,21 +17,16 @@ Each convention used throughout the package is written once, here:
   the Cholesky factor ``L`` is used only when ``trace(x'x) ||L^-1||_F^2 <=
   1 / RANK_REL_TOL``: that proves ``cond(x) <= 1e5``, so ``gelsd`` would keep
   every singular value and both solvers give the same rank and, to rounding,
-  the same fit.  The policy runs in two steps: :func:`factorize` forms
-  ``x'x``, ``L^-1`` (by block forward substitution, blocks of INV_BLOCK
-  rows, each diagonal block by ``np.linalg.inv``) and the certificate once
-  per design, and every target fitted on that design shares the one
-  :class:`Factor`, certified or not; :func:`least_squares` then solves once
-  per right-hand side, ``beta = L^-T L^-1 x'y`` in three ``np.dot``
-  products.  The sigma table's exact search over p variables thus costs
-  ``2^p - 1`` factorizations and ``p 2^(p-1)`` solves.  The one fit path of
-  ``regress.ConditionalFits`` runs the factorizations in stacked calls,
-  one per design width of each request (a popcount layer, for the
-  search) and per stack size limit: :func:`factorize` takes a stack of
-  designs and factors each member bit for bit as it would factor it
-  alone.  A design whose squares overflow is a :class:`UsageError`: the
-  Gram product and its trace are formed under one ``np.errstate``, so the
-  check costs one per stacked call, not one per design;
+  the same fit.  The policy runs in two steps: a factor step forms ``L^-1``
+  and the certificate once per design, and every target fitted on that
+  design shares the one :class:`Factor`, certified or not;
+  :func:`least_squares` then solves once per right-hand side, ``beta = L^-T
+  L^-1 x'y`` in three ``np.dot`` products.  The factor step of one design
+  is :func:`factorize`.  ``regress.ConditionalFits`` instead grows each
+  factor of its sigma table from its parent's along the subset tree
+  (:func:`extend`): a design of predictor set S is the design of ``S -
+  {max S}`` and one block more, so the exact search over p variables costs
+  ``2^p - 1`` block-row steps, taken in stacks, and ``p 2^(p-1)`` solves;
 * row compression (:func:`row_compress`): the R factor of a Householder QR,
   folded over row blocks as a tree of stacked leaf QRs, in place of a tall
   matrix whose column space is all that a fit reads;
@@ -59,13 +54,11 @@ RANK_REL_TOL = 1e-10
 # of 16 CLI runs (thread hand-offs on a busy machine).  The leaves of one
 # tree level are one stacked ``np.linalg.qr`` call
 FOLD_CELLS = 8192
-# rows of one diagonal block of factorize's block inverse (_lower_inverse).
-# On a 2-vCPU VM the 26 stacked factors of a p = 9 exact search (511 designs
-# of up to 41 columns) invert in 4.5 to 6.1 ms with blocks of 8 rows, against
-# 4.8 to 6.7 ms with 4, 6.2 to 8.3 ms with 16, 6.8 to 9.4 ms row by row and
-# 9.6 to 12.8 ms for np.linalg.inv of each whole factor.  On the 4 stacks of a
-# p = 4 search (up to 16 columns) rows take 0.26 to 0.37 ms, blocks of 8 rows
-# 0.10 to 0.13 ms and the whole inverse 0.08 to 0.11 ms
+# rows of one diagonal block of factorize's block inverse (_lower_inverse),
+# chosen when factorize served the exact search: on a 2-vCPU VM its 511
+# designs of up to 41 columns inverted in 4.5 to 6.1 ms with blocks of 8
+# rows, against 4.8 to 6.7 ms with 4, 6.2 to 8.3 ms with 16, 6.8 to 9.4 ms
+# row by row and 9.6 to 12.8 ms for np.linalg.inv of each whole factor
 INV_BLOCK = 8
 
 __all__ = [
@@ -74,7 +67,9 @@ __all__ = [
     "whitener",
     "gen_eigh",
     "Factor",
+    "Factors",
     "factorize",
+    "extend",
     "least_squares",
     "row_compress",
     "moment_solve",
@@ -136,71 +131,139 @@ def gen_eigh(a: np.ndarray, white: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Factor(NamedTuple):
     """The factor step of :func:`least_squares` on one design `x`.
 
-    ``inv`` is ``L^-1`` for the Cholesky factor ``L`` of ``x'x``, formed by
-    block forward substitution (:func:`_lower_inverse`), when the certificate
-    holds, else None: every right-hand side then goes to ``gelsd``.
+    ``inv`` is ``L^-1`` for the Cholesky factor ``L`` of ``x'x``, exactly
+    lower triangular, when the certificate holds, else None: every
+    right-hand side then goes to ``gelsd``.
     """
 
     inv: np.ndarray | None
 
 
-def factorize(x: np.ndarray) -> Factor | list[Factor]:
-    """The certified Cholesky factor of ``g = x'x``, once for every right-hand side fitted on `x`.
+class Factors(NamedTuple):
+    """A stack of k Cholesky factors of Gram matrices of one order d, as :func:`extend` grows them.
 
-    `x` is one ``(m, d)`` design, which gives its :class:`Factor`, or a stack
-    ``(..., m, d)`` of designs, which gives a list of one Factor per design
-    in C order: the Gram matrices, Cholesky factors and inverses of a stack
-    are each formed in stacked calls, and a 2-d design is a stack of one, so
-    each Factor is bit for bit that of its design alone.  ``L^-1`` comes
-    from :func:`_lower_inverse`, by block forward substitution.  When the
-    stacked Cholesky or inverse fails, each design is factored alone.  ``L``
-    is accepted only under the certificate ``trace(g) ||L^-1||_F^2 <= 1 /
-    RANK_REL_TOL``.  Its left side is at least ``cond(x)^2``, so a certified
-    `x` has full column rank under the rank rule.  A singular `g` or a failed
-    or NaN certificate gives ``Factor(None)``; the inverse and the
-    certificate are formed under one ``np.errstate``, so an inverse that
-    overflows fails the certificate without a warning.  :class:`UsageError`
-    when some ``trace(g)`` is not finite (a non-finite entry, or squares that
-    overflow).
+    ``chol`` holds ``L`` and ``inv`` holds ``L^-1`` (each ``(k, d, d)``),
+    ``trace`` the Gram traces and ``norm`` the squared Frobenius norms of
+    ``L^-1`` (each ``(k,)``): the two sides of the certificate.
     """
-    stack = x[None] if x.ndim == 2 else x.reshape(-1, *x.shape[-2:])
+
+    chol: np.ndarray
+    inv: np.ndarray
+    trace: np.ndarray
+    norm: np.ndarray
+
+    @classmethod
+    def empty(cls, k: int = 1) -> "Factors":
+        """k factors of the Gram matrix of no column, which :func:`extend` grows from."""
+        return cls(np.zeros((k, 0, 0)), np.zeros((k, 0, 0)), np.zeros(k), np.zeros(k))
+
+    def take(self, rows) -> "Factors":
+        """The factors at `rows` of the stack."""
+        return Factors(*(a[rows] for a in self))
+
+
+def factorize(x: np.ndarray) -> Factor:
+    """The certified Cholesky factor of ``g = x'x`` of one ``(m, d)`` design, once for every right-hand side fitted on `x`.
+
+    ``L^-1`` comes from :func:`_lower_inverse`, by block forward
+    substitution.  ``L`` is accepted only under the certificate ``trace(g)
+    ||L^-1||_F^2 <= 1 / RANK_REL_TOL``.  Its left side is at least
+    ``cond(x)^2``, so a certified `x` has full column rank under the rank
+    rule.  A singular `g` or a failed or NaN certificate gives
+    ``Factor(None)``; the inverse and the certificate are formed under one
+    ``np.errstate``, so an inverse that overflows fails the certificate
+    without a warning.  :class:`UsageError` when ``trace(g)`` is not finite
+    (a non-finite entry, or squares that overflow).
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.swapaxes(stack, -1, -2) @ stack
-        trace = np.trace(g, axis1=-2, axis2=-1)
-    bad = trace[~np.isfinite(trace)]
-    if bad.size:
-        raise UsageError(f"design must be finite with finite squares, got trace(x'x) = {bad[0]}")
+        g = x.T @ x
+        trace = np.trace(g)
+    if not np.isfinite(trace):
+        raise UsageError(f"design must be finite with finite squares, got trace(x'x) = {trace}")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            inv = _lower_inverse(np.linalg.cholesky(g))
-            bound = trace * np.sum(inv * inv, axis=(-2, -1))
+            inv = _lower_inverse(np.linalg.cholesky(g)[None])[0]
+            bound = trace * np.sum(inv * inv)
     except np.linalg.LinAlgError:
-        factors = [Factor(None)] if len(stack) == 1 else [factorize(member) for member in stack]
-    else:
-        factors = [Factor(member if b <= 1.0 / RANK_REL_TOL else None) for member, b in zip(inv, bound)]
-    return factors[0] if x.ndim == 2 else factors
+        return Factor(None)
+    return Factor(inv if bound <= 1.0 / RANK_REL_TOL else None)
 
 
 def _lower_inverse(l: np.ndarray) -> np.ndarray:
     """The inverses of a stack ``(k, d, d)`` of lower-triangular `l`, by block forward substitution.
 
     Block row i of ``M = L^-1``, INV_BLOCK rows at a time, is ``M_ii =
-    L_ii^-1`` by ``np.linalg.inv`` and, left of it, ``M_i,<i = -M_ii (L_i,<i
-    M_<i,<i)``: two stacked products with the block rows above, already
-    done.  Entries above the diagonal blocks are zero.  This is as stable as
-    the general inverse (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, section 14.2), and each member is bit for bit the
-    inverse of its factor alone.
+    tril(L_ii^-1)`` by ``np.linalg.inv`` and, left of it, ``M_i,<i = -M_ii
+    (L_i,<i M_<i,<i)``: two stacked products with the block rows above,
+    already done.  ``np.linalg.inv`` is an LU with partial pivoting, which
+    leaves rounding noise above the diagonal; ``np.tril`` drops it, so `M`
+    is exactly lower triangular.  This is as stable as the general inverse
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, section
+    14.2), and each member is bit for bit the inverse of its factor alone.
     """
     d = l.shape[-1]
     inv = np.zeros_like(l)
     for i in range(0, d, INV_BLOCK):
         j = min(i + INV_BLOCK, d)
-        diag = np.linalg.inv(l[:, i:j, i:j])
+        diag = np.tril(np.linalg.inv(l[:, i:j, i:j]))
         inv[:, i:j, i:j] = diag
         if i:
             inv[:, i:j, :i] = -diag @ (l[:, i:j, :i] @ inv[:, :i, :i])
     return inv
+
+
+def extend(parent: Factors, g_pb: np.ndarray, g_bb: np.ndarray) -> tuple[Factors, np.ndarray]:
+    """Each factor of `parent` grown by one block row: the factors of ``[[G_P, G_Pb], [G_Pb', G_bb]]``.
+
+    `g_pb` is the ``(k, d, b)`` stack of cross products of the parent's
+    columns with the b new ones, `g_bb` the ``(k, b, b)`` stack of the new
+    block's own.  ``W`` solves ``L_P W = G_Pb``: the product ``L_P^-1
+    G_Pb``, refined once against ``L_P``.  On near-deterministic sine
+    chains the product alone left sigma^2 errors 16 to 88 times larger;
+    refined, it matches ``np.linalg.solve``, whose LU of each ``L_P`` costs
+    as much as factoring the parent's Gram matrix afresh.  The grown factor
+    is ``L = [[L_P, 0], [W', L_22]]`` with ``L_22 = chol(G_bb - W'W)``, and
+    its inverse ``[[L_P^-1, 0], [-L_22^-1 W' L_P^-1, L_22^-1]]``,
+    ``L_22^-1`` exactly lower triangular.  The certificate's two sides are
+    carried forward: the trace gains ``trace(G_bb)`` and the norm the
+    squares of the new block row.  Both only grow, so a design that fails
+    the certificate has no certified descendant.  Returns the grown stack
+    and which members are certified (:func:`factorize`'s rule); a member
+    whose Schur complement has no Cholesky factor is not, and its factor is
+    not to be used.  Every step is a stacked call, so each member is bit
+    for bit its own factor grown alone.
+    """
+    k, d, b = parent.chol.shape[0], parent.chol.shape[-1], g_bb.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = parent.inv @ g_pb
+        w += parent.inv @ (g_pb - parent.chol @ w)
+        wt = w.transpose(0, 2, 1)
+        schur = g_bb - wt @ w
+        try:
+            l22, factored = np.linalg.cholesky(schur), True
+        except np.linalg.LinAlgError:
+            l22, factored = _cholesky_each(schur)
+        m22 = np.tril(np.linalg.inv(l22))
+        row = -(m22 @ (wt @ parent.inv))
+        trace = parent.trace + g_bb.diagonal(0, 1, 2).sum(1)
+        norm = parent.norm + (row * row).sum((1, 2)) + (m22 * m22).sum((1, 2))
+        ok = (trace * norm <= 1.0 / RANK_REL_TOL) & factored
+    chol = np.zeros((k, d + b, d + b))
+    chol[:, :d, :d], chol[:, d:, :d], chol[:, d:, d:] = parent.chol, wt, l22
+    inv = np.zeros_like(chol)
+    inv[:, :d, :d], inv[:, d:, :d], inv[:, d:, d:] = parent.inv, row, m22
+    return Factors(chol, inv, trace, norm), ok
+
+
+def _cholesky_each(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky factors of a stack `a` taken one member at a time, an identity where one fails, and which succeeded."""
+    out, ok = np.empty_like(a), np.ones(a.shape[0], dtype=bool)
+    for i, member in enumerate(a):
+        try:
+            out[i] = np.linalg.cholesky(member)
+        except np.linalg.LinAlgError:
+            out[i], ok[i] = np.eye(a.shape[-1]), False
+    return out, ok
 
 
 def least_squares(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> tuple[np.ndarray, int]:

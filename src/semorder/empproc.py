@@ -188,8 +188,9 @@ def _both_active(d_tt: np.ndarray, s_tt: np.ndarray, signs: np.ndarray, budget: 
     Golub & von Matt 1989).  The hard case ``mu = alpha_j``, an eigenvalue of
     A, is completed along its eigenvector to norm r, with both signs.  Returns
     candidate rows of shape (supports, signs, 4(k-1), k); a face whose plane
-    misses the sphere gives NaN rows.  :func:`_face_candidates` passes only
-    the blocks of supports that reach the ellipsoid.
+    misses the sphere (``r^2 <= 0``) gives NaN rows without an eigenproblem.
+    :func:`_face_candidates` passes only the blocks of supports that reach
+    the ellipsoid.
     """
     m = d_tt.shape[1] - 1
     om, q = np.linalg.eigh(s_tt)
@@ -209,9 +210,11 @@ def _both_active(d_tt: np.ndarray, s_tt: np.ndarray, signs: np.ndarray, budget: 
     outer = a_vec[..., :, None] * a_vec[..., None, :] / r2[..., None, None]
     lin = np.block([[a_mat, np.broadcast_to(np.eye(m), a_mat.shape)], [outer, a_mat]])
     ok = (r2 > 0.0) & np.isfinite(lin).all(axis=(-2, -1))
-    lin[~ok] = 0.0
+    roots = np.zeros(lin.shape[:-1])
+    if ok.any():
+        roots[ok] = np.linalg.eigvals(lin[ok]).real
     alpha, qa = np.linalg.eigh(a_mat)
-    mus = np.concatenate([np.linalg.eigvals(lin).real, alpha], axis=-1)
+    mus = np.concatenate([roots, alpha], axis=-1)
     a_hat = np.einsum("csji,csj->csi", qa, a_vec)
     den = alpha[..., None, :] - mus[..., :, None]
     scale = np.abs(alpha).max(axis=-1, keepdims=True)[..., None] + np.abs(mus)[..., None]

@@ -91,7 +91,13 @@ def score(data, pi, class_spec: ClassSpec) -> float:
 
 
 def _estimate_from_cache(fits: ConditionalFits, pi, method: str) -> OrderEstimate:
-    sigmas, floored, degenerate = fits.along(pi)
+    return _estimate(pi, fits.along(pi), method)
+
+
+def _estimate(pi, entries, method: str) -> OrderEstimate:
+    """The estimate of order `pi` from its sigma entries: variances and the floored and degenerate flags by position."""
+    sigmas, floored, degenerate = entries
+    sigmas = np.asarray(sigmas, dtype=np.float64)
     return OrderEstimate(
         order=tuple(pi),
         sigma_hat=sigmas,
@@ -122,19 +128,25 @@ def estimate_order_exact(data, class_spec: ClassSpec) -> OrderEstimate:
 
 
 def _greedy_from_cache(fits: ConditionalFits) -> OrderEstimate:
+    """Each position takes the unplaced variable of least ``log sigma``, the smallest on ties.
+
+    The estimate is made from the entries chosen, so an engine without a
+    table (p above EXACT_GUARD) fits none twice.
+    """
     p = fits.p
-    pi = []
+    pi, chosen = [], []
     mask = 0
     for _ in range(p):
-        best_v, best_t = -1, math.inf
+        best, best_t = None, math.inf
         unplaced = [v for v in range(p) if not mask >> v & 1]
-        for v, (rv, _, _) in zip(unplaced, fits._row(mask, unplaced)):
-            t = math.log(rv)
+        for v, entry in zip(unplaced, fits._row(mask, unplaced)):
+            t = math.log(entry[0])
             if t < best_t:
-                best_v, best_t = v, t
-        pi.append(best_v)
-        mask |= 1 << best_v
-    return _estimate_from_cache(fits, pi, "greedy")
+                best, best_t = (v, entry), t
+        pi.append(best[0])
+        chosen.append(best[1])
+        mask |= 1 << best[0]
+    return _estimate(pi, zip(*chosen), "greedy")
 
 
 def estimate_order_greedy(data, class_spec: ClassSpec) -> OrderEstimate:

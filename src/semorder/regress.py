@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import empproc
-from ._linalg import RANK_REL_TOL, Factor, factorize, least_squares, moment_solve, row_compress, whitener
+from ._linalg import RANK_REL_TOL, Factor, Factors, extend, least_squares, moment_solve, row_compress, whitener
 from ._rng import derived_rng
 from .dictionary import TRIGONOMETRIC, Dictionary, basis_matrix
 from .errors import REQUIRED, CapacityError, DegeneracyError, UsageError, as_count, as_number, as_sizes, read_keys
@@ -47,9 +47,9 @@ CLASS_KEYS = {"dictionary": REQUIRED, "kind": SPAN, "budget": None, "intercept":
 CHUNK_POINTS = 16384
 # the largest p the one subset DP (ConditionalFits.best_order) takes
 EXACT_GUARD = 18
-# bytes of the designs that one stacked factorization of the one fit path
-# takes (ConditionalFits._fits): a layer of C(p, k) designs is gathered and
-# factored in stacks of at most this size, never whole
+# bytes of the designs of one stacked step of the sigma table's walk
+# (ConditionalFits._visit): the sets whose factors one step grows, and whose
+# designs it gathers, take at most this size, so no layer is ever held whole
 STACK_BYTES = 1 << 18
 
 __all__ = [
@@ -135,8 +135,10 @@ def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitR
 
     Solved by :func:`semorder._linalg.least_squares`: a certified Cholesky
     solve when `x` is well conditioned, else LAPACK's ``gelsd``.  `factor`,
-    :func:`semorder._linalg.factorize` of the same `x`, lets several targets
-    share one factorization; the fit is the same without it.  The residual
+    a :class:`semorder._linalg.Factor` of the same `x` (by
+    :func:`semorder._linalg.factorize`, or grown by
+    :class:`ConditionalFits`), lets several targets share one factorization;
+    without it the fit is :func:`factorize`'s, the same to rounding.  The residual
     variance is the mean squared residual ``y - x beta`` (no
     degrees-of-freedom correction).  ``rank`` is the numerical rank of `x`,
     the number of singular values above ``RANK_REL_TOL`` times the largest;
@@ -148,21 +150,17 @@ def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitR
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise UsageError(f"incompatible shapes {x.shape} and {y.shape}")
-    if x.shape[0] < 1:
+    m = x.shape[0]
+    if m < 1:
         raise UsageError("need at least one observation")
-    _check_squares(response=y)
+    if not math.isfinite(np.vdot(y, y)):
+        raise UsageError("response must be finite with finite squares")
     beta, rank = least_squares(x, y, factor)
     resid = y - np.dot(x, beta)
-    rv = float(np.dot(resid, resid)) / x.shape[0]
+    rv = float(np.dot(resid, resid)) / m
     if not math.isfinite(rv):
         raise UsageError(f"design and response must be finite, got residual variance {rv}")
-    return FitResult(
-        coefficients=beta,
-        residual_variance=rv,
-        degenerate=rank < x.shape[1],
-        n_obs=x.shape[0],
-        rank=rank,
-    )
+    return FitResult(beta, rv, rank < x.shape[1], n_obs=m, rank=rank)
 
 
 def kkt_residual(x: np.ndarray, y: np.ndarray, beta: np.ndarray, budget: float, intercept: bool = False) -> float:
@@ -375,6 +373,28 @@ def _folded_width(class_spec: ClassSpec) -> int:
     return size - int(drops_last)
 
 
+class _Nodes(NamedTuple):
+    """A stack of placed sets whose designs share one width, as :class:`ConditionalFits` walks them.
+
+    ``masks`` are the sets, ``tops`` their largest members (-1 for the empty
+    set), ``cols`` the ``(k, d)`` columns of ``C`` of their designs and
+    ``lost`` whether a block of a design lost a column.  ``factors`` are the
+    certified factors of the designs' Gram matrices, or None for designs
+    whose fits go to ``gelsd`` (or to :func:`fit_l1`).
+    """
+
+    masks: np.ndarray
+    tops: np.ndarray
+    cols: np.ndarray
+    lost: np.ndarray
+    factors: Factors | None
+
+    def take(self, rows) -> "_Nodes":
+        """The sets at `rows` of the stack."""
+        factors = None if self.factors is None else self.factors.take(rows)
+        return _Nodes(self.masks[rows], self.tops[rows], self.cols[rows], self.lost[rows], factors)
+
+
 class ConditionalFits:
     """Class regressions of the columns of one data matrix on sets of the others.
 
@@ -391,22 +411,36 @@ class ConditionalFits:
       first-block form by :func:`_design_columns`, reduced to ``C``, the R
       factor of its QR scaled so that ``C'C / m = A'A / n``
       (:meth:`_compress`), and kept as ``C'``, C-contiguous, so that every
-      column of ``C`` is contiguous;
+      column of ``C`` is contiguous; the Gram matrix ``G`` of its design
+      columns is formed once, with it;
     * the design ``[1 | B_k ...]`` with blocks in ascending column order, as
       columns of ``C`` (:meth:`_columns`), gathered as a copy of those rows
       of ``C'`` (:meth:`_gather`);
-    * the one fit path, :meth:`_fits`: same-width designs gathered and
-      factored in stacks of at most STACK_BYTES, the span/l1 dispatch and
-      the empty-design convention.  Every fit thus runs on the m <= 1 + pN +
-      p rows of ``C``; its residual variance and moment form equal those on
-      the n data rows in exact arithmetic, and ``n_obs`` is n;
-    * the sigma table: ``(residual variance, floored, degenerate)`` keyed by
-      (variable, predecessor bitmask), each variance floored at
-      ``max(1e-12 * mean square, tiny)`` of its column so that logs stay
-      finite, its walk along an order (:meth:`along`) and its search
-      (:meth:`best_order`).  Every entry is stored by :meth:`_fill` as
-      :meth:`_fits` makes it: :meth:`sigma` fills one entry, greedy search
-      one predictor set's row, and :meth:`fill` one popcount layer per call.
+    * the factors, grown along the subset tree: the design of a set S is the
+      design of its parent ``S - {max S}`` and block ``max S`` more, so S's
+      certified Cholesky factor is its parent's grown by one block row
+      (:func:`semorder._linalg.extend`, on blocks of ``G``).  Every request
+      grows its factor along that one chain from the empty set, so an entry
+      is the same to the bit whichever request makes it: the walk of
+      :meth:`fill` grows stacks of sets of one width, at most STACK_BYTES of
+      designs each (:meth:`_visit`), and a single set grows alone
+      (:meth:`_chain`).  A set that fails the certificate has no certified
+      descendant, and that subtree's fits go to ``gelsd``;
+    * the one fit path, :meth:`_fits`: the span/l1 dispatch, one
+      :func:`fit_span` or :func:`fit_l1` per entry on the set's gathered
+      design, and the empty-design convention.  Every fit thus runs on the m
+      <= 1 + pN + p rows of ``C``; its residual variance and moment form
+      equal those on the n data rows in exact arithmetic, and ``n_obs`` is n;
+    * the sigma table for p <= EXACT_GUARD: ``(p, 2^p)`` arrays of the
+      residual variance and the floored and degenerate flags, indexed by
+      (variable, predecessor bitmask), each variance floored at ``max(1e-12
+      * mean square, tiny)`` of its column so that logs stay finite.  A
+      variance of 0 marks an entry not yet filled, since every floor is
+      positive.  :meth:`sigma` fills one entry, greedy search one predictor
+      set's row and :meth:`fill` the entries that an order search reaches;
+      :meth:`along` walks the table along an order and :meth:`best_order`
+      searches it.  Above EXACT_GUARD there is no table, and each request
+      is fitted anew.
     """
 
     def __init__(self, data, class_spec: ClassSpec):
@@ -421,11 +455,17 @@ class ConditionalFits:
         self.values = values
         self.n, self.p = values.shape
         self.class_spec = class_spec
-        self._floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny).tolist()
-        self._blocks: list[tuple[list[int], list[int], bool]] | None = None
+        self._floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny)
         self._c: np.ndarray | None = None
+        self._gram: np.ndarray | None = None
         self._targets: np.ndarray | None = None
-        self._memo: dict[tuple[int, int], tuple[float, bool, bool]] = {}
+        self._path: list[_Nodes] = []
+        # np.zeros maps its pages on first touch, so a search that reaches
+        # few sets holds little of the table
+        shape = (self.p, 1 << self.p) if self.p <= EXACT_GUARD else (0, 0)
+        self._var = np.zeros(shape)
+        self._floored = np.zeros(shape, dtype=bool)
+        self._degenerate = np.zeros(shape, dtype=bool)
 
     def predictor_mask(self, v: int, s) -> int:
         """Bitmask of the conditioning set `s` of target column `v`, after checking both.
@@ -445,9 +485,10 @@ class ConditionalFits:
         return mask
 
     def fit(self, v: int, mask: int) -> FitResult:
-        """Fit column `v` on the columns whose bits are set in `mask` (not memoized), after :meth:`_check_entry`."""
+        """Fit column `v` on the columns whose bits are set in `mask` (not stored), after :meth:`_check_entry`."""
         self._check_entry(v, mask)
-        ((_, _, fit),) = self._fits([(mask, [v])])
+        self._check_capacity(mask.bit_count())
+        (fit,) = self._fits(self._chain(mask), np.zeros(1, dtype=np.intp), np.array([v]))
         return fit
 
     def _check_entry(self, v: int, mask: int) -> None:
@@ -459,49 +500,49 @@ class ConditionalFits:
         if mask >> v & 1:
             raise UsageError(f"target column {v} cannot be conditioned on itself")
 
-    def _fits(self, rows):
-        """Fit the `targets` of each ``(mask, targets)`` in `rows` on the design of `mask`; yields ``(v, mask, fit)``.
+    def _fits(self, nodes: _Nodes, rows: np.ndarray, targets: np.ndarray) -> list[FitResult]:
+        """The fit of each column ``targets[i]`` on the design of set ``nodes.masks[rows[i]]``, in that order.
 
-        The one place that picks a class fit's solver; `rows` is trusted.  The
-        capacity rule is checked once per popcount, and same-width designs are
-        gathered in stacks.  An l1 class with k >= 1 blocks takes one
-        :func:`fit_l1` per target at ``total_budget(k)``.  A span design's
-        stack is factored by one :func:`factorize` call, and each target is
-        one :func:`fit_span`, bit for bit the fit on that design alone.  With
+        The one place that picks a class fit's solver; the entries are
+        trusted, `rows` ascending.  Each design is gathered once.  An l1
+        class with k >= 1 blocks takes one :func:`fit_l1` per target at
+        ``total_budget(k)``.  Any other design takes one :func:`fit_span` per
+        target on the set's certified factor, or ``gelsd`` without one.  With
         neither blocks nor intercept the residual variance is the target's
-        mean square.  A span fit is ``degenerate`` only when its rank is below
-        the dimension of the class span: below the design's column count, or
-        a block lost an all-zero column.  l1 fits are never flagged.
+        mean square.  A span fit is ``degenerate`` only when its rank is
+        below the dimension of the class span: below the design's column
+        count, or a block lost an all-zero column.  l1 fits are never
+        flagged.
         """
-        cs = self.class_spec
-        for k in {mask.bit_count() for mask, _ in rows}:
-            self._check_capacity(k)
-        groups: dict[tuple[int, float | None], list[tuple[int, list[int], list[int], bool]]] = {}
-        for mask, targets in rows:
-            cols, lost = self._columns(mask)
-            budget = cs.total_budget(mask.bit_count()) if cs.kind == L1 and mask else None
-            groups.setdefault((len(cols), budget), []).append((mask, targets, cols, lost))
-        for (d, budget), group in groups.items():
-            if not d:
-                for mask, targets, _, _ in group:
-                    for v in targets:
-                        y = self._targets[:, v]
-                        yield v, mask, FitResult(np.zeros(0), float(np.mean(y * y)), n_obs=self.n, rank=0)
-                continue
-            step = max(STACK_BYTES // (8 * self._c.shape[0] * d), 1)
-            for start in range(0, len(group), step):
-                chunk = group[start : start + step]
-                designs = self._gather(np.array([cols for _, _, cols, _ in chunk]))
-                factors = factorize(designs) if budget is None else [None] * len(chunk)
-                for (mask, targets, _, lost), x, factor in zip(chunk, designs, factors):
-                    for v in targets:
-                        if budget is None:
-                            fit = fit_span(x, self._targets[:, v], factor)
-                            fit.degenerate = fit.degenerate or lost
-                        else:
-                            fit = fit_l1(x, self._targets[:, v], budget, intercept=cs.intercept)
-                        fit.n_obs = self.n
-                        yield v, mask, fit
+        cs, n, fits = self.class_spec, self.n, []
+        l1, empty = cs.kind == L1, not nodes.cols.shape[1]
+        starts = [0] + (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+        have = rows[starts]
+        designs = self._gather(nodes.cols[have])
+        masks, lost = nodes.masks.tolist(), nodes.lost.tolist()
+        invs = nodes.factors.inv if nodes.factors is not None else None
+        targets, ys = targets.tolist(), list(self._targets.T)
+        for x, j, lo, hi in zip(designs, have.tolist(), starts, starts[1:] + [len(targets)]):
+            mask = masks[j]
+            factor = Factor(None if invs is None else invs[j])
+            for v in targets[lo:hi]:
+                y = ys[v]
+                if empty:
+                    fit = FitResult(np.zeros(0), float(np.mean(y * y)), rank=0)
+                elif l1 and mask:
+                    fit = fit_l1(x, y, cs.total_budget(mask.bit_count()), intercept=cs.intercept)
+                else:
+                    fit = fit_span(x, y, factor)
+                    fit.degenerate = fit.degenerate or lost[j]
+                fit.n_obs = n
+                fits.append(fit)
+        return fits
+
+    def _entries(self, targets, fits: list[FitResult]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table entries of `fits` of columns `targets`: residual variances floored, floored and degenerate flags."""
+        rv = np.array([fit.residual_variance for fit in fits])
+        floor = self._floor[targets]
+        return np.maximum(rv, floor), rv < floor, np.array([fit.degenerate for fit in fits], dtype=bool)
 
     def _check_capacity(self, k: int) -> None:
         """The capacity rule ``k N + 1 <= n`` for a predictor set of `k` columns, else :class:`CapacityError`."""
@@ -524,13 +565,14 @@ class ConditionalFits:
         in ascending column order, the first in its first-block form and the
         others in their later form.
         """
-        if self._blocks is None:
+        if self._c is None:
             self._compress()
-        blocks = [self._blocks[k] for k in range(self.p) if mask >> k & 1]
+        starts, widths, full = self._starts.tolist(), self._widths.tolist(), self._full.tolist()
+        ks = [k for k in range(self.p) if mask >> k & 1]
         cols = list(range(int(self.class_spec.intercept)))
-        for i, (first, later, _) in enumerate(blocks):
-            cols += later if i else first
-        return cols, not all(b[2] for b in blocks)
+        for i, k in enumerate(ks):
+            cols += range(starts[k], starts[k] + widths[1 if i else 0][k])
+        return cols, not all(full[k] for k in ks)
 
     def _gather(self, cols: np.ndarray) -> np.ndarray:
         """The ``(..., m, d)`` stack of designs whose ``C`` columns are the rows ``(..., d)`` of `cols`.
@@ -550,7 +592,8 @@ class ConditionalFits:
         (:func:`_folded_width`).  The columns that :func:`_design_columns`
         keeps, known once every row is seen, are then compressed once more to
         ``m`` rows, and scaled by ``sqrt(m / n)``: ``||C_y - C_S b||^2 / m =
-        ||A_y - A_S b||^2 / n`` for every b.
+        ||A_y - A_S b||^2 / n`` for every b.  ``G`` is ``C'C`` on the design
+        columns, every column but the p targets.
         """
         cs, n, p = self.class_spec, self.n, self.p
         size, icpt, folded = cs.dictionary.size, int(cs.intercept), _folded_width(cs)
@@ -582,31 +625,38 @@ class ConditionalFits:
         # C is the transpose of one C-contiguous copy of C', so each column,
         # a target's included, is contiguous
         self._c = np.ascontiguousarray((r * math.sqrt(r.shape[0] / n)).T).T
-        self._blocks = [(list(range(at, at + first)), list(range(at, at + later)), full) for at, first, later, full in spans]
+        # block k's columns of C start at starts[k]: widths[0, k] in its
+        # first-block form, widths[1, k] (a prefix) in its later form
+        starts, first, later, full = zip(*spans)
+        self._starts, self._widths, self._full = np.array(starts), np.maximum([first, later], 0), np.array(full)
         self._targets = self._c[:, self._c.shape[1] - p :]
+        design = self._c[:, : self._c.shape[1] - p]
+        self._gram = design.T @ design
 
     def sigma(self, v: int, mask: int) -> tuple[float, bool, bool]:
-        """Memoized ``(floored residual variance, floored, degenerate)`` of :meth:`fit`.
+        """``(floored residual variance, floored, degenerate)`` of :meth:`fit`, from the table when it holds it.
 
-        A missing entry passes :meth:`_check_entry`, then :meth:`_fill`; a bad
-        request never enters the table, so it always reaches that check.
+        Every request passes :meth:`_check_entry` first, so a bad one never
+        reads or enters the table.
         """
-        if (v, mask) not in self._memo:
-            self._check_entry(v, mask)
-            self._fill([(mask, [v])])
-        return self._memo[(v, mask)]
+        self._check_entry(v, mask)
+        return self._row(mask, [v])[0]
 
     def _row(self, mask: int, targets) -> list[tuple[float, bool, bool]]:
-        """:meth:`sigma` of each column of `targets` on the set `mask`, after one :meth:`_fill`."""
-        self._fill([(mask, targets)])
-        return [self._memo[(v, mask)] for v in targets]
+        """:meth:`sigma` of each column of `targets` on the set `mask`; the missing ones are fitted on one :meth:`_chain`."""
+        table = self._var.size > 0
+        missing = np.array([v for v in targets if not (table and self._var[v, mask])], dtype=np.intp)
+        made = {}
+        if missing.size:
+            self._check_capacity(mask.bit_count())
+            entries = self._entries(missing, self._fits(self._chain(mask), np.zeros_like(missing), missing))
+            if table:
+                self._var[missing, mask], self._floored[missing, mask], self._degenerate[missing, mask] = entries
+            made = dict(zip(missing.tolist(), zip(*(e.tolist() for e in entries))))
+        return [made.get(v) or self._stored(v, mask) for v in targets]
 
-    def _fill(self, rows) -> None:
-        """Enter the entries of `rows` not yet in the table, each as :meth:`_fits` makes it, its residual variance floored."""
-        missing = [(mask, [v for v in targets if (v, mask) not in self._memo]) for mask, targets in rows]
-        for v, mask, fit in self._fits([(mask, targets) for mask, targets in missing if targets]):
-            rv, floor = fit.residual_variance, self._floor[v]
-            self._memo[(v, mask)] = (floor, True, fit.degenerate) if rv < floor else (rv, False, fit.degenerate)
+    def _stored(self, v: int, mask: int) -> tuple[float, bool, bool]:
+        return float(self._var[v, mask]), bool(self._floored[v, mask]), bool(self._degenerate[v, mask])
 
     def along(self, pi) -> tuple[np.ndarray, tuple[bool, ...], tuple[bool, ...]]:
         """:meth:`sigma` at each position of the order `pi`, on the variables placed before it.
@@ -620,26 +670,137 @@ class ConditionalFits:
         values, floored, degenerate = zip(*rows)
         return np.array(values), floored, degenerate
 
-    def fill(self, before) -> list[list[tuple[int, list[int]]]]:
-        """Put in the table every entry that an order allowed by `before` reaches, one popcount layer at a time.
+    def _root(self) -> _Nodes:
+        """The stack of the empty set alone: its design is the intercept, or no column."""
+        if self._c is None:
+            self._compress()
+        cols = np.arange(int(self.class_spec.intercept))[None]
+        factors, ok = self._grown(Factors.empty(), cols[:, :0], cols)
+        masks = np.zeros(1, dtype=np.int64 if self.p < 63 else object)
+        return _Nodes(masks, np.full(1, -1), cols, np.zeros(1, dtype=bool), factors if ok[0] else None)
 
-        In an allowed order each v follows the set bits of ``before[v]``.
-        Returns the layers: for k = 0 .. p-1, each placed set of k columns
-        that some allowed order reaches, in ascending order, with the columns
-        that may come next.  A set that no allowed order reaches costs no
-        fit.  Each layer is one :meth:`_fill`.
-        :class:`UsageError` when `before` has a cycle.
+    def _grow(self, nodes: _Nodes, rows: np.ndarray, vs: np.ndarray) -> list[_Nodes]:
+        """The sets ``nodes.masks[rows] | 1 << vs``, each design its parent's and block vs's columns.
+
+        Block v comes in its first-block form on the empty set, else in its
+        later form; the caller passes blocks of one width.  Without a
+        certified parent factor (or for an l1 class) the children have none;
+        otherwise each factor is its parent's grown by one block row.  Returns
+        the children in one stack, or in two when some failed the
+        certificate: those without factors, then the certified ones.
         """
-        full = (1 << self.p) - 1
-        layers, masks = [], [0]
-        while masks != [full]:
-            layer = [(mask, [v for v in range(self.p) if not (mask >> v & 1 or before[v] & ~mask)]) for mask in masks]
-            masks = sorted({mask | 1 << v for mask, allowed in layer for v in allowed})
-            if not masks:
-                raise UsageError("the precedence constraints of the order search have a cycle")
-            layers.append(layer)
-            self._fill(layer)
-        return layers
+        width = self._widths[0 if nodes.tops[0] < 0 else 1, vs[0]]
+        block = self._starts[vs, None] + np.arange(width)
+        parent, masks = nodes.cols[rows], nodes.masks[rows]
+        masks = masks | np.left_shift(np.ones_like(masks), vs)
+        child = (masks, vs, np.concatenate([parent, block], axis=1), nodes.lost[rows] | ~self._full[vs])
+        if nodes.factors is None or self.class_spec.kind == L1:
+            return [_Nodes(*child, None)]
+        factors, ok = self._grown(nodes.factors.take(rows), parent, block)
+        if ok.all():
+            return [_Nodes(*child, factors)]
+        dead, live = np.flatnonzero(~ok), np.flatnonzero(ok)
+        return [_Nodes(*child, None).take(dead)] + ([_Nodes(*child, factors).take(live)] if live.size else [])
+
+    def _grown(self, factors: Factors, parent: np.ndarray, block: np.ndarray) -> tuple[Factors, np.ndarray]:
+        """`factors` of the designs of ``C`` columns `parent` grown by columns `block`, each ``(k, .)``, and which are certified."""
+        g = self._gram
+        return extend(factors, g[parent[:, :, None], block[:, None, :]], g[block[:, :, None], block[:, None, :]])
+
+    def _chain(self, mask: int) -> _Nodes:
+        """The stack of the set `mask` alone, its factor grown from the empty set one member at a time, as the walk grows it.
+
+        The stacks along the last chain are kept, so a chain that shares a
+        prefix with it grows only past that prefix: greedy search's next set
+        shares every member below the one it adds.
+        """
+        path = self._path[:1] or [self._root()]
+        for v in range(self.p):
+            if mask >> v & 1:
+                depth = len(path)
+                if depth < len(self._path) and self._path[depth].masks[0] == path[-1].masks[0] | 1 << v:
+                    path.append(self._path[depth])
+                else:
+                    *_, node = self._grow(path[-1], np.zeros(1, dtype=np.intp), np.array([v]))
+                    path.append(node)
+        self._path = path
+        return path[-1]
+
+    def fill(self, *befores) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """Put in the table every entry that an order allowed by one of `befores` reaches, in one walk.
+
+        In an order allowed by ``before``, each v follows the set bits of
+        ``before[v]``.  Returns, per ``before``, its layers: for k = 0 ..
+        p-1, the ascending array of the placed sets of k columns that some
+        allowed order reaches, with the ``(sets, p)`` array of the columns
+        that may come next.  A set that no allowed order reaches costs no
+        fit, though the walk grows its factor when a reached set below it in
+        the subset tree needs it.  :class:`UsageError` when a ``before`` has
+        a cycle, :class:`CapacityError` for p above EXACT_GUARD.
+        """
+        p = self.p
+        if not self._var.size:
+            raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={p}")
+        bits = np.int64(1) << np.arange(p)
+        want = np.zeros((p, 1 << p), dtype=bool)
+        searches = []
+        for before in befores:
+            before = np.array(before, dtype=np.int64)
+            layers, masks = [], np.zeros(1, dtype=np.int64)
+            for _ in range(p):
+                allowed = ((masks[:, None] & bits) == 0) & ((before & ~masks[:, None]) == 0)
+                layers.append((masks, allowed))
+                want[:, masks] |= allowed.T
+                reached = np.zeros(1 << p, dtype=bool)
+                reached[(masks[:, None] | bits)[allowed]] = True
+                masks = np.flatnonzero(reached)
+                if not masks.size:
+                    raise UsageError("the precedence constraints of the order search have a cycle")
+            searches.append(layers)
+        want &= self._var == 0
+        for k in sorted({k for layers in searches for k, (masks, _) in enumerate(layers) if want[:, masks].any()}):
+            self._check_capacity(k)
+        self._walk(want)
+        return searches
+
+    def _walk(self, want: np.ndarray) -> None:
+        """Fill the entries marked in the ``(p, 2^p)`` array `want`, walking the subset tree from the empty set.
+
+        A set is visited when its subtree holds a wanted entry.  The sets of
+        top bit b are ``2^b + r`` with parent r, so one pass from the top bit
+        down marks every ancestor.
+        """
+        need = want.any(axis=0)
+        for b in reversed(range(self.p)):
+            need[: 1 << b] |= need[1 << b : 2 << b]
+        if need[0]:
+            self._visit(self._root(), want, need)
+
+    def _visit(self, nodes: _Nodes, want: np.ndarray, need: np.ndarray) -> None:
+        """Fill the wanted entries of the stack `nodes`, then visit the children that `need` marks, depth first.
+
+        The children of the stack are taken by block width, in stacks of at
+        most ``STACK_BYTES`` of designs; each stack is grown and visited
+        before the next is made, so the walk holds a few stacks per depth,
+        never a layer.
+        """
+        rows, targets = np.nonzero(want[:, nodes.masks].T)
+        if rows.size:
+            masks = nodes.masks[rows]
+            entries = self._entries(targets, self._fits(nodes, rows, targets))
+            self._var[targets, masks], self._floored[targets, masks], self._degenerate[targets, masks] = entries
+        d, form = nodes.cols.shape[1], 0 if nodes.tops[0] < 0 else 1
+        vs = np.arange(self.p)
+        under = (nodes.tops[:, None] < vs) & need[nodes.masks[:, None] | 1 << vs]
+        vs, rows = np.nonzero(under.T)
+        widths = self._widths[form][vs]
+        for b in sorted(set(widths.tolist())):
+            at = np.flatnonzero(widths == b)
+            step = max(STACK_BYTES // (8 * self._c.shape[0] * (d + b)), 1)
+            for start in range(0, at.size, step):
+                piece = at[start : start + step]
+                for child in self._grow(nodes, rows[piece], vs[piece]):
+                    self._visit(child, want, need)
 
     def best_order(self, before) -> tuple[int, ...]:
         """The order of least ``sum log sigma`` in which each v follows the set bits of ``before[v]``.
@@ -647,20 +808,26 @@ class ConditionalFits:
         Subset DP (Silander & Myllymaki, UAI 2006) over the layers of
         :meth:`fill`, from the full set down: the best completion of a placed
         set is the least ``log sigma(v | set) + best(set + v)`` over its
-        allowed v.  Ties go to the smallest v, so the order is the
-        lexicographically smallest minimizer.  p at most EXACT_GUARD, else
-        :class:`CapacityError`.
+        allowed v, one numpy step per layer.  ``argmin`` takes the first of
+        equal candidates, so ties go to the smallest v and the order is the
+        lexicographically smallest minimizer.  The logs are ``math.log``'s.
+        p at most EXACT_GUARD, else :class:`CapacityError` (from
+        :meth:`fill`).
         """
-        if self.p > EXACT_GUARD:
-            raise CapacityError(f"exact search is limited to p <= {EXACT_GUARD}, got p={self.p}")
         full = (1 << self.p) - 1
-        best = {full: (0.0, -1)}
-        for layer in reversed(self.fill(before)):
-            for mask, allowed in layer:
-                best[mask] = min((math.log(self._memo[(v, mask)][0]) + best[mask | 1 << v][0], v) for v in allowed)
+        bits = np.int64(1) << np.arange(self.p)
+        best = np.zeros(full + 1)
+        choice = np.zeros(full + 1, dtype=np.intp)
+        for masks, allowed in reversed(self.fill(before)[0]):
+            rows, vs = np.nonzero(allowed)
+            logs = np.fromiter(map(math.log, self._var[vs, masks[rows]].tolist()), dtype=np.float64, count=rows.size)
+            cand = np.full(allowed.shape, np.inf)
+            cand[rows, vs] = logs + best[masks[rows] | bits[vs]]
+            choice[masks] = cand.argmin(axis=1)
+            best[masks] = cand[np.arange(masks.size), choice[masks]]
         pi, mask = [], 0
         while mask != full:
-            pi.append(best[mask][1])
+            pi.append(int(choice[mask]))
             mask |= 1 << pi[-1]
         return tuple(pi)
 

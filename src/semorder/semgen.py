@@ -445,6 +445,8 @@ def identifiability_gap(
     if spec.p > EXACT_GUARD:
         raise CapacityError(f"the identifiability gap is limited to p <= {EXACT_GUARD}, got p={spec.p}")
     fits = _oracle_fits(spec, class_spec, oracle_n, seed)
+    reversed_edge = [[1 << j if v == k else 0 for v in range(spec.p)] for k, j in spec.edges]
+    fits.fill(*reversed_edge)  # the searches share one walk of the subset tree
     base, base_floored, _ = fits.along(spec.order)
     base_by_var = {v: base[i] for i, v in enumerate(spec.order)}
 
@@ -456,7 +458,6 @@ def identifiability_gap(
             total += 0.5 * (math.log(values[pos]) - math.log(base_by_var[v]))
         return total / spec.p, any(floored) or any(base_floored)
 
-    reversed_edge = ([1 << j if v == k else 0 for v in range(spec.p)] for k, j in spec.edges)
     gap, floored = min((score(fits.best_order(before)) for before in reversed_edge), default=(math.inf, False))
     rows = []
     if return_table:
@@ -467,21 +468,18 @@ def identifiability_gap(
 def _gap_table(spec: SemSpec, fits: ConditionalFits, base_log: list[float], base_floored: bool) -> list[dict]:
     """The rows of :func:`identifiability_gap`'s table: every permutation, sorted stably by its score.
 
-    The sigma table is filled whole, one popcount layer at a time
-    (:meth:`ConditionalFits.fill`), and its ``math.log`` values are put in a
-    ``(p, 2^p)`` array.  Each permutation's score is then p gathers from it,
+    The sigma table is filled whole (:meth:`ConditionalFits.fill`), and
+    its ``math.log`` values are put in a ``(p, 2^p)`` array beside its
+    floored flags.  Each permutation's score is then p gathers from it,
     summed in position order and divided by p: bit for bit the sum of
     ``0.5 * (log sigma^2 - log base sigma^2)`` over its positions.
     """
     p = spec.p
     fits.fill([0] * p)
+    filled = fits._var > 0
     logs = np.zeros((p, 1 << p))
-    flags = np.zeros((p, 1 << p), dtype=bool)
-    for v in range(p):
-        for mask in range(1 << p):
-            if not mask >> v & 1:
-                rv, flags[v, mask], _ = fits.sigma(v, mask)
-                logs[v, mask] = math.log(rv)
+    logs[filled] = list(map(math.log, fits._var[filled].tolist()))
+    flags = fits._floored
     perms = np.array(list(permutations(range(p))))
     bits = 1 << perms
     placed = np.cumsum(bits, axis=1) - bits

@@ -300,6 +300,28 @@ def test_z_sup_l1_solves_both_active_on_exactly_the_reaching_supports(monkeypatc
     assert z >= oracles.scan_l1_ellipsoid_quadratic(mp.sigma_hat - mp.sigma, mp.sigma, 1.0) * (1.0 - 1e-11)
 
 
+def test_both_active_runs_no_eigenproblem_where_the_plane_misses_the_ellipsoid(monkeypatch):
+    # Sigma = I/2 and M = 2.2: every support reaches the ellipsoid (M^2 / 2
+    # >= 1), but a face's plane s'b = M meets it only when M^2 < s' Sigma_TT^-1
+    # s = 2 |T|, so the 12 faces on two indices miss, and the 16 on three and
+    # the 8 on four meet
+    d, budget = 4, 2.2
+    sigma = np.eye(d) / 2.0
+    delta = np.random.default_rng(8).standard_normal((d, d)) * 0.1
+    mp = MomentPair(sigma + (delta + delta.T) / 2.0, sigma)
+    rows = []
+    real = np.linalg.eigvals
+
+    def spy(a):
+        rows.append((a.shape[-1] // 2 + 1, math.prod(a.shape[:-2])))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    z = z_sup_l1(mp, budget)
+    assert rows == [(3, 16), (4, 8)]
+    assert z >= oracles.scan_l1_ellipsoid_quadratic(mp.sigma_hat - mp.sigma, sigma, budget) * (1.0 - 1e-11)
+
+
 @pytest.mark.parametrize("ulps", [-6, -2, -1, 0, 1, 2, 6])
 def test_z_sup_l1_meets_the_oracles_where_a_vertex_touches_the_ellipsoid(ulps):
     # the budget `ulps` ulps off 1 / sqrt(max Sigma_ii): the top vertex sits

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from semorder import regress
 from semorder.dictionary import CUBIC_B_SPLINE, PIECEWISE_CONSTANT, TRIGONOMETRIC, Dictionary, design_matrix
 from semorder.errors import CapacityError, UsageError
 from semorder.order import (
@@ -216,7 +217,7 @@ def test_constrained_exact_matches_topological_enumeration():
             for pi in oracles.topological_filter(spec)
             for i in range(spec.p)
         }
-        assert set(fits._memo) == steps
+        assert set(zip(*np.nonzero(fits._var))) == steps
         assert (est.score, est.order) == best_topological(fits, spec)
     # three equal columns under an intercept-only class tie every score bit
     # for bit; the edge 3 -> 1 leaves (2, 3, 1) as the first topological order
@@ -237,7 +238,52 @@ def test_constrained_exact_fits_only_reachable_sets():
     fits = _engine(rng.standard_normal((100, 12)), trig_class())
     est = _exact_from_cache(fits, _parent_masks(linear_chain(p=12)))
     assert est.order == tuple(range(12))
-    assert len(fits._memo) == 12
+    assert np.count_nonzero(fits._var) == 12
+
+
+def _counting_fit_span(monkeypatch):
+    """Count ``regress.fit_span`` calls at its module attribute, where the benchmark's traced self-check counts them."""
+    calls = [0]
+    real = regress.fit_span
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regress, "fit_span", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_exact_search_calls_fit_span_once_per_sigma_entry(monkeypatch, p):
+    calls = _counting_fit_span(monkeypatch)
+    data = sample(sine_chain(p=p), 400, seed=60 + p).values
+    est = estimate_order_exact(data, ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0))))
+    assert sorted(est.order) == list(range(p))
+    assert calls[0] == p * 2 ** (p - 1)
+
+
+def test_constrained_search_calls_fit_span_once_per_reached_entry(monkeypatch):
+    # under precedence constraints a placed set's parent in the subset tree
+    # may be unreached: its factor is grown, but it costs no fit
+    calls = _counting_fit_span(monkeypatch)
+    rng = np.random.default_rng(63)
+    cs = trig_class()
+    unreached_parents = 0
+    for _ in range(6):
+        spec = oracles.random_dag(rng, 4, 7)
+        fits = _engine(rng.standard_normal((150, spec.p)), cs)
+        calls[0] = 0
+        _exact_from_cache(fits, _parent_masks(spec))
+        steps = {
+            (pi[i], sum(1 << v for v in pi[:i]))
+            for pi in oracles.topological_filter(spec)
+            for i in range(spec.p)
+        }
+        assert calls[0] == len(steps) == np.count_nonzero(fits._var)
+        placed = {mask for _, mask in steps}
+        unreached_parents += sum(mask & ~(1 << (mask.bit_length() - 1)) not in placed for mask in placed if mask)
+    assert unreached_parents > 0
 
 
 def test_greedy_never_beats_exact():

@@ -12,7 +12,18 @@ import pytest
 
 import semorder
 from semorder import regress
-from semorder._linalg import FOLD_CELLS, INV_BLOCK, RANK_REL_TOL, _lower_inverse, factorize, least_squares, row_compress
+from semorder._linalg import (
+    FOLD_CELLS,
+    INV_BLOCK,
+    RANK_REL_TOL,
+    Factor,
+    Factors,
+    _lower_inverse,
+    extend,
+    factorize,
+    least_squares,
+    row_compress,
+)
 from semorder.dictionary import (
     CUBIC_B_SPLINE,
     PIECEWISE_CONSTANT,
@@ -189,47 +200,12 @@ def _same_factor(a, b):
     )
 
 
-def test_stacked_factorize_gives_each_design_its_own_factor():
-    # every member of a stack is bit for bit the factor of its design alone,
-    # certified or not, and a (2, 3, m, d) stack lists its members in C order
-    rng = np.random.default_rng(31)
-    stack = rng.standard_normal((6, 40, 7))
-    stack[2, :, 6] = stack[2, :, 5] + 1e-7 * rng.standard_normal(40)  # cond about 1e7: refused
-    factors = factorize(stack)
-    assert isinstance(factors, list) and len(factors) == 6
-    assert [f.inv is None for f in factors] == [False, False, True, False, False, False]
-    for x, factor in zip(stack, factors):
-        assert _same_factor(factor, factorize(np.ascontiguousarray(x)))
-    nested = factorize(stack.reshape(2, 3, 40, 7))
-    assert all(_same_factor(a, b) for a, b in zip(nested, factors))
-
-
-def test_stacked_factorize_falls_back_per_design_on_a_singular_member(monkeypatch):
-    # a rank-deficient member fails the stacked Cholesky; the stack is then
-    # factored design by design, and the other members keep their factors
-    rng = np.random.default_rng(32)
-    stack = rng.standard_normal((5, 30, 4))
-    stack[3, :, 3] = stack[3, :, 0]
-    g = np.swapaxes(stack, -1, -2) @ stack
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(g)
-    alone = [factorize(np.ascontiguousarray(x)) for x in stack]
-    calls = _counting(monkeypatch, np.linalg, "cholesky")
-    factors = factorize(stack)
-    assert calls[0] == 1 + len(stack)
-    assert [f.inv is None for f in factors] == [False, False, False, True, False]
-    assert all(_same_factor(a, b) for a, b in zip(factors, alone))
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
-def test_stacked_factorize_rejects_a_non_finite_member(bad):
-    rng = np.random.default_rng(33)
-    stack = rng.standard_normal((4, 20, 3))
-    stack[2, 7, 1] = bad
+def test_factorize_rejects_a_non_finite_design(bad):
+    x = np.random.default_rng(33).standard_normal((20, 3))
+    x[7, 1] = bad
     with pytest.raises(UsageError, match="design must be finite with finite squares"):
-        factorize(stack)
-    with pytest.raises(UsageError, match="design must be finite with finite squares"):
-        factorize(stack[2])
+        factorize(x)
 
 
 EPS = np.finfo(np.float64).eps
@@ -240,7 +216,9 @@ def test_block_inverse_matches_the_general_inverse(d):
     # orders on each side of the INV_BLOCK = 8 edge.  Tolerance, set from
     # float64 before measuring: max |M - inv(L)| <= d eps cond(L) max |inv(L)|,
     # the first-order forward error of a triangular inverse (Higham 2002,
-    # section 14.2).  Observed: 0 up to one block, at most 3.3e-3 of it above
+    # section 14.2).  Observed: 0 up to one block, at most 3.3e-3 of it above.
+    # The block inverse is exactly lower triangular, and up to one block it is
+    # the general inverse with its rounding noise above the diagonal dropped
     assert INV_BLOCK == 8
     for seed in range(10):
         rng = np.random.default_rng([d, seed])
@@ -249,8 +227,9 @@ def test_block_inverse_matches_the_general_inverse(d):
         ref = np.linalg.inv(l)
         got = _lower_inverse(l[None])[0]
         assert np.max(np.abs(got - ref)) <= d * EPS * np.linalg.cond(l) * np.max(np.abs(ref))
+        assert np.array_equal(got, np.tril(got))
         if d <= INV_BLOCK:
-            assert np.array_equal(got, ref)
+            assert np.array_equal(got, np.tril(ref))
         assert np.array_equal(factorize(x).inv, got)
 
 
@@ -279,28 +258,12 @@ def test_block_inverse_near_the_certificate_bound(d, conds):
     assert decisions == [False, True]
 
 
-@pytest.mark.parametrize("layout", ["C", "rows of x'"])
-def test_stacked_block_inverse_gives_each_design_its_own_factor(layout):
-    # designs of 41 columns, six diagonal blocks: each member of a stack is
-    # bit for bit its design factored alone, in C order and in the layout
-    # that ConditionalFits gathers (the transpose of C-contiguous rows)
-    rng = np.random.default_rng(34)
-    stack = rng.standard_normal((5, 90, 41)) * np.logspace(0, 2, 41)
-    stack[1, :, 30] = stack[1, :, 29] + 1e-7 * rng.standard_normal(90)  # refused
-    if layout != "C":
-        stack = np.ascontiguousarray(stack.swapaxes(-1, -2)).swapaxes(-1, -2)
-    factors = factorize(stack)
-    assert [f.inv is None for f in factors] == [False, True, False, False, False]
-    for x, factor in zip(stack, factors):
-        assert _same_factor(factor, factorize(x))
-
-
 def test_overflowing_block_inverse_is_refused_without_a_warning():
     # x = H B for 64 rows of a Hadamard matrix and B upper bidiagonal (2^-20
     # on the diagonal, 1 above it): x'x = 64 B'B and its Cholesky factor 8 B'
     # are exact, and inv(8 B') has entries up to 2^(20 * 60) / 8, which
-    # overflow inside the block products.  Under -W error nothing warns, and
-    # the design is refused alone and in a stack; its fit goes to lstsq
+    # overflow inside the block products.  Under -W error nothing warns, the
+    # design is refused, and its fit goes to lstsq
     h = np.ones((1, 1))
     for _ in range(6):
         h = np.kron(h, [[1.0, 1.0], [1.0, -1.0]])
@@ -314,7 +277,6 @@ def test_overflowing_block_inverse_is_refused_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert factorize(x).inv is None
-        assert [f.inv is None for f in factorize(np.stack([rng.standard_normal((64, d)), x]))] == [False, True]
         assert least_squares(x, rng.standard_normal(64))[1] < d
 
 
@@ -374,10 +336,11 @@ def test_row_compress_folds_a_chunk_in_stacked_leaves(monkeypatch):
 
 
 def test_conditional_fits_has_one_solver_dispatch():
-    # every class fit goes through ConditionalFits._fits: a second fit path
-    # would be a second call site of one of these solvers
+    # every class fit goes through ConditionalFits._fits, and every factor
+    # grows through ConditionalFits._grown: a second fit path would be a
+    # second call site of one of these solvers
     source = inspect.getsource(ConditionalFits)
-    for name in ("fit_span", "fit_l1", "factorize"):
+    for name in ("fit_span", "fit_l1", "extend"):
         assert len(re.findall(rf"\b{name}\(", source)) == 1, name
 
 
@@ -649,7 +612,7 @@ def test_sigma_table_never_holds_an_n_row_design():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(fits._memo) == p * 2 ** (p - 1)
+    assert np.count_nonzero(fits._var) == p * 2 ** (p - 1)
     assert peak < n * (1 + p * 6 + p) * 8 / 4
 
 
@@ -669,7 +632,7 @@ def test_sigma_table_builds_without_lstsq(monkeypatch):
         for mask in range(1 << 5):
             if not mask >> v & 1:
                 fits.sigma(v, mask)
-    assert len(fits._memo) == 5 * 2 ** 4
+    assert np.count_nonzero(fits._var) == 5 * 2 ** 4
 
 
 def _chain_with_a_copy():
@@ -685,13 +648,21 @@ def _chain_with_a_copy():
     return values
 
 
+def _table(fits):
+    """The filled entries of the engine's sigma table: ``(v, mask) -> (variance, floored, degenerate)``."""
+    return {(int(v), int(mask)): fits._stored(int(v), int(mask)) for v, mask in zip(*np.nonzero(fits._var))}
+
+
 def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
-    # The one fit path factors each stack of designs once; every span entry
-    # must equal fit_span on the same engine design without a factor, and
-    # every l1 entry fit_l1 on it, bit for bit, flags included.  x5 repeats
-    # x4, so the piecewise-constant designs holding both are rank-deficient
-    # and take the gelsd path; its 10 cells on (-5, 5) leave the outer ones
-    # empty.
+    # Every entry is one fit on the engine's design of its set.  A span
+    # entry whose design fit_span certifies must match fit_span on that
+    # design without a factor (factorize's) within 1e-13 relative (observed
+    # 5.9e-15): its factor was grown from its parent's instead.  One that
+    # fit_span sends to gelsd must have gone to gelsd too, so it matches bit
+    # for bit, and every l1 entry is fit_l1 on the design, bit for bit.
+    # Flags must agree everywhere.  x5 repeats x4, so the piecewise-constant
+    # designs holding both are rank-deficient and take the gelsd path; its
+    # 10 cells on (-5, 5) leave the outer ones empty.
     calls = _counting_lstsq(monkeypatch)
     values = _chain_with_a_copy()
     classes = [
@@ -706,11 +677,12 @@ def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
     for class_spec in classes:
         fits = ConditionalFits(values, class_spec)
         fits.best_order([0] * p)
-        assert len(fits._memo) == p * 2 ** (p - 1)
-        got, ref = [], []
-        for (v, mask), entry in sorted(fits._memo.items()):
+        table = _table(fits)
+        assert len(table) == p * 2 ** (p - 1)
+        for (v, mask), entry in sorted(table.items()):
             design, lost = fits._design(mask)
             y = fits._targets[:, v]
+            tol = 0.0
             if design is None:
                 rv, degenerate = float(np.mean(y * y)), False
             elif class_spec.kind == "l1" and mask:
@@ -720,22 +692,21 @@ def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
                 before = calls[0]
                 fit = fit_span(design, y)
                 fallback += calls[0] > before
+                tol = 0.0 if calls[0] > before else 1e-13
                 rv, degenerate = fit.residual_variance, fit.degenerate or lost
             floor = fits._floor[v]
-            got.append(entry)
-            ref.append((max(rv, floor), rv < floor, degenerate))
-        got, ref = np.array(got), np.array(ref)
-        for col in range(3):
-            assert np.array_equal(got[:, col], ref[:, col])
+            assert entry[1:] == (rv < floor, degenerate)
+            assert abs(entry[0] - max(rv, floor)) <= tol * max(rv, floor)
         if class_spec.dictionary.family == PIECEWISE_CONSTANT:
-            assert got[:, 2].any()
+            assert any(degenerate for _, _, degenerate in table.values())
     assert fallback > 0
 
 
 def test_sigma_table_is_the_same_whatever_the_stack_bound(monkeypatch):
-    # STACK_BYTES only bounds how many same-width designs one gather and one
-    # factorize take: stacks of one design, and stacks of three that leave
-    # the last stack of a width partial, give the default table bit for bit
+    # STACK_BYTES only bounds how many sets of one width the walk grows and
+    # fits in one stacked step: stacks of one set, and stacks of three that
+    # leave some stack of the widest designs partial, give the default table
+    # bit for bit
     values = _chain_with_a_copy()
     p = values.shape[1]
     classes = [
@@ -745,65 +716,276 @@ def test_sigma_table_is_the_same_whatever_the_stack_bound(monkeypatch):
         ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)), kind="l1", budget=2.0),
     ]
     stacks = []
-    real = ConditionalFits._gather
+    real = ConditionalFits._grow
 
-    def recorded(self, cols):
-        stacks.append(cols.shape)
-        return real(self, cols)
+    def recorded(self, nodes, rows, vs):
+        children = real(self, nodes, rows, vs)
+        stacks.append((len(rows), children[0].cols.shape[1]))
+        return children
 
     full = (1 << p) - 1
     for class_spec in classes:
         default = ConditionalFits(values, class_spec)
         default.best_order([0] * p)
+        table = _table(default)
         if class_spec.dictionary.family == PIECEWISE_CONSTANT:
-            assert any(degenerate for _, _, degenerate in default._memo.values())  # a block lost a column
+            assert any(degenerate for _, _, degenerate in table.values())  # a block lost a column
         m = default._c.shape[0]
         widest = max(len(default._columns(full & ~(1 << v))[0]) for v in range(p))
         for bound in (1, 3 * 8 * m * widest):
             monkeypatch.setattr(regress, "STACK_BYTES", bound)
-            monkeypatch.setattr(ConditionalFits, "_gather", recorded)
+            monkeypatch.setattr(ConditionalFits, "_grow", recorded)
             stacks.clear()
             fits = ConditionalFits(values, class_spec)
             fits.best_order([0] * p)
             monkeypatch.undo()
             if bound == 1:
-                assert {shape[0] for shape in stacks} == {1}
-            else:  # the widest designs: stacks of three, then a partial one
-                sizes = [shape[0] for shape in stacks if shape[-1] == widest]
-                assert sizes[0] == 3 and sizes[-1] < 3
-            assert fits._memo.keys() == default._memo.keys()
-            for key, entry in default._memo.items():
-                assert fits._memo[key] == entry
+                assert {size for size, _ in stacks} == {1}
+            else:  # the widest designs: stacks of at most three, one of them partial
+                sizes = [size for size, width in stacks if width == widest]
+                assert max(sizes) == 3 and min(sizes) < 3
+            assert _table(fits) == table
 
 
 def test_sigma_table_factors_each_predictor_set_once(monkeypatch):
-    # counts designs factored: a stacked call factors one per leading index
-    factors = [0]
-    real = regress.factorize
+    # counts the sets whose factors grow by one block row: a stacked call
+    # grows one per leading index
+    grown = [0]
+    real = regress.extend
 
-    def counted(x):
-        factors[0] += math.prod(x.shape[:-2])
-        return real(x)
+    def counted(parent, g_pb, g_bb):
+        grown[0] += g_bb.shape[0]
+        return real(parent, g_pb, g_bb)
 
-    monkeypatch.setattr(regress, "factorize", counted)
+    monkeypatch.setattr(regress, "extend", counted)
     solves = _counting(monkeypatch, regress, "fit_span")
     p = 5
     values = np.random.default_rng(23).standard_normal((200, p))
     cs = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0)))
-    # exact search: one factorization per predictor set short of all p,
-    # one solve per (variable, set) entry
+    # exact search: each predictor set short of all p grows once from its
+    # parent (the empty set from no column), one solve per (variable, set)
+    # entry
     ConditionalFits(values, cs).best_order([0] * p)
-    assert (factors[0], solves[0]) == (2**p - 1, p * 2 ** (p - 1))
-    # greedy: one factorization per step, one solve per unplaced variable
-    factors[0] = solves[0] = 0
+    assert (grown[0], solves[0]) == (2**p - 1, p * 2 ** (p - 1))
+    # greedy: each step's set grows along its chain from the empty set, and
+    # the chain of the step before is kept, so adding v regrows only v and
+    # the placed columns above it; then one solve per unplaced variable
+    grown[0] = solves[0] = 0
     fits = ConditionalFits(values, cs)
-    semorder.order._greedy_from_cache(fits)
-    assert (factors[0], solves[0]) == (p, p * (p + 1) // 2)
-    # a chain has one allowed order: one factorization and one solve per position
-    factors[0] = solves[0] = 0
+    pi = semorder.order._greedy_from_cache(fits).order
+    regrown = sum(1 + sum(b > v for b in pi[:t]) for t, v in enumerate(pi[:-1]))
+    assert (grown[0], solves[0]) == (1 + regrown, p * (p + 1) // 2)
+    assert regrown > p - 1  # some column joined below one already placed
+    # a chain has one allowed order: one growth and one solve per position
+    grown[0] = solves[0] = 0
     fits = ConditionalFits(values, cs)
     assert fits.best_order([0] + [1 << (v - 1) for v in range(1, p)]) == tuple(range(p))
-    assert (factors[0], solves[0], len(fits._memo)) == (p, p, p)
+    assert (grown[0], solves[0], len(_table(fits))) == (p, p, p)
+
+
+def _walked_factors(monkeypatch):
+    """Record the factor of every set the walk visits: ``mask -> L^-1``, or None for a set without a certified one."""
+    seen = {}
+    real = ConditionalFits._visit
+
+    def spy(self, nodes, want, need):
+        for j, mask in enumerate(nodes.masks.tolist()):
+            seen[mask] = None if nodes.factors is None else nodes.factors.inv[j]
+        return real(self, nodes, want, need)
+
+    monkeypatch.setattr(ConditionalFits, "_visit", spy)
+    return seen
+
+
+def _walk_case(name):
+    """Data and class of one walk test: a 5-variable sine chain, n = 300, every entry below 3."""
+    chain = SemSpec(
+        p=5, order=tuple(range(5)),
+        edges={(j, j + 1): EdgeFunction("sine", (2.0, 1.5)) for j in range(4)},
+        noise_sd=(1.0,) + (0.3,) * 4,
+    )
+    values = sample(chain, 300, seed=5).values
+    assert np.abs(values).max() < 3.0
+    spline = Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0))
+    if name == "spline":
+        return values, ClassSpec(spline)
+    if name == "spline without intercept":
+        return values, ClassSpec(spline, intercept=False)
+    if name == "trigonometric":
+        return values, ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-5.0, 5.0)))
+    if name == "empty cells":  # x1 halved reaches 4 of the 10 cells, the others 6
+        return values * [0.5, 1, 1, 1, 1], ClassSpec(Dictionary(PIECEWISE_CONSTANT, 10, (-5.0, 5.0)))
+    return np.column_stack([values[:, :4], values[:, 3]]), ClassSpec(spline)  # "collinear": x5 repeats x4
+
+
+WALK_CASES = ["spline", "spline without intercept", "trigonometric", "empty cells", "collinear"]
+
+
+@pytest.mark.parametrize("case", WALK_CASES)
+def test_walked_factors_and_entries_match_the_full_designs(monkeypatch, case):
+    # Each factor that the walk grows against factorize of the set's whole
+    # engine design: the same certificate decision, and L^-1 within 1e-9 of
+    # its largest entry (observed 8.6e-11; the walk reads its Gram blocks
+    # off G = C'C, factorize forms x'x itself, and the Cholesky step scales
+    # that rounding by up to cond(x'x)).  Each entry against the fit on the
+    # full n-row class design: sigma^2 within 1e-12 relative (observed
+    # 2.8e-14), the same floored flag, and degenerate exactly where the
+    # rank is below the class span's dimension.  With empty cells the design
+    # widths differ within a layer; with x5 repeating x4 every set holding
+    # both fails the certificate, and its subtree goes to gelsd.
+    values, class_spec = _walk_case(case)
+    n, p = values.shape
+    seen = _walked_factors(monkeypatch)
+    fits = ConditionalFits(values, class_spec)
+    fits.fill([0] * p)
+    assert set(seen) == set(range((1 << p) - 1))
+    widths = {}
+    for mask, inv in seen.items():
+        design, _ = fits._design(mask)
+        widths.setdefault(mask.bit_count(), set()).add(0 if design is None else design.shape[1])
+        if design is None:
+            continue
+        ref = factorize(design)
+        assert (inv is None) == (ref.inv is None)
+        if inv is not None:
+            assert np.array_equal(inv, np.tril(inv))
+            assert np.max(np.abs(inv - ref.inv)) <= 1e-9 * np.max(np.abs(ref.inv))
+    assert (max(len(w) for w in widths.values()) > 1) == (case == "empty cells")
+    assert any(inv is None for inv in seen.values()) == (case == "collinear")
+    direct = oracles.direct_sigma(values, class_spec)
+    for v, mask in zip(*np.nonzero(fits._var)):
+        v, mask = int(v), int(mask)
+        rv, floored, degenerate = fits._stored(v, mask)
+        cols = [k for k in range(p) if mask >> k & 1]
+        ref = direct(v, mask)
+        assert abs(rv - ref) <= 1e-12 * ref
+        assert floored == (ref == fits._floor[v])
+        if cols or class_spec.intercept:
+            _, rank = oracles.svd_lstsq(oracles.direct_design(values, class_spec, cols), values[:, v])
+            assert degenerate == (rank < _span_dimension(class_spec, len(cols)))
+
+
+@pytest.mark.parametrize("case", WALK_CASES + ["l1"])
+def test_walked_entries_equal_single_requests_bit_for_bit(monkeypatch, case):
+    # every request grows its factor along the one chain from the empty set,
+    # so a walked table equals a fresh engine's one-entry misses to the bit,
+    # flags included, and each walked factor equals the factor of that set's
+    # chain grown alone
+    if case == "l1":
+        values, _ = _walk_case("spline")
+        class_spec = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)), kind="l1", budget=2.0)
+    else:
+        values, class_spec = _walk_case(case)
+    p = values.shape[1]
+    seen = _walked_factors(monkeypatch)
+    walked = ConditionalFits(values, class_spec)
+    walked.fill([0] * p)
+    monkeypatch.undo()
+    single = ConditionalFits(values, class_spec)
+    for (v, mask), entry in _table(walked).items():
+        assert single.sigma(v, mask) == entry
+    for mask, inv in seen.items():
+        alone = single._chain(mask)
+        assert _same_factor(Factor(inv), Factor(None if alone.factors is None else alone.factors.inv[0]))
+
+
+def test_fill_of_several_searches_takes_one_walk_over_the_union_of_their_entries(monkeypatch):
+    # the identifiability gap's searches with one edge reversed: filled
+    # together they make one walk, fit exactly the entries some search
+    # reaches, and equal the searches filled one at a time to the bit
+    values, class_spec = _walk_case("spline")
+    p = values.shape[1]
+    searches = [[1 << j if v == k else 0 for v in range(p)] for k, j in [(0, 1), (1, 2), (3, 4)]]
+    apart = ConditionalFits(values, class_spec)
+    for before in searches:
+        apart.fill(before)
+    walks = _counting(monkeypatch, ConditionalFits, "_walk")
+    together = ConditionalFits(values, class_spec)
+    layers = together.fill(*searches)
+    assert walks[0] == 1 and len(layers) == len(searches)
+    assert _table(together) == _table(apart)
+    assert 0 < len(_table(together)) < p * 2 ** (p - 1)
+
+
+def test_walk_grows_exactly_lower_triangular_inverse_factors(monkeypatch):
+    # np.linalg.inv of a triangular block leaves rounding noise above its
+    # diagonal; every L^-1 that a p = 6 walk grows is exactly triangular
+    values = sample(
+        SemSpec(
+            p=6, order=tuple(range(6)),
+            edges={(j, j + 1): EdgeFunction("sine", (2.0, 1.5)) for j in range(5)},
+            noise_sd=(1.0,) + (0.3,) * 5,
+        ),
+        400, seed=9,
+    ).values
+    seen = _walked_factors(monkeypatch)
+    ConditionalFits(values, ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)))).best_order([0] * 6)
+    assert len(seen) == 2**6 - 1 and all(inv is not None for inv in seen.values())
+    for inv in seen.values():
+        assert np.array_equal(inv, np.tril(inv))
+
+
+def test_walked_sigma_keeps_its_accuracy_on_a_near_deterministic_chain():
+    # x_{j+1} = 2 sin(1.5 x_j) + sigma_c z: the fits of a child on its parent
+    # leave residuals near sigma_c^2, far below the data's scale.  Against
+    # the fits on the full n-row designs the table keeps 1e-12 relative
+    # (observed 3.4e-13 at sigma_c = 1e-4 and 2.4e-13 at 1e-7); forming W =
+    # L_P^-1 G_Pb by the product alone, without the refinement step, gave
+    # 5.4e-12 and 2.1e-11
+    p, n = 6, 2000
+    class_spec = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-5.0, 5.0)))
+    for noise in (1e-4, 1e-7):
+        rng = np.random.default_rng(11)
+        values = np.empty((n, p))
+        values[:, 0] = rng.standard_normal(n)
+        for j in range(1, p):
+            values[:, j] = 2.0 * np.sin(1.5 * values[:, j - 1]) + noise * rng.standard_normal(n)
+        values = np.clip(values, -4.9, 4.9)
+        fits = ConditionalFits(values, class_spec)
+        fits.best_order([0] * p)
+        direct = oracles.direct_sigma(values, class_spec)
+        for (v, mask), (rv, floored, _) in _table(fits).items():
+            if not floored:
+                assert abs(rv - direct(v, mask)) <= 1e-12 * direct(v, mask)
+
+
+def test_greedy_above_the_exact_guard_fits_each_step_once(monkeypatch):
+    # p = 19 has no sigma table: greedy builds its estimate from the entries
+    # it chose, so its p (p + 1) / 2 fits are all, and a sigma request is
+    # fitted anew each time
+    calls = _counting(monkeypatch, regress, "fit_span")
+    values = np.random.default_rng(26).standard_normal((100, 19))
+    fits = ConditionalFits(values, ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-4.0, 4.0))))
+    est = semorder.order._greedy_from_cache(fits)
+    assert sorted(est.order) == list(range(19)) and calls[0] == 19 * 20 // 2
+    assert est.sigma_hat.tolist() == fits.along(est.order)[0].tolist()
+    assert fits._var.size == 0 and calls[0] == 19 * 20 // 2 + 19
+    with pytest.raises(CapacityError, match="p <= 18"):
+        fits.fill([0] * 19)
+
+
+def test_extend_grows_each_member_alone_and_refuses_a_singular_schur_complement(monkeypatch):
+    # a stack of five parents, each grown by two columns; the fourth member's
+    # new block repeats two of its parent's columns, so its Schur complement
+    # is singular: the stacked Cholesky fails, each member is factored alone,
+    # and only that member is refused.  Every member is bit for bit its own
+    # factor grown alone
+    rng = np.random.default_rng(36)
+    x = rng.standard_normal((5, 40, 7))
+    x[3, :, 5:] = x[3, :, 1:3]
+    g = np.swapaxes(x, -1, -2) @ x
+    parent = Factors.empty(5)
+    parent, ok = extend(parent, g[:, :0, :5], g[:, :5, :5])
+    assert ok.all()
+    calls = _counting(monkeypatch, np.linalg, "cholesky")
+    grown, ok = extend(parent, g[:, :5, 5:], g[:, 5:, 5:])
+    assert calls[0] == 1 + 5
+    assert ok.tolist() == [True, True, True, False, True]
+    for i in (0, 1, 2, 4):
+        alone, _ = extend(parent.take([i]), g[i : i + 1, :5, 5:], g[i : i + 1, 5:, 5:])
+        assert all(np.array_equal(a[0], b[i]) for a, b in zip(alone, grown))
+        ref = factorize(x[i])
+        assert np.max(np.abs(grown.inv[i] - ref.inv)) <= 1e-12 * np.max(np.abs(ref.inv))
 
 
 def test_sigma_rejects_a_bad_target_or_mask():
@@ -818,7 +1000,7 @@ def test_sigma_rejects_a_bad_target_or_mask():
             call(0, 1 << 7)
         with pytest.raises(UsageError, match="beyond the 3 columns"):
             call(0, -1)
-    assert not fits._memo
+    assert not fits._var.any()
     fits.sigma(0, 0b110)
 
 
