@@ -21,12 +21,13 @@ Each convention used throughout the package is written once, here:
   and the certificate once per design, and every target fitted on that
   design shares the one :class:`Factor`, certified or not;
   :func:`least_squares` then solves once per right-hand side, ``beta = L^-T
-  L^-1 x'y`` in three ``np.dot`` products.  The factor step of one design
-  is :func:`factorize`.  ``regress.ConditionalFits`` instead grows each
-  factor of its sigma table from its parent's along the subset tree
-  (:func:`extend`): a design of predictor set S is the design of ``S -
-  {max S}`` and one block more, so the exact search over p variables costs
-  ``2^p - 1`` block-row steps, taken in stacks, and ``p 2^(p-1)`` solves;
+  L^-1 x'y`` in three ``np.dot`` products.  The one factor step is
+  :func:`extend`, which grows a stack of factors by one block row:
+  ``regress.ConditionalFits`` grows each factor of its sigma table from its
+  parent's along the subset tree (a design of predictor set S is the design
+  of ``S - {max S}`` and one block more, so the exact search over p
+  variables costs ``2^p - 1`` block-row steps, taken in stacks, and ``p
+  2^(p-1)`` solves), and :func:`factorize` takes one step from no column;
 * row compression (:func:`row_compress`): the R factor of a Householder QR,
   folded over row blocks as a tree of stacked leaf QRs, in place of a tall
   matrix whose column space is all that a fit reads;
@@ -54,12 +55,6 @@ RANK_REL_TOL = 1e-10
 # of 16 CLI runs (thread hand-offs on a busy machine).  The leaves of one
 # tree level are one stacked ``np.linalg.qr`` call
 FOLD_CELLS = 8192
-# rows of one diagonal block of factorize's block inverse (_lower_inverse),
-# chosen when factorize served the exact search: on a 2-vCPU VM its 511
-# designs of up to 41 columns inverted in 4.5 to 6.1 ms with blocks of 8
-# rows, against 4.8 to 6.7 ms with 4, 6.2 to 8.3 ms with 16, 6.8 to 9.4 ms
-# row by row and 9.6 to 12.8 ms for np.linalg.inv of each whole factor
-INV_BLOCK = 8
 
 __all__ = [
     "check_symmetric",
@@ -133,7 +128,8 @@ class Factor(NamedTuple):
 
     ``inv`` is ``L^-1`` for the Cholesky factor ``L`` of ``x'x``, exactly
     lower triangular, when the certificate holds, else None: every
-    right-hand side then goes to ``gelsd``.
+    right-hand side then goes to ``gelsd``.  Made by :func:`factorize`, or
+    taken from a factor that :func:`extend` grew.
     """
 
     inv: np.ndarray | None
@@ -165,13 +161,13 @@ class Factors(NamedTuple):
 def factorize(x: np.ndarray) -> Factor:
     """The certified Cholesky factor of ``g = x'x`` of one ``(m, d)`` design, once for every right-hand side fitted on `x`.
 
-    ``L^-1`` comes from :func:`_lower_inverse`, by block forward
-    substitution.  ``L`` is accepted only under the certificate ``trace(g)
-    ||L^-1||_F^2 <= 1 / RANK_REL_TOL``.  Its left side is at least
-    ``cond(x)^2``, so a certified `x` has full column rank under the rank
-    rule.  A singular `g` or a failed or NaN certificate gives
-    ``Factor(None)``; the inverse and the certificate are formed under one
-    ``np.errstate``, so an inverse that overflows fails the certificate
+    One :func:`extend` step from the factor of no column, so ``L`` and
+    ``L^-1`` are formed, and certified, by the same code as the factors that
+    ``regress.ConditionalFits`` grows along the subset tree.  ``L`` is
+    accepted only under the certificate ``trace(g) ||L^-1||_F^2 <= 1 /
+    RANK_REL_TOL``.  Its left side is at least ``cond(x)^2``, so a certified
+    `x` has full column rank under the rank rule.  A singular `g`, an
+    inverse that overflows, or a NaN certificate gives ``Factor(None)``,
     without a warning.  :class:`UsageError` when ``trace(g)`` is not finite
     (a non-finite entry, or squares that overflow).
     """
@@ -180,36 +176,8 @@ def factorize(x: np.ndarray) -> Factor:
         trace = np.trace(g)
     if not np.isfinite(trace):
         raise UsageError(f"design must be finite with finite squares, got trace(x'x) = {trace}")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv = _lower_inverse(np.linalg.cholesky(g)[None])[0]
-            bound = trace * np.sum(inv * inv)
-    except np.linalg.LinAlgError:
-        return Factor(None)
-    return Factor(inv if bound <= 1.0 / RANK_REL_TOL else None)
-
-
-def _lower_inverse(l: np.ndarray) -> np.ndarray:
-    """The inverses of a stack ``(k, d, d)`` of lower-triangular `l`, by block forward substitution.
-
-    Block row i of ``M = L^-1``, INV_BLOCK rows at a time, is ``M_ii =
-    tril(L_ii^-1)`` by ``np.linalg.inv`` and, left of it, ``M_i,<i = -M_ii
-    (L_i,<i M_<i,<i)``: two stacked products with the block rows above,
-    already done.  ``np.linalg.inv`` is an LU with partial pivoting, which
-    leaves rounding noise above the diagonal; ``np.tril`` drops it, so `M`
-    is exactly lower triangular.  This is as stable as the general inverse
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, section
-    14.2), and each member is bit for bit the inverse of its factor alone.
-    """
-    d = l.shape[-1]
-    inv = np.zeros_like(l)
-    for i in range(0, d, INV_BLOCK):
-        j = min(i + INV_BLOCK, d)
-        diag = np.tril(np.linalg.inv(l[:, i:j, i:j]))
-        inv[:, i:j, i:j] = diag
-        if i:
-            inv[:, i:j, :i] = -diag @ (l[:, i:j, :i] @ inv[:, :i, :i])
-    return inv
+    factors, ok = extend(Factors.empty(), g[None, :0], g[None])
+    return Factor(factors.inv[0] if ok[0] else None)
 
 
 def extend(parent: Factors, g_pb: np.ndarray, g_bb: np.ndarray) -> tuple[Factors, np.ndarray]:
@@ -229,9 +197,11 @@ def extend(parent: Factors, g_pb: np.ndarray, g_bb: np.ndarray) -> tuple[Factors
     squares of the new block row.  Both only grow, so a design that fails
     the certificate has no certified descendant.  Returns the grown stack
     and which members are certified (:func:`factorize`'s rule); a member
-    whose Schur complement has no Cholesky factor is not, and its factor is
-    not to be used.  Every step is a stacked call, so each member is bit
-    for bit its own factor grown alone.
+    whose Schur complement has no Cholesky factor, or whose ``L_22`` has no
+    inverse by ``np.linalg.inv`` (which refuses one that overflows), is not,
+    and its factor is not to be used.  Each member is bit for bit its own
+    factor grown alone: every step is a stacked call, and :func:`_each`
+    retries a failed one member by member.
     """
     k, d, b = parent.chol.shape[0], parent.chol.shape[-1], g_bb.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -239,15 +209,14 @@ def extend(parent: Factors, g_pb: np.ndarray, g_bb: np.ndarray) -> tuple[Factors
         w += parent.inv @ (g_pb - parent.chol @ w)
         wt = w.transpose(0, 2, 1)
         schur = g_bb - wt @ w
-        try:
-            l22, factored = np.linalg.cholesky(schur), True
-        except np.linalg.LinAlgError:
-            l22, factored = _cholesky_each(schur)
-        m22 = np.tril(np.linalg.inv(l22))
+        l22, factored = _each(np.linalg.cholesky, schur)
+        m22, inverted = _each(np.linalg.inv, l22)
+        # inv is an LU with partial pivoting, which leaves rounding noise above the diagonal
+        m22 = np.tril(m22)
         row = -(m22 @ (wt @ parent.inv))
         trace = parent.trace + g_bb.diagonal(0, 1, 2).sum(1)
         norm = parent.norm + (row * row).sum((1, 2)) + (m22 * m22).sum((1, 2))
-        ok = (trace * norm <= 1.0 / RANK_REL_TOL) & factored
+        ok = (trace * norm <= 1.0 / RANK_REL_TOL) & factored & inverted
     chol = np.zeros((k, d + b, d + b))
     chol[:, :d, :d], chol[:, d:, :d], chol[:, d:, d:] = parent.chol, wt, l22
     inv = np.zeros_like(chol)
@@ -255,12 +224,21 @@ def extend(parent: Factors, g_pb: np.ndarray, g_bb: np.ndarray) -> tuple[Factors
     return Factors(chol, inv, trace, norm), ok
 
 
-def _cholesky_each(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Cholesky factors of a stack `a` taken one member at a time, an identity where one fails, and which succeeded."""
+def _each(fn, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fn`` of the stack of square matrices `a`, and which members it succeeded on.
+
+    One stacked call when every member succeeds.  Otherwise ``fn`` runs one
+    member at a time, and a member on which it raises ``LinAlgError`` gets
+    an identity in its place.
+    """
+    try:
+        return fn(a), np.ones(a.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
     out, ok = np.empty_like(a), np.ones(a.shape[0], dtype=bool)
     for i, member in enumerate(a):
         try:
-            out[i] = np.linalg.cholesky(member)
+            out[i] = fn(member)
         except np.linalg.LinAlgError:
             out[i], ok[i] = np.eye(a.shape[-1]), False
     return out, ok

@@ -45,7 +45,11 @@ CLASS_KEYS = {"dictionary": REQUIRED, "kind": SPAN, "budget": None, "intercept":
 # VM the spline basis (N = 6) costs 41 to 44 ns per point in chunks of this
 # size, against 48 to 50 ns in chunks of 4096 rows at p = 9 and p = 12
 CHUNK_POINTS = 16384
-# the largest p the one subset DP (ConditionalFits.best_order) takes
+# the largest p the one subset DP (ConditionalFits.best_order) takes.  On the
+# sine chain of the benchmark (n = 1000, cubic spline N = 6), on a 2-vCPU
+# Xeon VM with one BLAS thread, exact search took 0.42 to 0.54 s at p = 12
+# (41 MB peak RSS), 2.2 to 3.1 s at p = 14 (45 MB), 11 to 13 s at p = 16
+# (62 MB) and 42 to 50 s at p = 18 (136 MB)
 EXACT_GUARD = 18
 # bytes of the designs of one stacked step of the sigma table's walk
 # (ConditionalFits._visit): the sets whose factors one step grows, and whose
@@ -135,16 +139,15 @@ def fit_span(x: np.ndarray, y: np.ndarray, factor: Factor | None = None) -> FitR
 
     Solved by :func:`semorder._linalg.least_squares`: a certified Cholesky
     solve when `x` is well conditioned, else LAPACK's ``gelsd``.  `factor`,
-    a :class:`semorder._linalg.Factor` of the same `x` (by
-    :func:`semorder._linalg.factorize`, or grown by
-    :class:`ConditionalFits`), lets several targets share one factorization;
-    without it the fit is :func:`factorize`'s, the same to rounding.  The residual
-    variance is the mean squared residual ``y - x beta`` (no
-    degrees-of-freedom correction).  ``rank`` is the numerical rank of `x`,
-    the number of singular values above ``RANK_REL_TOL`` times the largest;
-    ``degenerate`` marks a rank below the column count.  :class:`UsageError`
-    for a non-finite ``y'y``, ``trace(x'x)`` (checked by :func:`factorize`)
-    or residual variance.
+    a :class:`semorder._linalg.Factor` of the same `x` (grown by
+    :class:`ConditionalFits`), lets several targets share one
+    factorization; without it the fit is :func:`semorder._linalg.factorize`'s,
+    the same to rounding.  The residual variance is the mean squared
+    residual ``y - x beta`` (no degrees-of-freedom correction).  ``rank`` is
+    the numerical rank of `x`, the number of singular values above
+    ``RANK_REL_TOL`` times the largest; ``degenerate`` marks a rank below
+    the column count.  :class:`UsageError` for a non-finite ``y'y``,
+    ``trace(x'x)`` (checked by :func:`factorize`) or residual variance.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -414,8 +417,9 @@ class ConditionalFits:
       column of ``C`` is contiguous; the Gram matrix ``G`` of its design
       columns is formed once, with it;
     * the design ``[1 | B_k ...]`` with blocks in ascending column order, as
-      columns of ``C`` (:meth:`_columns`), gathered as a copy of those rows
-      of ``C'`` (:meth:`_gather`);
+      columns of ``C``: the empty set's (:meth:`_root`) and one block more
+      per child (:meth:`_grow`), gathered as a copy of those rows of ``C'``
+      (:meth:`_gather`);
     * the factors, grown along the subset tree: the design of a set S is the
       design of its parent ``S - {max S}`` and block ``max S`` more, so S's
       certified Cholesky factor is its parent's grown by one block row
@@ -549,30 +553,6 @@ class ConditionalFits:
         need = k * self.class_spec.dictionary.size + 1
         if need > self.n:
             raise CapacityError(f"conditioning on {k} columns needs {need} rows, have {self.n}")
-
-    def _design(self, mask: int) -> tuple[np.ndarray | None, bool]:
-        """The class design of the columns in `mask`, gathered from ``C``, and whether a block lost a column.
-
-        None when the design has no column (no block and no intercept).
-        """
-        cols, lost = self._columns(mask)
-        return (self._gather(np.array(cols)) if cols else None), lost
-
-    def _columns(self, mask: int) -> tuple[list[int], bool]:
-        """The columns of ``C`` that make the class design of `mask`, and whether a block lost a column.
-
-        ``[1 | B_k ...]``: the intercept if the class has one, then each block
-        in ascending column order, the first in its first-block form and the
-        others in their later form.
-        """
-        if self._c is None:
-            self._compress()
-        starts, widths, full = self._starts.tolist(), self._widths.tolist(), self._full.tolist()
-        ks = [k for k in range(self.p) if mask >> k & 1]
-        cols = list(range(int(self.class_spec.intercept)))
-        for i, k in enumerate(ks):
-            cols += range(starts[k], starts[k] + widths[1 if i else 0][k])
-        return cols, not all(full[k] for k in ks)
 
     def _gather(self, cols: np.ndarray) -> np.ndarray:
         """The ``(..., m, d)`` stack of designs whose ``C`` columns are the rows ``(..., d)`` of `cols`.
@@ -959,7 +939,7 @@ def misspec_experiment(
         return ConditionalFits(np.column_stack([x, y]), class_spec)
 
     oracle = sample_fits(oracle_n, 0)
-    psi, _ = oracle._design(0b1)
+    psi = oracle._gather(oracle._chain(0b1).cols)[0]
     m, d = psi.shape
     if oracle_n < 10 * d:
         raise UsageError(f"oracle_n={oracle_n} too small for {d} features (need >= {10 * d})")

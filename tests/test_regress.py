@@ -14,11 +14,9 @@ import semorder
 from semorder import regress
 from semorder._linalg import (
     FOLD_CELLS,
-    INV_BLOCK,
     RANK_REL_TOL,
     Factor,
     Factors,
-    _lower_inverse,
     extend,
     factorize,
     least_squares,
@@ -213,24 +211,19 @@ EPS = np.finfo(np.float64).eps
 
 @pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 41])
 def test_block_inverse_matches_the_general_inverse(d):
-    # orders on each side of the INV_BLOCK = 8 edge.  Tolerance, set from
-    # float64 before measuring: max |M - inv(L)| <= d eps cond(L) max |inv(L)|,
-    # the first-order forward error of a triangular inverse (Higham 2002,
-    # section 14.2).  Observed: 0 up to one block, at most 3.3e-3 of it above.
-    # The block inverse is exactly lower triangular, and up to one block it is
-    # the general inverse with its rounding noise above the diagonal dropped
-    assert INV_BLOCK == 8
+    # factorize's L^-1, the inverse of one block row grown from no column,
+    # against the general inverse of the Cholesky factor.  Tolerance, set
+    # from float64 before measuring: max |M - inv(L)| <= d eps cond(L) max
+    # |inv(L)|, the first-order forward error of a triangular inverse
+    # (Higham 2002, section 14.2).  The inverse is exactly lower triangular
     for seed in range(10):
         rng = np.random.default_rng([d, seed])
         x = rng.standard_normal((2 * d + 10, d)) * np.logspace(0, 2, d)
         l = np.linalg.cholesky(x.T @ x)
         ref = np.linalg.inv(l)
-        got = _lower_inverse(l[None])[0]
+        got = factorize(x).inv
         assert np.max(np.abs(got - ref)) <= d * EPS * np.linalg.cond(l) * np.max(np.abs(ref))
         assert np.array_equal(got, np.tril(got))
-        if d <= INV_BLOCK:
-            assert np.array_equal(got, np.tril(ref))
-        assert np.array_equal(factorize(x).inv, got)
 
 
 @pytest.mark.parametrize("d, conds", [(9, (0.9e5, 1.1e5)), (41, (4.0e4, 4.4e4))])
@@ -258,21 +251,26 @@ def test_block_inverse_near_the_certificate_bound(d, conds):
     assert decisions == [False, True]
 
 
-def test_overflowing_block_inverse_is_refused_without_a_warning():
-    # x = H B for 64 rows of a Hadamard matrix and B upper bidiagonal (2^-20
-    # on the diagonal, 1 above it): x'x = 64 B'B and its Cholesky factor 8 B'
-    # are exact, and inv(8 B') has entries up to 2^(20 * 60) / 8, which
-    # overflow inside the block products.  Under -W error nothing warns, the
-    # design is refused, and its fit goes to lstsq
+def _overflowing_design():
+    """``x = H B`` for 64 rows of a Hadamard matrix and B the 60 x 60 upper bidiagonal with 2^-20 on the diagonal, 1 above it."""
     h = np.ones((1, 1))
     for _ in range(6):
         h = np.kron(h, [[1.0, 1.0], [1.0, -1.0]])
     d = 60
     b = 2.0**-20 * np.eye(d) + np.eye(d, k=1)
-    x = h[:, :d] @ b
+    return h[:, :d] @ b, b
+
+
+def test_overflowing_block_inverse_is_refused_without_a_warning():
+    # x = H B (_overflowing_design): x'x = 64 B'B and its Cholesky factor 8 B'
+    # are exact, and inv(8 B') has entries up to 2^(20 * 60) / 8, which
+    # overflow, so np.linalg.inv refuses it.  Under -W error nothing warns,
+    # the design is refused, and its fit goes to lstsq
+    x, b = _overflowing_design()
+    d = b.shape[0]
     assert np.array_equal(np.linalg.cholesky(x.T @ x), 8 * b.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(_lower_inverse(8 * b.T[None])).all()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(8 * b.T)
     rng = np.random.default_rng(35)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -345,8 +343,14 @@ def test_conditional_fits_has_one_solver_dispatch():
 
 
 def test_least_squares_solvers_live_in_linalg():
-    # every linear solve, factorization and rank decision lives in _linalg
+    # every linear solve, factorization and rank decision lives in _linalg,
+    # and every Cholesky factor and its inverse in its one factor step,
+    # extend: no second factor routine
     package = Path(semorder.__file__).parent
+    linalg = (package / "_linalg.py").read_text(encoding="utf-8")
+    step = inspect.getsource(extend)
+    for name in ("np.linalg.cholesky", "np.linalg.inv"):
+        assert name in step and linalg.count(name) == step.count(name), f"_linalg.py calls {name} outside extend"
     for path in sorted(package.glob("*.py")):
         if path.name == "_linalg.py":
             continue
@@ -653,6 +657,12 @@ def _table(fits):
     return {(int(v), int(mask)): fits._stored(int(v), int(mask)) for v, mask in zip(*np.nonzero(fits._var))}
 
 
+def _set_design(fits, mask):
+    """The engine's design of the set `mask`, read off the set's chain, and whether a block of it lost a column."""
+    nodes = fits._chain(mask)
+    return fits._gather(nodes.cols)[0], bool(nodes.lost[0])
+
+
 def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
     # Every entry is one fit on the engine's design of its set.  A span
     # entry whose design fit_span certifies must match fit_span on that
@@ -680,10 +690,10 @@ def test_sigma_table_rows_equal_per_entry_fits(monkeypatch):
         table = _table(fits)
         assert len(table) == p * 2 ** (p - 1)
         for (v, mask), entry in sorted(table.items()):
-            design, lost = fits._design(mask)
+            design, lost = _set_design(fits, mask)
             y = fits._targets[:, v]
             tol = 0.0
-            if design is None:
+            if not design.shape[1]:
                 rv, degenerate = float(np.mean(y * y)), False
             elif class_spec.kind == "l1" and mask:
                 budget = class_spec.total_budget(mask.bit_count())
@@ -731,7 +741,7 @@ def test_sigma_table_is_the_same_whatever_the_stack_bound(monkeypatch):
         if class_spec.dictionary.family == PIECEWISE_CONSTANT:
             assert any(degenerate for _, _, degenerate in table.values())  # a block lost a column
         m = default._c.shape[0]
-        widest = max(len(default._columns(full & ~(1 << v))[0]) for v in range(p))
+        widest = max(default._chain(full & ~(1 << v)).cols.shape[1] for v in range(p))
         for bound in (1, 3 * 8 * m * widest):
             monkeypatch.setattr(regress, "STACK_BYTES", bound)
             monkeypatch.setattr(ConditionalFits, "_grow", recorded)
@@ -841,9 +851,9 @@ def test_walked_factors_and_entries_match_the_full_designs(monkeypatch, case):
     assert set(seen) == set(range((1 << p) - 1))
     widths = {}
     for mask, inv in seen.items():
-        design, _ = fits._design(mask)
-        widths.setdefault(mask.bit_count(), set()).add(0 if design is None else design.shape[1])
-        if design is None:
+        design, _ = _set_design(fits, mask)
+        widths.setdefault(mask.bit_count(), set()).add(design.shape[1])
+        if not design.shape[1]:
             continue
         ref = factorize(design)
         assert (inv is None) == (ref.inv is None)
@@ -986,6 +996,21 @@ def test_extend_grows_each_member_alone_and_refuses_a_singular_schur_complement(
         assert all(np.array_equal(a[0], b[i]) for a, b in zip(alone, grown))
         ref = factorize(x[i])
         assert np.max(np.abs(grown.inv[i] - ref.inv)) <= 1e-12 * np.max(np.abs(ref.inv))
+    # a stack of a well-conditioned 64 x 60 design and _overflowing_design,
+    # grown from no column: the second member's L_22^-1 overflows, so the
+    # stacked inverse fails, each member is inverted alone, and only that
+    # member is refused, without a warning.  The first is bit for bit its
+    # factor grown alone
+    x = np.stack([rng.standard_normal((64, 60)), _overflowing_design()[0]])
+    g = np.swapaxes(x, -1, -2) @ x
+    calls = _counting(monkeypatch, np.linalg, "inv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grown, ok = extend(Factors.empty(2), g[:, :0], g)
+        assert ok.tolist() == [True, False] and calls[0] == 1 + 2
+        alone, ok = extend(Factors.empty(), g[:1, :0], g[:1])
+    assert ok.tolist() == [True]
+    assert all(np.array_equal(a[0], b[0]) for a, b in zip(alone, grown))
 
 
 def test_sigma_rejects_a_bad_target_or_mask():
