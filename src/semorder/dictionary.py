@@ -166,35 +166,54 @@ def _cubic_bspline(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     # t[ell + i] - t[ell + i - j] for (j, i) = (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)
     div = knots[[0, 0, 1, 0, 1, 2]] - knots[[3, 4, 3, 5, 4, 3]]
     div[0] = 1.0 / div[0]
-    # every gathered array is a fresh copy, so the recursion reuses them in place
-    r1, r2, r3, l0, l1, l2, w, d21, d22, d31, d32, d33 = (np.take(row, first) for row in np.vstack([knots, div]))
-    for r in (r1, r2, r3):  # t[ell + 1] - x, t[ell + 2] - x, t[ell + 3] - x
-        np.subtract(r, x, out=r)
-    for left in (l0, l1, l2):  # x - t[ell], x - t[ell - 1], x - t[ell - 2]
-        np.subtract(x, left, out=left)
+    table = np.vstack([knots, div])
+
+    def take(k):  # row k of the table at each point's interval, a fresh copy
+        return np.take(table[k], first)
+
+    # the recursion reuses the operands in place; each is taken at its first
+    # use and dropped after its last, so the output is made once they are gone
+    r1, l0, w = take(0), take(3), take(6)
+    np.subtract(r1, x, out=r1)  # t[ell + 1] - x
+    np.subtract(x, l0, out=l0)  # x - t[ell]
     # level 1
     a1 = w * l0
     a0 = np.multiply(w, r1, out=w)
     # level 2
-    w = np.divide(a0, d21, out=d21)
+    r2, l1 = take(1), take(4)
+    np.subtract(r2, x, out=r2)  # t[ell + 2] - x
+    np.subtract(x, l1, out=l1)  # x - t[ell - 1]
+    w = take(7)
+    np.divide(a0, w, out=w)
     b0 = np.multiply(w, r1, out=a0)
     b1 = np.multiply(w, l1, out=w)
-    w = np.divide(a1, d22, out=d22)
+    w = take(8)
+    np.divide(a1, w, out=w)
     b1 += np.multiply(w, r2, out=a1)
     b2 = np.multiply(w, l0, out=w)
     # level 3; a1 is free scratch from here
-    w = np.divide(b0, d31, out=d31)
+    w = take(9)
+    np.divide(b0, w, out=w)
     c0 = np.multiply(w, r1, out=b0)
+    del r1
+    l2 = take(5)
+    np.subtract(x, l2, out=l2)  # x - t[ell - 2]
     c1 = np.multiply(w, l2, out=w)
-    w = np.divide(b1, d32, out=d32)
+    del l2
+    w = np.divide(b1, take(10), out=b1)
     c1 += np.multiply(w, r2, out=a1)
     c2 = np.multiply(w, l1, out=w)
-    w = np.divide(b2, d33, out=d33)
+    del r2, l1
+    r3 = take(2)
+    np.subtract(r3, x, out=r3)  # t[ell + 3] - x
+    w = np.divide(b2, take(11), out=b2)
     c2 += np.multiply(w, r3, out=a1)
     c3 = np.multiply(w, l0, out=w)
+    del r3, l0, a1
     out = np.zeros((n, p * m))
     flat = out.reshape(-1)
-    at = np.arange(0, n * p * m, m) + first.reshape(-1)
+    at = first.reshape(-1)
+    at += np.arange(0, n * p * m, m)
     for c in (c0, c1, c2, c3):
         flat[at] = c.reshape(-1)
         at += 1

@@ -39,12 +39,18 @@ SPAN = "span"
 L1 = "l1"
 CLASS_KEYS = {"dictionary": REQUIRED, "kind": SPAN, "budget": None, "intercept": True}
 
-# data points (rows times columns) that ConditionalFits evaluates and folds
-# into its QR at a time, which bounds the working memory of the fold whatever
-# the number of rows; a chunk has max(1, CHUNK_POINTS // p) rows.  On a 2-vCPU
-# VM the spline basis (N = 6) costs 41 to 44 ns per point in chunks of this
-# size, against 48 to 50 ns in chunks of 4096 rows at p = 9 and p = 12
-CHUNK_POINTS = 16384
+# data points (rows times columns) that ConditionalFits checks, evaluates and
+# folds into its QR at a time, which bounds the working memory of its data
+# pass whatever the number of rows; a chunk has max(1, CHUNK_POINTS // p) rows.
+# Each (rows, p) array of the spline kernel takes 64 KiB, below glibc's
+# 128 KiB mmap threshold.  At 16384 points they took 128 KiB, and the speed
+# of a compression hung on what the process had freed before it: with no
+# large earlier free it took 5,000 to 35,000 page faults at p = 4, 9 and 12,
+# against at most 600 at 8192.  On a 2-vCPU Xeon VM with one BLAS thread
+# (medians of 15 fresh processes) compression took 22.0 ms at p = 4 and
+# n = 50,000, 168 ms at p = 9 and 300 ms at p = 12 (n = 100,000), against
+# 22.0, 156 and 287 ms at 16384 points after an n x p data check
+CHUNK_POINTS = 8192
 # the largest p the one subset DP (ConditionalFits.best_order) takes.  On the
 # sine chain of the benchmark (n = 1000, cubic spline N = 6), on a 2-vCPU
 # Xeon VM with one BLAS thread, exact search took 0.42 to 0.54 s at p = 12
@@ -376,6 +382,31 @@ def _folded_width(class_spec: ClassSpec) -> int:
     return size - int(drops_last)
 
 
+def _sum_squares(values: np.ndarray, rows: int) -> np.ndarray:
+    """``np.sum(values * values, axis=0)`` bit for bit, squaring at most ``max(rows, 128)`` rows at a time.
+
+    numpy adds the rows of a matrix in order when its rows are the outer
+    loop (p > 1, columns the shorter stride): each chunk is summed with the
+    running sum stacked as its first row.  Otherwise each column is one
+    vector, which numpy sums pairwise, halving at a multiple of 8 above 128
+    terms; the rows are split there until a piece is short enough, and the
+    pieces' sums are added up the same tree.
+    """
+    n, p = values.shape
+    if p == 1 or abs(values.strides[0]) < abs(values.strides[1]):
+        if n <= max(rows, 128):
+            return np.sum(values * values, axis=0)
+        half = n // 2 - n // 2 % 8
+        return _sum_squares(values[:half], rows) + _sum_squares(values[half:], rows)
+    buf, total = np.empty((rows + 1, p)), np.zeros(p)
+    for start in range(0, n, rows):
+        chunk = values[start : start + rows]
+        buf[0] = total
+        np.multiply(chunk, chunk, out=buf[1 : chunk.shape[0] + 1])
+        total = buf[: chunk.shape[0] + 1].sum(axis=0)
+    return total
+
+
 class _Nodes(NamedTuple):
     """A stack of placed sets whose designs share one width, as :class:`ConditionalFits` walks them.
 
@@ -406,7 +437,9 @@ class ConditionalFits:
     :func:`fit_over_subsets` all read their fits from it.  It owns:
 
     * the data check: every column's mean square must be finite, else
-      :class:`UsageError` naming the column;
+      :class:`UsageError` naming the column.  The squares are summed a chunk
+      of rows at a time (:func:`_sum_squares`), so the check makes no copy of
+      the data;
     * the capacity rule ``|S| N + 1 <= n``, else :class:`CapacityError`;
     * one compression of the data, made on first use in one pass over its
       rows: ``A = [1 | B_1 ... B_p | X]``, each basis block folded without
@@ -451,13 +484,13 @@ class ConditionalFits:
         values = np.asarray(getattr(data, "values", data), dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise UsageError(f"data must be a nonempty 2-d matrix, got shape {values.shape}")
+        self.n, self.p = values.shape
         with np.errstate(over="ignore"):
-            ms = np.mean(values * values, axis=0)
+            ms = _sum_squares(values, max(1, CHUNK_POINTS // self.p)) / self.n
         bad = np.flatnonzero(~np.isfinite(ms))
         if bad.size:
             raise UsageError(f"column x{bad[0] + 1} has a non-finite mean square ({ms[bad[0]]})")
-        self.values = values
-        self.n, self.p = values.shape
+        self._values: np.ndarray | None = values
         self.class_spec = class_spec
         self._floor = np.maximum(1e-12 * ms, np.finfo(np.float64).tiny)
         self._c: np.ndarray | None = None
@@ -567,7 +600,9 @@ class ConditionalFits:
         One pass over the data: each chunk of ``max(1, CHUNK_POINTS // p)``
         rows gets its basis from one :func:`basis_matrix` call, is written
         into one preallocated buffer and folded in by
-        :func:`_linalg.row_compress`, so no n-row design is ever held.  Each
+        :func:`_linalg.row_compress`, so no n-row design is ever held, and a
+        chunk's basis is freed before the next one's is made.  The engine
+        drops its reference to the data after the pass.  Each
         block ``B_k`` holds only the columns that some design may keep
         (:func:`_folded_width`).  The columns that :func:`_design_columns`
         keeps, known once every row is seen, are then compressed once more to
@@ -586,15 +621,17 @@ class ConditionalFits:
         # every chunk is the same buffer: row_compress reduces a block before it asks for the next
         def chunks():
             for start in range(0, n, rows):
-                chunk = self.values[start : start + rows]
+                chunk = self._values[start : start + rows]
                 m = chunk.shape[0]
                 basis = basis_matrix(cs.dictionary, chunk).reshape(m, p, size)
                 reached[:] |= basis.any(axis=0)
                 bases[:m] = basis[:, :, :folded]
+                del basis  # not alive while the next chunk's basis is made
                 buf[:m, icpt + p * folded :] = chunk
                 yield buf[:m]
 
         r = row_compress(chunks())
+        self._values = None
         keep, spans = [np.arange(icpt)], []
         for k in range(p):
             cols, width, full = _design_columns(cs, reached[k])

@@ -231,9 +231,9 @@ class DataMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
             raise UsageError(f"data must be a nonempty 2-d matrix, got shape {self.values.shape}")
-        bad = ~np.isfinite(self.values)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
+        # min and max propagate NaN and reach any infinity, with no n x p mask
+        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
+            row, col = np.argwhere(~np.isfinite(self.values))[0]
             raise UsageError(
                 f"non-finite value {float(self.values[row, col])} in column x{col + 1} (data row {row + 1})"
             )

@@ -605,7 +605,9 @@ def test_l1_fit_leaves_rounding_noise_columns_out_of_its_path(budget):
 
 def test_sigma_table_never_holds_an_n_row_design():
     # n = 200,000 rows, p = 4, spline K = 6: A = [1 | B_1..B_4 | X] has 29
-    # columns, 46.4 MB as one array; the engine folds it in chunks
+    # columns, 46.4 MB as one array; the engine folds it in chunks, one alive
+    # at a time (observed 1.32 MB, the bound 1.6 MB; holding a stale chunk
+    # basis and the kernel's dead operands peaked at 4.7 MB)
     n, p = 200_000, 4
     values = np.random.default_rng(19).standard_normal((n, p))
     fits = ConditionalFits(values, ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0))))
@@ -620,7 +622,54 @@ def test_sigma_table_never_holds_an_n_row_design():
     finally:
         tracemalloc.stop()
     assert np.count_nonzero(fits._var) == p * 2 ** (p - 1)
-    assert peak < n * (1 + p * 6 + p) * 8 / 4
+    assert peak < 1.6e6
+
+
+def test_engine_data_check_never_copies_the_data():
+    # the mean squares are summed a chunk at a time: no n x p temporary
+    values = np.random.default_rng(20).standard_normal((200_000, 4))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ConditionalFits(values, ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 4
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("p", [1, 4, 9])
+def test_engine_floor_is_each_columns_mean_square_bit_for_bit(p, order):
+    # numpy sums a C-ordered matrix row by row and a column pairwise; the
+    # chunked sum repeats either, also over a last, partial chunk
+    rows = regress.CHUNK_POINTS // p
+    values = np.random.default_rng(p).standard_normal((3 * rows + 5, p)) * np.geomspace(1e-3, 1e3, p)
+    values = np.asarray(values, order=order)
+    fits = ConditionalFits(values, ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-1.0, 1.0))))
+    assert np.array_equal(fits._floor, np.maximum(1e-12 * np.mean(values * values, axis=0), np.finfo(np.float64).tiny))
+
+
+@pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (1e160, "inf")])
+def test_engine_names_a_bad_column_in_the_last_partial_chunk(bad, shown):
+    # the data check sums the squares in chunks of CHUNK_POINTS // p rows;
+    # a NaN, or a finite cell whose square overflows, in the last row is seen
+    p = 3
+    values = np.random.default_rng(22).standard_normal((2 * (regress.CHUNK_POINTS // p) + 17, p))
+    values[-1, 1] = bad
+    with pytest.raises(UsageError, match=rf"^column x2 has a non-finite mean square \({shown}\)$"):
+        ConditionalFits(values, ClassSpec(Dictionary(TRIGONOMETRIC, 3, (-1.0, 1.0))))
+
+
+def test_engine_releases_the_data_once_compressed():
+    # only the compression reads the data: a search keeps its m-row C, not the n-row sample
+    values = np.random.default_rng(21).standard_normal((300, 3))
+    fits = ConditionalFits(values, ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-4.0, 4.0))))
+    data = weakref.ref(values)
+    del values
+    assert data() is not None
+    fits.fill([0] * 3)
+    assert data() is None
 
 
 def test_sigma_table_builds_without_lstsq(monkeypatch):
@@ -1366,10 +1415,11 @@ def test_misspec_refuses_a_sample_that_misses_a_cell():
 
 
 def test_misspec_never_holds_an_n_row_design():
-    # the oracle sample goes through one ConditionalFits, which folds its
-    # basis in chunks: the peak stays below 12 floats per oracle row
-    # (observed 7.2 MB; holding the full 200,000 x 7 design with its basis
-    # and products peaked at 40.8 MB)
+    # the oracle sample goes through one ConditionalFits, which checks and
+    # folds it in chunks: the peak stays below 5 floats per oracle row
+    # (observed 6.47 MB, 4.04 floats, while the sample is drawn; an n x p
+    # data check and a stale chunk basis peaked at 9.6 MB, and holding the
+    # full 200,000 x 7 design with its basis and products at 40.8 MB)
     oracle_n = 200_000
     cls = ClassSpec(Dictionary(CUBIC_B_SPLINE, 6, (-1.0, 1.0)))
     tracemalloc.start()
@@ -1379,7 +1429,7 @@ def test_misspec_never_holds_an_n_row_design():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < oracle_n * 8 * 12
+    assert peak < oracle_n * 8 * 5
 
 
 def test_misspec_report_shape():

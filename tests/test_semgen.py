@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,29 @@ def test_data_matrix_csv_round_trip(tmp_path):
     assert "\r" not in text
     back = DataMatrix.from_csv(path)
     assert np.array_equal(back.values, data.values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row, col", [(0, 0), (12_345, 2), (199_998, 3)])
+def test_data_matrix_names_the_first_non_finite_cell(row, col, bad):
+    values = np.random.default_rng(14).standard_normal((200_000, 4))
+    values[row, col] = bad
+    values[-1, -1] = np.nan  # a later bad cell is not the one named
+    with pytest.raises(UsageError) as err:
+        DataMatrix(values=values)
+    assert str(err.value) == f"non-finite value {bad} in column x{col + 1} (data row {row + 1})"
+
+
+def test_data_matrix_checks_finiteness_without_a_mask():
+    values = np.random.default_rng(15).standard_normal((200_000, 4))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        DataMatrix(values=values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 16
 
 
 def test_negative_seed_is_usage_error():
